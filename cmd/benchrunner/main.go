@@ -8,29 +8,24 @@
 //	benchrunner -list              # show available experiment IDs
 //	benchrunner -json out.json     # machine-readable export (default
 //	                               # BENCH_eval.json; -json "" disables)
-//	benchrunner -exp cache         # query-cache cold/warm latencies;
-//	                               # also written to -cache-json
-//	                               # (default BENCH_cache.json)
-//	benchrunner -exp obs           # flight-recorder + ledger overhead
-//	                               # off vs sample=0.01 vs sample=1.0;
-//	                               # also written to -obs-json
-//	                               # (default BENCH_obs.json)
 //	benchrunner -exp replay -workload qlog.jsonl
 //	                               # replay a bigindexd -query-log capture
 //	                               # and audit the Formula 4 cost model;
 //	                               # also written to -replay-json
 //	                               # (default BENCH_replay.json)
 //
-// The JSON export carries the same rows as the text tables plus per-
-// experiment wall time, so the perf trajectory across PRs is diffable.
+// Besides the paper artifacts (table2–4, fig9–19, exp3, exp4, headline)
+// there is the summarizers ablation and the offline replay audit. Serving
+// performance — latency, throughput, build and restore time, per-package
+// costs — is measured by the benchmark/ harness, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,50 +36,27 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
 	list := flag.Bool("list", false, "list available experiments")
 	jsonOut := flag.String("json", "BENCH_eval.json", "write a machine-readable report here (empty = off)")
-	cacheOut := flag.String("cache-json", "BENCH_cache.json",
-		"when the cache experiment runs, also write its report here (empty = off)")
-	snapOut := flag.String("snapshot-json", "BENCH_snapshot.json",
-		"when the snapshot experiment runs, also write its report here (empty = off)")
-	obsOut := flag.String("obs-json", "BENCH_obs.json",
-		"when the obs experiment runs, also write its report here (empty = off)")
 	workload := flag.String("workload", "",
 		"query log captured by bigindexd -query-log; required by -exp replay")
 	workloadDataset := flag.String("workload-dataset", "demo",
 		"dataset the workload was captured against (bigindexd -preset value)")
 	replayOut := flag.String("replay-json", "BENCH_replay.json",
 		"when the replay experiment runs, also write its report here (empty = off)")
-	shardOut := flag.String("shard-json", "BENCH_shard.json",
-		"when the shard experiment runs, also write its report here (empty = off)")
-	shardDataset := flag.String("shard-dataset", "",
-		"dataset for the shard experiment (empty = yago-s; the CI smoke uses demo)")
-	shardWorkers := flag.String("shard-workers", "",
-		"comma-separated worker counts for the shard experiment (empty = 1,2,4,8)")
-	shardnetOut := flag.String("shardnet-json", "BENCH_shardnet.json",
-		"when the shardnet experiment runs, also write its report here (empty = off)")
-	shardnetDataset := flag.String("shardnet-dataset", "",
-		"dataset for the shardnet experiment (empty = yago-s; the CI smoke uses demo)")
-	fleetObsOut := flag.String("fleetobs-json", "BENCH_fleetobs.json",
-		"when the fleetobs experiment runs, also write its report here (empty = off)")
-	fleetObsDataset := flag.String("fleetobs-dataset", "",
-		"dataset for the fleetobs experiment (empty = yago-s; the CI smoke uses demo)")
 	flag.Parse()
 
-	bench.SetReplayConfig(*workload, *workloadDataset)
-	workers, err := parseWorkers(*shardWorkers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -shard-workers: %v\n", err)
-		os.Exit(2)
+	// replay needs a captured workload file, so it is registered here from
+	// the flags and is not part of "-exp all".
+	runners := maps.Clone(bench.Experiments)
+	runners["replay"] = func() (*bench.Report, error) {
+		return bench.RunReplay(*workload, *workloadDataset)
 	}
-	bench.SetShardConfig(*shardDataset, workers)
-	bench.SetShardNetConfig(*shardnetDataset)
-	bench.SetFleetObsConfig(*fleetObsDataset)
 
 	if *list {
-		ids := make([]string, 0, len(bench.Experiments))
-		for id := range bench.Experiments {
+		ids := make([]string, 0, len(runners))
+		for id := range runners {
 			ids = append(ids, id)
 		}
-		sort.Strings(ids)
+		slices.Sort(ids)
 		for _, id := range ids {
 			fmt.Println(id)
 		}
@@ -98,10 +70,10 @@ func main() {
 		ids = strings.Split(*exp, ",")
 	}
 
-	var reports []*bench.Report
+	var reports, replayReports []*bench.Report
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		runner, ok := bench.Experiments[id]
+		runner, ok := runners[id]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
 			os.Exit(2)
@@ -114,6 +86,9 @@ func main() {
 		}
 		rep.Elapsed = time.Since(start)
 		reports = append(reports, rep)
+		if id == "replay" {
+			replayReports = append(replayReports, rep)
+		}
 		if err := rep.Write(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "writing report: %v\n", err)
 			os.Exit(1)
@@ -124,101 +99,9 @@ func main() {
 	if *jsonOut != "" {
 		writeJSON(*jsonOut, reports)
 	}
-	if *cacheOut != "" {
-		var cacheReports []*bench.Report
-		for _, r := range reports {
-			if r.ID == "cache" {
-				cacheReports = append(cacheReports, r)
-			}
-		}
-		if len(cacheReports) > 0 {
-			writeJSON(*cacheOut, cacheReports)
-		}
+	if *replayOut != "" && len(replayReports) > 0 {
+		writeJSON(*replayOut, replayReports)
 	}
-	if *snapOut != "" {
-		var snapReports []*bench.Report
-		for _, r := range reports {
-			if r.ID == "snapshot" {
-				snapReports = append(snapReports, r)
-			}
-		}
-		if len(snapReports) > 0 {
-			writeJSON(*snapOut, snapReports)
-		}
-	}
-	if *obsOut != "" {
-		var obsReports []*bench.Report
-		for _, r := range reports {
-			if r.ID == "obs" {
-				obsReports = append(obsReports, r)
-			}
-		}
-		if len(obsReports) > 0 {
-			writeJSON(*obsOut, obsReports)
-		}
-	}
-	if *replayOut != "" {
-		var replayReports []*bench.Report
-		for _, r := range reports {
-			if r.ID == "replay" {
-				replayReports = append(replayReports, r)
-			}
-		}
-		if len(replayReports) > 0 {
-			writeJSON(*replayOut, replayReports)
-		}
-	}
-	if *shardOut != "" {
-		var shardReports []*bench.Report
-		for _, r := range reports {
-			if r.ID == "shard" {
-				shardReports = append(shardReports, r)
-			}
-		}
-		if len(shardReports) > 0 {
-			writeJSON(*shardOut, shardReports)
-		}
-	}
-	if *shardnetOut != "" {
-		var snReports []*bench.Report
-		for _, r := range reports {
-			if r.ID == "shardnet" {
-				snReports = append(snReports, r)
-			}
-		}
-		if len(snReports) > 0 {
-			writeJSON(*shardnetOut, snReports)
-		}
-	}
-	if *fleetObsOut != "" {
-		var foReports []*bench.Report
-		for _, r := range reports {
-			if r.ID == "fleetobs" {
-				foReports = append(foReports, r)
-			}
-		}
-		if len(foReports) > 0 {
-			writeJSON(*fleetObsOut, foReports)
-		}
-	}
-}
-
-// parseWorkers parses the -shard-workers list ("1,2,4"); empty means
-// keep the experiment's defaults.
-func parseWorkers(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("%q is not a positive worker count", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func writeJSON(path string, reports []*bench.Report) {

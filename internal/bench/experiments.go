@@ -32,15 +32,6 @@ var Experiments = map[string]Runner{
 	"exp4":        RunExp4,
 	"headline":    RunHeadline,
 	"summarizers": RunSummarizers,
-	"cache":       RunCache,
-	"snapshot":    RunSnapshot,
-	"obs":         RunObs,
-	"shard":       RunShard,
-	"shardnet":    RunShardNet,
-	"fleetobs":    RunFleetObs,
-	// replay needs a captured workload file (benchrunner -workload) and is
-	// therefore not part of ExperimentOrder / "-exp all".
-	"replay": RunReplay,
 }
 
 // ExperimentOrder is the canonical run order for `benchrunner -exp all`.
@@ -48,8 +39,7 @@ var ExperimentOrder = []string{
 	"table2", "table3", "table4", "fig9",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 	"fig16", "fig17", "fig18", "fig19",
-	"exp3", "exp4", "headline", "summarizers", "cache", "snapshot", "obs",
-	"shard", "shardnet", "fleetobs",
+	"exp3", "exp4", "headline", "summarizers",
 }
 
 // RunTable2 reproduces Table 2: dataset statistics.

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: one runner per table and figure
 // of the paper's evaluation (Sec. 6), each printing the same rows/series the
-// paper reports. cmd/benchrunner exposes them on the command line and the
-// top-level bench_test.go wraps them as Go benchmarks.
+// paper reports, plus the offline workload replay. cmd/benchrunner exposes
+// them on the command line. Serving performance is not measured here; that
+// is benchmark/.
 //
 // The datasets are the scaled stand-ins of internal/datagen (see DESIGN.md
 // for the substitution table); parameters follow the paper where they apply

@@ -11,7 +11,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"bigindex/internal/core"
 	"bigindex/internal/cost"
@@ -20,25 +19,6 @@ import (
 	"bigindex/internal/search/bidir"
 	"bigindex/internal/search/bkws"
 )
-
-var (
-	replayMu      sync.Mutex
-	replayPath    string
-	replayDataset = "demo"
-)
-
-// SetReplayConfig points the replay experiment at a captured workload file
-// and the dataset it was captured against. Runner is zero-argument, so
-// benchrunner passes its -workload/-workload-dataset flags through here
-// before dispatching.
-func SetReplayConfig(path, dataset string) {
-	replayMu.Lock()
-	defer replayMu.Unlock()
-	replayPath = path
-	if dataset != "" {
-		replayDataset = dataset
-	}
-}
 
 // replayEvaluator builds the per-algorithm evaluator replay uses,
 // mirroring the server's evaluator pool (internal/server.evaluator): the
@@ -58,14 +38,14 @@ func replayEvaluator(f *Fixture, algo string) (*core.Evaluator, error) {
 	}
 }
 
-// RunReplay replays the configured workload capture. Entries that cannot
-// contribute to calibration are skipped, not fatal: direct (baseline)
-// evaluations bypass the router, non-ok outcomes measured partial work,
-// and keywords absent from the replay dataset have no labels to resolve.
-func RunReplay() (*Report, error) {
-	replayMu.Lock()
-	path, dataset := replayPath, replayDataset
-	replayMu.Unlock()
+// RunReplay replays the workload captured at path against the dataset it
+// was captured on (a bigindexd -preset value). It takes arguments, so it
+// is not a Runner and not in Experiments; benchrunner registers it from
+// its -workload flags. Entries that cannot contribute to calibration are
+// skipped, not fatal: direct (baseline) evaluations bypass the router,
+// non-ok outcomes measured partial work, and keywords absent from the
+// replay dataset have no labels to resolve.
+func RunReplay(path, dataset string) (*Report, error) {
 	if path == "" {
 		return nil, fmt.Errorf("bench: replay needs a workload file (benchrunner -workload)")
 	}

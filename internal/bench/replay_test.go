@@ -51,10 +51,7 @@ func TestRunReplay(t *testing.T) {
 		demoEntry([]string{"demo/term/0"}, "blinks", "degraded", false), // non-ok: skipped
 		demoEntry([]string{"no/such/term"}, "blinks", "ok", false),      // unresolvable: skipped
 	})
-	SetReplayConfig(path, "demo")
-	defer SetReplayConfig("", "demo")
-
-	rep, err := RunReplay()
+	rep, err := RunReplay(path, "demo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +86,7 @@ func TestRunReplay(t *testing.T) {
 }
 
 func TestRunReplayErrors(t *testing.T) {
-	SetReplayConfig("", "demo")
-	if _, err := RunReplay(); err == nil || !strings.Contains(err.Error(), "-workload") {
+	if _, err := RunReplay("", "demo"); err == nil || !strings.Contains(err.Error(), "-workload") {
 		t.Fatalf("want a usage error without a workload, got %v", err)
 	}
 
@@ -98,9 +94,7 @@ func TestRunReplayErrors(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	SetReplayConfig(empty, "demo")
-	defer SetReplayConfig("", "demo")
-	if _, err := RunReplay(); err == nil || !strings.Contains(err.Error(), "no replayable entries") {
+	if _, err := RunReplay(empty, "demo"); err == nil || !strings.Contains(err.Error(), "no replayable entries") {
 		t.Fatalf("want an empty-workload error, got %v", err)
 	}
 }

@@ -102,15 +102,12 @@ type reportJSON struct {
 	ElapsedMS float64    `json:"elapsed_ms"`
 }
 
-// reportMeta pins down the machine the numbers came from: comparing
-// BENCH_*.json across PRs is only meaningful when the parallelism
-// headroom (GOMAXPROCS) and the shard worker counts are part of the
-// record — a "2x speedup at 4 workers" claim reads very differently on a
-// 1-CPU runner.
+// reportMeta pins down the machine the numbers came from: exports are
+// only comparable across PRs when the parallelism headroom is part of
+// the record.
 type reportMeta struct {
-	GOMAXPROCS   int   `json:"gomaxprocs"`
-	NumCPU       int   `json:"num_cpu"`
-	ShardWorkers []int `json:"shard_workers"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
 }
 
 // WriteJSON renders the reports as one JSON document (the BENCH_eval.json
@@ -122,9 +119,8 @@ func WriteJSON(w io.Writer, reports []*Report) error {
 		Experiments []reportJSON `json:"experiments"`
 	}{
 		Meta: reportMeta{
-			GOMAXPROCS:   runtime.GOMAXPROCS(0),
-			NumCPU:       runtime.NumCPU(),
-			ShardWorkers: ShardWorkers(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			NumCPU:     runtime.NumCPU(),
 		},
 		Experiments: make([]reportJSON, 0, len(reports)),
 	}

@@ -128,26 +128,12 @@ func TestDatasetByName(t *testing.T) {
 	if _, err := datasetByName("nope"); err == nil {
 		t.Error("unknown dataset accepted")
 	}
-	// replay needs an externally captured workload, so it is registered but
-	// deliberately excluded from "-exp all".
-	onDemand := map[string]bool{"replay": true}
-	if len(Experiments) != len(ExperimentOrder)+len(onDemand) {
-		t.Errorf("Experiments has %d entries, order lists %d (+%d on-demand)",
-			len(Experiments), len(ExperimentOrder), len(onDemand))
+	if len(Experiments) != len(ExperimentOrder) {
+		t.Errorf("Experiments has %d entries, order lists %d", len(Experiments), len(ExperimentOrder))
 	}
-	ordered := map[string]bool{}
 	for _, id := range ExperimentOrder {
-		ordered[id] = true
 		if Experiments[id] == nil {
 			t.Errorf("experiment %q missing from map", id)
-		}
-	}
-	for id := range Experiments {
-		if !ordered[id] && !onDemand[id] {
-			t.Errorf("experiment %q neither ordered nor on-demand", id)
-		}
-		if ordered[id] && onDemand[id] {
-			t.Errorf("experiment %q both ordered and on-demand", id)
 		}
 	}
 }

@@ -24,24 +24,6 @@ func TestRunnersSmoke(t *testing.T) {
 	}
 }
 
-// A scaled-down cache experiment: the warm replay must hit on every
-// sample and be far faster than the uncached pass.
-func TestRunCacheSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fixture construction in -short mode")
-	}
-	rep, err := runCache(8, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows: %v", rep.Rows)
-	}
-	if hr := rep.Rows[2][4]; hr != "100.0%" {
-		t.Fatalf("warm replay hit rate = %s, want 100.0%%", hr)
-	}
-}
-
 type sw struct{ b []byte }
 
 func (s *sw) Write(p []byte) (int, error) { s.b = append(s.b, p...); return len(p), nil }

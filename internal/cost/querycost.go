@@ -1,9 +1,6 @@
 package cost
 
 import (
-	"math"
-	"sync"
-
 	"bigindex/internal/generalize"
 	"bigindex/internal/graph"
 )
@@ -52,8 +49,8 @@ func QueryCostTerms(degreeExp int, data, layerG *graph.Graph, q, qGen []graph.La
 		compress = float64(layerG.Size()) / float64(data.Size())
 	}
 	if degreeExp > 0 && data.NumVertices() > 0 && layerG.NumVertices() > 0 {
-		b0 := effectiveBranching(data)
-		bm := effectiveBranching(layerG)
+		b0 := data.Branching()
+		bm := layerG.Branching()
 		if b0 > 0 {
 			growth := bm / b0
 			for i := 0; i < degreeExp; i++ {
@@ -73,45 +70,6 @@ func QueryCostTerms(degreeExp int, data, layerG *graph.Graph, q, qGen []graph.La
 	}
 	return compress, supRatio
 }
-
-// effectiveBranching estimates the per-hop fan-out of a bounded traversal
-// as √E[deg²] over undirected degrees. The second moment matters:
-// summarization concentrates edges on hub supernodes (a supernode holding
-// 500 collapsed attribute vertices inherits every member's in-edge), and a
-// traversal that touches one hub immediately reaches its whole
-// neighborhood — an effect invisible to the average degree. Values are
-// memoized per graph; summary layers are immutable.
-func effectiveBranching(g *graph.Graph) float64 {
-	branchingMu.Lock()
-	if v, ok := branchingCache[g]; ok {
-		branchingMu.Unlock()
-		return v
-	}
-	branchingMu.Unlock()
-
-	n := g.NumVertices()
-	sum := 0.0
-	for v := graph.V(0); int(v) < n; v++ {
-		d := float64(g.Degree(v))
-		sum += d * d
-	}
-	b := 0.0
-	if n > 0 {
-		b = math.Sqrt(sum / float64(n))
-	}
-	branchingMu.Lock()
-	if len(branchingCache) > 1024 {
-		branchingCache = make(map[*graph.Graph]float64) // bound the memo
-	}
-	branchingCache[g] = b
-	branchingMu.Unlock()
-	return b
-}
-
-var (
-	branchingMu    sync.Mutex
-	branchingCache = map[*graph.Graph]float64{}
-)
 
 // LayerGraphs abstracts the per-layer summary graphs of a BiG-index for
 // layer selection without importing the core package (which depends on

@@ -12,7 +12,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 )
 
 // V is a vertex identifier, dense in [0, NumVertices).
@@ -36,6 +38,11 @@ type Graph struct {
 
 	// posting[l] lists the vertices with label l, ascending.
 	posting map[Label][]V
+
+	// branching memoizes Branching on the graph itself, so the value is
+	// collected with the graph it describes.
+	branchingOnce sync.Once
+	branching     float64
 }
 
 // NumVertices reports |V|.
@@ -75,6 +82,30 @@ func (g *Graph) InDegree(v V) int { return int(g.inOff[v+1] - g.inOff[v]) }
 // Degree reports the total degree of v. A vertex with Degree > 2 is a
 // "joint vertex" in the path-based answer generation of Sec. 4.3.3.
 func (g *Graph) Degree(v V) int { return g.OutDegree(v) + g.InDegree(v) }
+
+// Branching estimates the per-hop fan-out of a bounded traversal as
+// √E[deg²] over undirected degrees; the density correction of
+// cost.QueryCostEx compares it across layers. The second moment matters:
+// summarization concentrates edges on hub supernodes (a supernode holding
+// 500 collapsed attribute vertices inherits every member's in-edge), and a
+// traversal that touches one hub immediately reaches its whole
+// neighborhood — an effect invisible to the average degree. Computed once,
+// on first use.
+func (g *Graph) Branching() float64 {
+	g.branchingOnce.Do(func() {
+		n := g.NumVertices()
+		if n == 0 {
+			return
+		}
+		sum := 0.0
+		for v := V(0); int(v) < n; v++ {
+			d := float64(g.Degree(v))
+			sum += d * d
+		}
+		g.branching = math.Sqrt(sum / float64(n))
+	})
+	return g.branching
+}
 
 // VerticesWithLabel returns the posting list for l: every vertex v with
 // L(v) == l, in ascending order. The returned slice is shared; callers must

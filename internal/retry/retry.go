@@ -137,7 +137,9 @@ func (s State) String() string {
 // failures open it; after Cooldown, Allow admits exactly one probe
 // (half-open); the probe's Success closes the breaker, its Failure
 // re-opens it for another cooldown. Success in any state resets the
-// failure count.
+// failure count. Callers refused while the probe is in flight get a
+// channel to wait on its outcome, so concurrent requests to a recovering
+// dependency queue behind the probe instead of failing beside it.
 //
 // Callers that only want the counting-and-state shape (the Reloader,
 // which retries on its own schedule regardless) can skip Allow and just
@@ -151,6 +153,7 @@ type Breaker struct {
 	fails    int64
 	state    State
 	openedAt time.Time
+	probe    chan struct{} // non-nil while half-open; closed when the probe resolves
 }
 
 // BreakerOptions configures NewBreaker.
@@ -180,22 +183,35 @@ func NewBreaker(opts BreakerOptions) *Breaker {
 }
 
 // Allow reports whether a request may proceed. In the open state it
-// returns false until the cooldown elapses, then true exactly once (the
-// half-open probe); further calls return false until the probe resolves.
-func (b *Breaker) Allow() bool {
+// refuses until the cooldown elapses, then admits exactly one caller (the
+// half-open probe). While that probe is in flight, Allow refuses and
+// returns a channel that is closed when the probe's Success or Failure is
+// recorded: the refused caller can wait on it and ask again. The channel
+// is nil in every other case.
+func (b *Breaker) Allow() (ok bool, probing <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case Closed:
-		return true
+		return true, nil
 	case HalfOpen:
-		return false // a probe is already in flight
+		return false, b.probe
 	default:
 		if b.now().Sub(b.openedAt) < b.cooldown {
-			return false
+			return false, nil
 		}
 		b.state = HalfOpen
-		return true
+		b.probe = make(chan struct{})
+		return true, nil
+	}
+}
+
+// resolveProbe wakes everyone waiting on the half-open probe. Callers
+// hold b.mu.
+func (b *Breaker) resolveProbe() {
+	if b.probe != nil {
+		close(b.probe)
+		b.probe = nil
 	}
 }
 
@@ -205,6 +221,7 @@ func (b *Breaker) Success() {
 	b.mu.Lock()
 	b.fails = 0
 	b.state = Closed
+	b.resolveProbe()
 	b.mu.Unlock()
 }
 
@@ -221,6 +238,7 @@ func (b *Breaker) Failure() (opened bool) {
 	if b.state == HalfOpen || b.fails >= b.threshold {
 		b.state = Open
 		b.openedAt = b.now()
+		b.resolveProbe()
 		return true
 	}
 	return false

@@ -1,6 +1,7 @@
 package retry
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -70,10 +71,16 @@ func TestBackoffDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
+// allow is Allow for the single-caller tests, which never wait on a probe.
+func allow(b *Breaker) bool {
+	ok, _ := b.Allow()
+	return ok
+}
+
 func TestBreakerOpensAtThreshold(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker(BreakerOptions{Threshold: 3, Cooldown: time.Second, Now: func() time.Time { return now }})
-	if b.State() != Closed || !b.Allow() {
+	if b.State() != Closed || !allow(b) {
 		t.Fatal("new breaker should be closed and allowing")
 	}
 	if b.Failure() {
@@ -85,7 +92,7 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 	if !b.Failure() {
 		t.Fatal("failure 3 should report the open transition")
 	}
-	if b.State() != Open || b.Allow() {
+	if b.State() != Open || allow(b) {
 		t.Fatal("breaker should be open and refusing")
 	}
 	if b.Failure() {
@@ -100,17 +107,17 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker(BreakerOptions{Threshold: 1, Cooldown: time.Second, Now: func() time.Time { return now }})
 	b.Failure()
-	if b.Allow() {
+	if allow(b) {
 		t.Fatal("open breaker must refuse before cooldown")
 	}
 	now = now.Add(time.Second)
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("cooldown elapsed: first Allow must admit the half-open probe")
 	}
 	if b.State() != HalfOpen {
 		t.Fatalf("state = %v, want HalfOpen", b.State())
 	}
-	if b.Allow() {
+	if allow(b) {
 		t.Fatal("second Allow during the probe must refuse (exactly one probe)")
 	}
 
@@ -118,11 +125,11 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if !b.Failure() {
 		t.Fatal("failed probe must report re-opening")
 	}
-	if b.Allow() {
+	if allow(b) {
 		t.Fatal("re-opened breaker must refuse")
 	}
 	now = now.Add(time.Second)
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("second cooldown elapsed: probe should be admitted again")
 	}
 
@@ -131,7 +138,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if b.State() != Closed || b.Fails() != 0 {
 		t.Fatalf("after probe success: state=%v fails=%d, want Closed/0", b.State(), b.Fails())
 	}
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("closed breaker must allow")
 	}
 }
@@ -170,7 +177,7 @@ func TestBreakerProbeable(t *testing.T) {
 	if st := b.State(); st != Open {
 		t.Fatalf("Probeable consumed a transition: state %v", st)
 	}
-	if !b.Allow() {
+	if !allow(b) {
 		t.Fatal("probe slot gone after Probeable polls")
 	}
 	if b.Probeable() {
@@ -182,5 +189,80 @@ func TestBreakerProbeable(t *testing.T) {
 	b.Failure() // failed probe re-opens and restarts the cooldown
 	if b.Probeable() {
 		t.Fatal("re-opened breaker probeable before second cooldown")
+	}
+}
+
+// TestBreakerProbeGate: callers refused while the half-open probe is in
+// flight get a channel that resolves with the probe, so a concurrent
+// fan-out to a recovering peer waits on one probe instead of failing
+// beside it. Exactly one caller is admitted as the probe; on its Success
+// every waiter is admitted, on its Failure every waiter is refused
+// without a channel (nothing left to wait for until the next cooldown).
+func TestBreakerProbeGate(t *testing.T) {
+	for _, probeOK := range []bool{true, false} {
+		now := time.Unix(0, 0)
+		b := NewBreaker(BreakerOptions{Threshold: 1, Cooldown: time.Second, Now: func() time.Time { return now }})
+		b.Failure()
+		if ok, probing := b.Allow(); ok || probing != nil {
+			t.Fatalf("open within cooldown: ok=%v probing=%v, want refused with nothing to wait on", ok, probing != nil)
+		}
+		now = now.Add(time.Second)
+
+		const callers = 8
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		probes, admittedAfter := 0, 0
+		asked := make(chan struct{}, callers)
+		release := make(chan struct{})
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ok, probing := b.Allow()
+				asked <- struct{}{}
+				if ok {
+					mu.Lock()
+					probes++
+					mu.Unlock()
+					<-release // hold the probe until every sibling has asked
+					if probeOK {
+						b.Success()
+					} else {
+						b.Failure()
+					}
+					return
+				}
+				if probing == nil {
+					t.Error("refused during the probe without a channel to wait on")
+					return
+				}
+				<-probing
+				if ok, again := b.Allow(); ok {
+					mu.Lock()
+					admittedAfter++
+					mu.Unlock()
+				} else if again != nil {
+					t.Error("probe resolved but Allow still reports one in flight")
+				}
+			}()
+		}
+		// The probe holder blocks on release until all have asked, so every
+		// other caller sees HalfOpen however the goroutines are scheduled.
+		for i := 0; i < callers; i++ {
+			<-asked
+		}
+		close(release)
+		wg.Wait()
+
+		if probes != 1 {
+			t.Fatalf("probeOK=%v: %d callers admitted as the probe, want exactly 1", probeOK, probes)
+		}
+		want := 0
+		if probeOK {
+			want = callers - 1
+		}
+		if admittedAfter != want {
+			t.Fatalf("probeOK=%v: %d waiters admitted after the probe, want %d", probeOK, admittedAfter, want)
+		}
 	}
 }

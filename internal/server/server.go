@@ -427,9 +427,6 @@ func New(idx *core.Index, ont *ontology.Ontology, opt Options) *Server {
 	return s
 }
 
-// Recorder returns the server's flight recorder (nil when disabled).
-func (s *Server) Recorder() *obs.Recorder { return s.recorder }
-
 // ServeHTTP implements http.Handler (through the obs middleware: request
 // metrics, per-request trace, request log).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }

@@ -213,12 +213,7 @@ func (c *Client) Peers() int { return len(c.peers) }
 func (c *Client) Close() {
 	c.closed.Store(true)
 	for _, p := range c.peers {
-		p.mu.Lock()
-		for _, pc := range p.idle {
-			pc.conn.Close()
-		}
-		p.idle = nil
-		p.mu.Unlock()
+		p.closeIdle()
 	}
 }
 
@@ -240,6 +235,16 @@ type peer struct {
 
 	errMu   sync.Mutex
 	lastErr string
+}
+
+// closeIdle closes and forgets the peer's pooled connections.
+func (p *peer) closeIdle() {
+	p.mu.Lock()
+	for _, pc := range p.idle {
+		pc.conn.Close()
+	}
+	p.idle = nil
+	p.mu.Unlock()
 }
 
 func (p *peer) noteErr(err error) {
@@ -431,6 +436,9 @@ func (c *Client) settle(p *peer, op string, err error, elapsed time.Duration, te
 		p.noteErr(err)
 		p.hello.Store(nil) // the process may come back with different data
 		p.caps.Store(0)    // ...and different capabilities: renegotiate
+		// ...and on new sockets: a pooled connection to the old process
+		// would fail the half-open probe of a peer that has recovered.
+		p.closeIdle()
 		if m != nil {
 			m.Calls.With(op, "network_error").Inc()
 			m.PeerCalls.With(p.addr, op, "network_error").Inc()
@@ -590,19 +598,14 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 		if err := ctx.Err(); err != nil {
 			return nil, meta, err
 		}
-		remaining := time.Until(budgetEnd)
-		if remaining <= 0 {
+		if time.Until(budgetEnd) <= 0 {
 			break
 		}
-		var p *peer
-		for i := 0; i < len(replicas); i++ {
-			cand := replicas[(start+attempt+i)%len(replicas)]
-			if cand.breaker.Allow() {
-				p = cand
-				break
-			}
-		}
+		p := pickReplica(ctx, replicas, start+attempt, budgetEnd)
 		if p == nil {
+			if err := ctx.Err(); err != nil {
+				return nil, meta, err
+			}
 			lastErr = fmt.Errorf("shardrpc: all %d replicas of block %d have open breakers", len(replicas), block)
 			for _, r := range replicas {
 				tried = appendPeerOnce(tried, r.addr)
@@ -614,7 +617,10 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 		}
 		cl.Record(p.addr)
 		tried = appendPeerOnce(tried, p.addr)
-		slice := attemptSlice(remaining, maxAttempts-attempt, c.opt.MinAttemptTimeout)
+		// Measured after the pick, which may have waited on a probe. An
+		// admitted peer is always attempted, even with the budget gone: it
+		// may hold the half-open probe, which only an attempt resolves.
+		slice := attemptSlice(time.Until(budgetEnd), maxAttempts-attempt, c.opt.MinAttemptTimeout)
 		// The attempt span exists so /debug/active's current path names the
 		// peer a blocked query is waiting on ("…>rpc:expand>peer:<addr>").
 		attemptSpan := obs.SpanFromContext(ctx).StartChild("peer:" + p.addr)
@@ -661,6 +667,44 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 	return nil, meta, &PeerFailure{Block: block, Peers: tried, Err: lastErr}
 }
 
+// pickReplica returns the first replica, in rotation order from first,
+// whose breaker admits a request. When every breaker refuses but one has
+// its half-open probe in flight, a concurrent call is already testing
+// that peer — the coordinator fans a round out as one call per slot, so
+// after a peer recovers one slot gets the probe and its siblings arrive
+// while it is out. The probe's outcome decides whether the block is
+// reachable, so the siblings wait for it, until budgetEnd, rather than
+// report a block lost that is one round trip from healthy. Nil means no
+// replica can be tried within the budget.
+func pickReplica(ctx context.Context, replicas []*peer, first int, budgetEnd time.Time) *peer {
+	for {
+		var probing <-chan struct{}
+		for i := range replicas {
+			cand := replicas[(first+i)%len(replicas)]
+			ok, wait := cand.breaker.Allow()
+			if ok {
+				return cand
+			}
+			if probing == nil {
+				probing = wait
+			}
+		}
+		if probing == nil {
+			return nil
+		}
+		t := time.NewTimer(time.Until(budgetEnd))
+		select {
+		case <-probing:
+			t.Stop()
+		case <-t.C:
+			return nil
+		case <-ctx.Done():
+			t.Stop()
+			return nil
+		}
+	}
+}
+
 func appendPeerOnce(peers []string, addr string) []string {
 	for _, a := range peers {
 		if a == addr {
@@ -693,8 +737,11 @@ func (c *Client) oneAttempt(ctx context.Context, p *peer, replicas []*peer, op s
 	primary := c.attemptAsync(p, op, mt, payload, wantType, timeout, tel)
 	var hedge *peer
 	if allowHedge && c.opt.Hedge {
+		// Only a closed breaker: Allow on an open one would claim its
+		// half-open probe for a request that is never sent when the
+		// primary answers first, and nothing would ever resolve it.
 		for _, cand := range replicas {
-			if cand != p && cand.breaker.Allow() {
+			if cand != p && cand.breaker.State() == retry.Closed {
 				hedge = cand
 				break
 			}

@@ -429,6 +429,42 @@ func TestHedgingWinsOnSlowReplica(t *testing.T) {
 	}
 }
 
+// TestUnsentHedgeLeavesProbeSlot: picking a hedge candidate must not claim
+// the half-open probe of a recovering peer — when the primary answers
+// before the hedge delay the hedge is never sent, and a claimed probe
+// would never resolve, parking the peer (and everyone waiting on its
+// probe) in half-open for good.
+func TestUnsentHedgeLeavesProbeSlot(t *testing.T) {
+	g := testGraph(10, 60)
+	plan := testPlan(t, g, 16)
+	_, a := startServer(t, plan, ServerOptions{})
+	_, b := startServer(t, plan, ServerOptions{})
+	c := NewClient(ClientOptions{
+		Peers:            mustPeers(t, a+";"+b),
+		Hedge:            true,
+		HedgeDelay:       time.Minute, // the primary always answers first
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Millisecond,
+	})
+	defer c.Close()
+	bnd := c.For(plan)
+	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
+
+	recovering := c.peers[1].breaker
+	recovering.Failure()
+	time.Sleep(5 * time.Millisecond) // past the cooldown: probeable
+	c.rr.Store(1)                    // next call starts its rotation at peers[0]
+	if _, err := bnd.Expand(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if st := recovering.State(); st != retry.Open {
+		t.Fatalf("hedge candidate's breaker is %v after an unsent hedge, want open", st)
+	}
+	if ok, _ := recovering.Allow(); !ok {
+		t.Fatal("probe slot of the recovering peer is gone")
+	}
+}
+
 // slowListener delays responses by sleeping before the handshake's
 // first server write (wrapping each accepted conn with a write delay).
 type slowListener struct {

@@ -48,10 +48,6 @@ const (
 	msgStats     = 8
 	msgStatsOK   = 9
 	msgTypeCount = 10
-
-	// legacyMsgTypeCount is where the pre-capability protocol ended;
-	// ServerOptions.LegacyProto emulates that vintage for compat tests.
-	legacyMsgTypeCount = 8
 )
 
 // Capability bits, negotiated in the hello exchange. The client sends its

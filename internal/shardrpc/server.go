@@ -29,13 +29,6 @@ type ServerOptions struct {
 	// (0 = shard.DefaultBlockSize). The client cross-checks it so both
 	// sides provably derived the same deterministic partition.
 	BlockSize int
-	// LegacyProto makes the server behave like a pre-capability build:
-	// no capability tail in the hello, telemetry tails ignored, no
-	// summaries, and post-legacy message types kill the connection the
-	// way the old readFrame did. Compatibility tests and mixed-fleet
-	// benches use it to prove a new coordinator interoperates with an
-	// old peer byte for byte.
-	LegacyProto bool
 	// Logger receives per-connection protocol errors. Nil discards.
 	Logger *slog.Logger
 }
@@ -197,14 +190,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if s.opt.LegacyProto && fr.msgType >= legacyMsgTypeCount {
-			// A pre-capability readFrame rejected unknown types as a hard
-			// protocol error and killed the connection; the emulation must
-			// fail the same way or compat tests would pass vacuously.
-			s.opt.Logger.Debug("shardrpc: legacy emulation dropping connection on unknown type",
-				"remote", conn.RemoteAddr(), "type", fr.msgType)
-			return
-		}
 		mt, payload := s.handle(fr)
 		if err := writeFrame(w, mt, fr.reqID, payload); err != nil {
 			return
@@ -229,9 +214,6 @@ func (s *Server) handle(fr frame) (byte, []byte) {
 func (s *Server) handleMsg(fr frame) (byte, []byte) {
 	switch fr.msgType {
 	case msgHello:
-		if s.opt.LegacyProto {
-			return msgHelloOK, encodeHelloOK(s.Hello())
-		}
 		clientCaps := decodeHelloCaps(fr.payload)
 		return msgHelloOK, encodeHelloOKCaps(s.Hello(), localCaps&clientCaps)
 
@@ -292,9 +274,6 @@ func (s *Server) handleMsg(fr frame) (byte, []byte) {
 		return msgVerifyOK, out
 
 	case msgStats:
-		if s.opt.LegacyProto {
-			return msgErr, encodeErr(ErrCodeBadRequest, "unexpected message type 8")
-		}
 		return msgStatsOK, encodeStatsOK(s.stats())
 
 	default:
@@ -317,7 +296,7 @@ type RemoteSummary struct {
 // call path is the pre-telemetry one.
 func (s *Server) beginCall(tel *Telemetry, name string) (context.Context, *obs.Span, *obs.Ledger) {
 	ctx := context.Background()
-	if s.opt.LegacyProto || tel == nil || !tel.Sampled {
+	if tel == nil || !tel.Sampled {
 		return ctx, nil, nil
 	}
 	sp := obs.NewTrace(name).Root()

@@ -38,13 +38,75 @@ func findSpan(sj obs.SpanJSON, name string) *obs.SpanJSON {
 	return nil
 }
 
+// startLegacyPeer serves plan the way a pre-capability build did: the
+// hello answer has no capability tail, requests go through the base
+// decoders (a telemetry tail is never read), responses carry no summary,
+// and a message type past msgErr kills the connection as the old
+// readFrame did. The production server speaks one vintage; this keeps the
+// client's tolerance of a caps==0 peer under test.
+func startLegacyPeer(t *testing.T, plan *shard.Plan) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	local := shard.NewLocal(plan)
+	hello := NewServer(plan, ServerOptions{}).Hello()
+	serve := func(conn net.Conn) {
+		defer conn.Close()
+		r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+		for {
+			fr, err := readFrame(r)
+			if err != nil {
+				return
+			}
+			var mt byte
+			var out []byte
+			switch fr.msgType {
+			case msgHello:
+				mt, out = msgHelloOK, encodeHelloOK(hello)
+			case msgExpand:
+				_, req, err := decodeExpand(fr.payload)
+				if err != nil {
+					return
+				}
+				resp, _ := local.Expand(context.Background(), req)
+				mt, out = msgExpandOK, encodeExpandOK(resp)
+			case msgVerify:
+				_, req, err := decodeVerify(fr.payload)
+				if err != nil {
+					return
+				}
+				resp, _ := local.Verify(context.Background(), req)
+				mt, out = msgVerifyOK, encodeVerifyOK(resp)
+			default: // msgStats and later: unknown to this vintage
+				return
+			}
+			if writeFrame(w, mt, fr.reqID, out) != nil || w.Flush() != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // TestHelloCapsNegotiation: a current client negotiates the full
 // capability set with a current server, and zero with a legacy one.
 func TestHelloCapsNegotiation(t *testing.T) {
 	g := testGraph(30, 60)
 	plan := testPlan(t, g, 16)
 	_, modern := startServer(t, plan, ServerOptions{})
-	_, legacy := startServer(t, plan, ServerOptions{LegacyProto: true})
+	legacy := startLegacyPeer(t, plan)
 
 	c := NewClient(ClientOptions{Peers: mustPeers(t, modern+";"+legacy)})
 	defer c.Close()
@@ -134,7 +196,7 @@ func TestTelemetryByteIdenticalAcrossModes(t *testing.T) {
 	g := testGraph(32, 80)
 	plan := testPlan(t, g, 16)
 	_, modern := startServer(t, plan, ServerOptions{})
-	_, legacy := startServer(t, plan, ServerOptions{LegacyProto: true})
+	legacy := startLegacyPeer(t, plan)
 
 	type mode struct {
 		name   string
@@ -297,7 +359,7 @@ func TestStatsAndFleetSnapshot(t *testing.T) {
 	g := testGraph(35, 60)
 	plan := testPlan(t, g, 16)
 	_, modern := startServer(t, plan, ServerOptions{})
-	_, legacy := startServer(t, plan, ServerOptions{LegacyProto: true})
+	legacy := startLegacyPeer(t, plan)
 
 	c := NewClient(ClientOptions{Peers: mustPeers(t, modern+"=0%2;"+legacy+"=1%2")})
 	defer c.Close()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -244,36 +245,53 @@ func TestOptimalLayerEquivalence(t *testing.T) {
 	}
 }
 
-// TestTopKEquivalence: top-k scores from eval_Ont match direct top-k
-// scores (rank preservation, Prop 5.3).
+// TestTopKEquivalence: evaluation with K = k returns exactly the first k
+// answers of exhaustive direct evaluation, keys in rank order (rank
+// preservation, Prop 5.3, with Prop 5.2's stopping bound kept strict), for
+// every rooted algorithm at every forced layer and at the cost model's own
+// choice (layer -1).
 func TestTopKEquivalence(t *testing.T) {
-	ds := smallDataset(105)
-	idx := buildIndex(t, ds)
-	rng := rand.New(rand.NewSource(11))
-	algo := blinks.New(blinks.Options{DMax: 3, BlockSize: 16})
-	for trial := 0; trial < 8; trial++ {
-		q := pickQuery(rng, ds, 2, 3)
-		if q == nil {
-			t.Skip("no frequent labels")
-		}
-		for _, k := range []int{1, 3, 10} {
-			opt := DefaultEvalOptions()
-			opt.K = k
-			ev := NewEvaluator(idx, algo, opt)
-			direct, err := ev.Direct(q, k)
-			if err != nil {
-				t.Fatal(err)
+	algos := []search.Algorithm{
+		bkws.New(3),
+		bidir.New(3),
+		blinks.New(blinks.Options{DMax: 3, BlockSize: 16}),
+	}
+	for _, seed := range []int64{105, 106, 107} {
+		ds := smallDataset(seed)
+		idx := buildIndex(t, ds)
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 8; trial++ {
+			q := pickQuery(rng, ds, 2+trial%2, 3)
+			if q == nil {
+				t.Skip("no frequent labels")
 			}
-			got, _, err := ev.Eval(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(direct) {
-				t.Fatalf("k=%d: %d answers, direct %d", k, len(got), len(direct))
-			}
-			for i := range got {
-				if got[i].Score != direct[i].Score {
-					t.Fatalf("k=%d rank %d: score %v, direct %v", k, i, got[i].Score, direct[i].Score)
+			for _, algo := range algos {
+				ev := NewEvaluator(idx, algo, DefaultEvalOptions())
+				all, err := ev.Direct(q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 3, 10} {
+					opt := DefaultEvalOptions()
+					opt.K = k
+					ev.SetOptions(opt)
+					want := search.Truncate(all, k)
+					for layer := -1; layer < idx.NumLayers(); layer++ {
+						got, bd, err := ev.EvalLayerCtx(context.Background(), q, layer)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("seed %d %s layer %d (ran %d) k=%d: %d answers, want %d (q=%v)",
+								seed, algo.Name(), layer, bd.Layer, k, len(got), len(want), q)
+						}
+						for i := range want {
+							if got[i].Key() != want[i].Key() {
+								t.Fatalf("seed %d %s layer %d (ran %d) k=%d rank %d: %s (score %v), want %s (score %v)",
+									seed, algo.Name(), layer, bd.Layer, k, i, got[i].Key(), got[i].Score, want[i].Key(), want[i].Score)
+							}
+						}
+					}
 				}
 			}
 		}

@@ -17,10 +17,12 @@ type EvalOptions struct {
 	// Beta is the β weight of the query-layer cost model (Formula 4);
 	// the experiments settle on 0.5.
 	Beta float64
-	// K returns only the top-k final answers (0 = all). Generation stops
-	// early once no remaining generalized answer can beat the k-th final
-	// score (Sec. 4.3.4, made sound by Prop 5.2: specializing never
-	// decreases distances).
+	// K returns only the top-k final answers (0 = all). Generalized answers
+	// are then specialized and generated one equal-score level at a time,
+	// and evaluation stops before a level once the k-th final scores
+	// strictly below it (Sec. 4.3.4, made sound by Prop 5.2: specializing
+	// never decreases distances). The result equals the first K answers of
+	// exhaustive evaluation.
 	K int
 	// ForcedLayer pins the evaluation layer (Fig. 19's layer sweep and the
 	// Fan et al. comparison of Exp-6 use it); -1 selects the optimal layer
@@ -168,11 +170,6 @@ func (e *Evaluator) EvalCtx(ctx context.Context, q []graph.Label) ([]search.Matc
 	return e.evalCtx(ctx, q, e.opt.ForcedLayer)
 }
 
-// EvalLayer is EvalLayerCtx without cancellation or an ambient span.
-func (e *Evaluator) EvalLayer(q []graph.Label, layer int) ([]search.Match, *Breakdown, error) {
-	return e.EvalLayerCtx(context.Background(), q, layer)
-}
-
 // EvalLayerCtx evaluates with the layer pinned for this query only (the
 // server's &layer= parameter and the layer-sweep experiments), overriding
 // Options.ForcedLayer without mutating the shared evaluator's options —
@@ -254,40 +251,54 @@ func (e *Evaluator) evalCtx(ctx context.Context, q []graph.Label, forced int) ([
 		return nil, bd, err
 	}
 
-	// (3) Specialize + generate, in generalized-rank order.
+	// (3) Specialize + generate, one batch of generalized answers at a time.
+	// Exhaustive mode (K <= 0) runs one batch of every answer. Top-k mode
+	// takes the answers, which arrive sorted by score, one equal-score level
+	// per batch and checks its stop rules between levels.
 	genOpt := search.GenOptions{SpecOrder: e.opt.SpecOrder, PathBased: e.opt.PathBased, MaxChecks: e.opt.GenBudget}
+	if e.opt.EarlyK {
+		genOpt.K = e.opt.K
+	}
 	session := e.algo.NewGeneration(e.idx.Data(), q, genOpt)
-
+	rootless := isRootless(e.algo)
 	var finals []search.Match
 	seen := make(map[string]bool)
+	for lo := 0; ; {
+		hi := len(gens)
+		if e.opt.K > 0 {
+			for hi = lo; hi < len(gens) && gens[hi].Score == gens[lo].Score; hi++ {
+			}
+		}
+		batch := gens[lo:hi]
+		lo = hi
 
-	if e.opt.K <= 0 {
-		// Exhaustive mode: generalized answers share supernodes heavily, so
-		// specialize the union once per role instead of per answer —
-		// identical result, far fewer Down-map expansions.
+		// Generalized answers share supernodes heavily, so a batch
+		// specializes the union once per role instead of per answer:
+		// identical candidates, far fewer Down-map expansions.
 		spec := parent.StartChild("Specialize").SetAttr("layer", m)
-		rootSupers := make([]graph.V, 0, len(gens))
+		rootSupers := make([]graph.V, 0, len(batch))
 		kwSupers := make([][]graph.V, len(q))
-		for _, ga := range gens {
+		for _, ga := range batch {
 			rootSupers = append(rootSupers, ga.Root)
 			for i, node := range ga.Nodes {
 				kwSupers[i] = append(kwSupers[i], node)
 			}
 		}
 		var rootCands []graph.V
-		if !isRootless(e.algo) {
+		if !rootless {
 			rootCands = e.idx.specializeRootSet(rootSupers, m, spec, tally, led)
 		}
 		cands := make([][]graph.V, len(q))
 		for i := range q {
 			cands[i] = e.idx.specializeKeywordSet(kwSupers[i], m, q[i], e.opt.IsKey, spec, tally, led)
 		}
-		bd.Candidates = len(rootCands)
+		bd.Candidates += len(rootCands)
 		spec.SetAttr("root_candidates", len(rootCands))
 		tally.fill(bd, spec)
-		bd.Specialize = spec.End().Duration()
+		bd.Specialize += spec.End().Duration()
 
 		gen := parent.StartChild("Generate")
+		before := len(finals)
 		for _, fm := range session.GenerateCtx(ctx, rootCands, cands) {
 			key := fm.Key()
 			if !seen[key] {
@@ -296,80 +307,36 @@ func (e *Evaluator) evalCtx(ctx context.Context, q []graph.Label, forced int) ([
 			}
 		}
 		bd.Gen = genStatsOf(session)
-		led.AddLayerWork(0, bd.Gen.VertexChecks+bd.Gen.PathChecks)
-		gen.SetAttr("finals", len(finals))
+		gen.SetAttr("finals", len(finals)-before)
 		setGenAttrs(gen, bd.Gen)
-		bd.Generate = gen.End().Duration()
-		search.SortMatches(finals)
-		bd.FinalCount = len(finals)
-		return finals, bd, context.Cause(ctx)
-	}
+		bd.Generate += gen.End().Duration()
 
-	if e.opt.EarlyK {
-		genOpt.K = e.opt.K
-		session = e.algo.NewGeneration(e.idx.Data(), q, genOpt)
-	}
-	rootless := isRootless(e.algo)
-	for _, ga := range gens {
-		// Cancellation checkpoint between generalized answers: the finals
-		// accumulated so far are complete, verified answers (Prop 5.2), so
-		// stopping here degrades the answer set without unsoundness.
-		if ctx.Err() != nil {
+		// Between batches, so only top-k mode gets here with gens left.
+		// Cancellation checkpoint first: the finals accumulated so far are
+		// complete, verified answers (Prop 5.2), so stopping here degrades
+		// the answer set without unsoundness.
+		if lo == len(gens) || ctx.Err() != nil {
 			break
 		}
-		if e.opt.K > 0 && len(finals) >= e.opt.K {
-			if e.opt.EarlyK {
-				bd.EarlyStops++
-				break // Sec. 4.3.4: stop at the first k answers
-			}
-			// Prop 5.2: any answer specialized from ga scores >= ga.Score,
-			// so once the k-th best final beats the next generalized score
-			// nothing better can appear.
-			search.SortMatches(finals)
-			if float64(finals[e.opt.K-1].Score) <= ga.Score {
-				bd.BoundStops++
-				break
-			}
+		if len(finals) < e.opt.K {
+			continue
 		}
-		// Per-answer spans share the phase names of the exhaustive path;
-		// past obs' child cap they are timed but not attached, so the
-		// Breakdown sums stay exact on answer-heavy queries.
-		spec := parent.StartChild("Specialize").SetAttr("layer", m)
-		var rootCands []graph.V
-		if !rootless {
-			rootCands = e.idx.specializeRootSet([]graph.V{ga.Root}, m, spec, tally, led)
+		if e.opt.EarlyK {
+			bd.EarlyStops++
+			break // Sec. 4.3.4: stop at the first k answers
 		}
-		cands := make([][]graph.V, len(q))
-		for i, node := range ga.Nodes {
-			cands[i] = e.idx.specializeKeywordSet([]graph.V{node}, m, q[i], e.opt.IsKey, spec, tally, led)
+		// Prop 5.2: any answer specialized from this level or a later one
+		// scores >= the level's score. Strictly better, not equal: an unseen
+		// answer scoring exactly the level's score could still displace the
+		// k-th final in the (score, Key) tie-break order, so only a strict
+		// bound makes the result exactly the exhaustive answer's top-k prefix.
+		search.SortMatches(finals)
+		if finals[e.opt.K-1].Score < gens[lo].Score {
+			bd.BoundStops++
+			break
 		}
-		bd.Candidates += len(rootCands)
-		spec.SetAttr("root_candidates", len(rootCands))
-		bd.Specialize += spec.End().Duration()
-
-		gen := parent.StartChild("Generate")
-		before := len(finals)
-		prevStats := genStatsOf(session)
-		for _, fm := range session.GenerateCtx(ctx, rootCands, cands) {
-			key := fm.Key()
-			if !seen[key] {
-				seen[key] = true
-				finals = append(finals, fm)
-			}
-		}
-		delta := genStatsOf(session)
-		delta.VertexChecks -= prevStats.VertexChecks
-		delta.VertexQualified -= prevStats.VertexQualified
-		delta.PathChecks -= prevStats.PathChecks
-		delta.PathQualified -= prevStats.PathQualified
-		delta.EarlyKStops -= prevStats.EarlyKStops
-		gen.SetAttr("finals", len(finals)-before)
-		setGenAttrs(gen, delta)
-		bd.Generate += gen.End().Duration()
 	}
-	bd.Gen = genStatsOf(session)
 	led.AddLayerWork(0, bd.Gen.VertexChecks+bd.Gen.PathChecks)
-	tally.fill(bd, parent)
 
 	search.SortMatches(finals)
 	finals = search.Truncate(finals, e.opt.K)
@@ -386,8 +353,8 @@ func genStatsOf(s search.Generation) search.GenStats {
 	return search.GenStats{}
 }
 
-// setGenAttrs mirrors the Def 4.2/4.3 qualification counters onto a
-// Generate span so stored traces carry them.
+// setGenAttrs mirrors the session's Def 4.2/4.3 qualification counters so
+// far onto a batch's Generate span so stored traces carry them.
 func setGenAttrs(sp *obs.Span, st search.GenStats) {
 	if sp == nil {
 		return
@@ -398,10 +365,8 @@ func setGenAttrs(sp *obs.Span, st search.GenStats) {
 		SetAttr("path_qualified", st.PathQualified)
 }
 
-// fill copies the tally into the breakdown and mirrors the Prop 4.1 /
-// isKey totals onto sp (the Specialize span in exhaustive mode, the query
-// span in per-answer mode where Specialize spans are per generalized
-// answer).
+// fill copies the tally into the breakdown and mirrors the query's Prop
+// 4.1 totals so far onto sp, the Specialize span of the batch just run.
 func (t *specTally) fill(bd *Breakdown, sp *obs.Span) {
 	bd.Prop41Checked = t.prop41Checked
 	bd.Prop41Filtered = t.prop41Filtered

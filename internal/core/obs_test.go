@@ -165,7 +165,7 @@ func TestBreakdownPaperPhaseCounters(t *testing.T) {
 		if q == nil {
 			t.Skip("no query available")
 		}
-		_, b, err := ev.EvalLayer(q, 1)
+		_, b, err := ev.EvalLayerCtx(context.Background(), q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,6 +224,7 @@ func (p *prepared) SearchCtx(ctx context.Context, q []graph.Label, k int) ([]sea
 
 	haveAll := make(map[graph.V]int) // vertex -> number of finalized keywords
 	var matches []search.Match
+	checkedTop := -1 // minTop at the last top-k bound check
 	score := p.opt.Score
 	if score == nil {
 		score = search.SumDistances
@@ -271,9 +272,17 @@ func (p *prepared) SearchCtx(ctx context.Context, q []graph.Label, k int) ([]sea
 		if live == -1 {
 			break
 		}
-		if k > 0 && len(matches) >= k && p.opt.Score == nil {
+		// Checked only when minTop rises: minTop never falls and new roots
+		// score >= minTop, so a k-th score that was >= minTop stays so until
+		// it rises. That is at most d_max+1 sorts per search, not one per pop.
+		if k > 0 && len(matches) >= k && p.opt.Score == nil && minTop > checkedTop {
+			checkedTop = minTop
 			search.SortMatches(matches)
-			if matches[k-1].Score <= float64(minTop) {
+			// Strictly better, not equal: an undiscovered root scoring
+			// exactly minTop could still displace the current k-th answer in
+			// the (score, Key) tie-break order. With the strict bound the
+			// returned top-k is exactly the exhaustive answer's prefix.
+			if matches[k-1].Score < float64(minTop) {
 				earlyStop = true
 				break
 			}

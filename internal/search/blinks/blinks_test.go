@@ -76,23 +76,35 @@ func TestAgreesWithBkws(t *testing.T) {
 	}
 }
 
-func TestTopKScoresMatchFullRanking(t *testing.T) {
+// TestTopKIsExhaustivePrefix: Search(q, k) must return exactly the first k
+// answers of the exhaustive ranking, keys in order, not just equal scores.
+// A tie at the k-th score is where a non-strict stopping bound goes wrong.
+func TestTopKIsExhaustivePrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	algo := New(Options{DMax: 4, BlockSize: 5})
-	for trial := 0; trial < 30; trial++ {
-		n := 5 + rng.Intn(40)
-		g := randomGraph(rng, n, rng.Intn(5*n), 3)
-		q := []graph.Label{1, 2}
-		p, _ := algo.Prepare(g)
-		all, _ := p.Search(q, 0)
-		for _, k := range []int{1, 3, 7} {
-			topk, _ := p.Search(q, k)
-			if len(topk) != min(k, len(all)) {
-				t.Fatalf("trial %d top-%d returned %d of %d", trial, k, len(topk), len(all))
+	for trial := 0; trial < 200; trial++ {
+		n := 5 + rng.Intn(60)
+		g := randomGraph(rng, n, rng.Intn(5*n), 2+rng.Intn(3))
+		q := make([]graph.Label, 1+rng.Intn(3))
+		for i := range q {
+			q[i] = graph.Label(1 + rng.Intn(g.Dict().Len()))
+		}
+		for _, blockSize := range []int{1, 5, 1000} {
+			p, err := New(Options{DMax: 1 + rng.Intn(4), BlockSize: blockSize}).Prepare(g)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range topk {
-				if topk[i].Score != all[i].Score {
-					t.Fatalf("trial %d top-%d score[%d] = %v, want %v", trial, k, i, topk[i].Score, all[i].Score)
+			all, _ := p.Search(q, 0)
+			for _, k := range []int{1, 3, 7} {
+				topk, _ := p.Search(q, k)
+				want := search.Truncate(all, k)
+				if len(topk) != len(want) {
+					t.Fatalf("trial %d block %d top-%d returned %d of %d", trial, blockSize, k, len(topk), len(all))
+				}
+				for i := range want {
+					if topk[i].Key() != want[i].Key() {
+						t.Fatalf("trial %d block %d top-%d rank %d: %s (score %v), want %s (score %v)",
+							trial, blockSize, k, i, topk[i].Key(), topk[i].Score, want[i].Key(), want[i].Score)
+					}
 				}
 			}
 		}

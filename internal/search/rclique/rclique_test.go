@@ -208,49 +208,3 @@ func TestMissingKeyword(t *testing.T) {
 		t.Fatal("empty query should error")
 	}
 }
-
-// TestExactTopKMatchesExhaustive: branch-and-bound must return exactly the
-// k best tuples (by score) that exhaustive enumeration finds.
-func TestExactTopKMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	algo := New(2)
-	for trial := 0; trial < 40; trial++ {
-		n := 4 + rng.Intn(16)
-		g := randomGraph(rng, n, rng.Intn(3*n), 2+rng.Intn(2))
-		q := []graph.Label{1, 2}
-		if rng.Intn(2) == 0 {
-			q = append(q, graph.Label(1+rng.Intn(2)))
-		}
-		p, err := algo.Prepare(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all, _ := p.Search(q, 0) // exhaustive, sorted
-		for _, k := range []int{1, 3, 7} {
-			got, ok, err := ExactTopK(p, q, k)
-			if err != nil || !ok {
-				t.Fatalf("ExactTopK: %v %v", ok, err)
-			}
-			want := all
-			if len(want) > k {
-				want = want[:k]
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d k=%d: %d results, want %d", trial, k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Score != want[i].Score {
-					t.Fatalf("trial %d k=%d rank %d: score %v, want %v", trial, k, i, got[i].Score, want[i].Score)
-				}
-			}
-		}
-	}
-	// Exact beats (or matches) the approximation by construction.
-	g := randomGraph(rand.New(rand.NewSource(72)), 20, 50, 2)
-	p, _ := algo.Prepare(g)
-	approx, _ := p.Search([]graph.Label{1, 2}, 1)
-	exact, ok, _ := ExactTopK(p, []graph.Label{1, 2}, 1)
-	if ok && len(approx) > 0 && len(exact) > 0 && exact[0].Score > approx[0].Score {
-		t.Fatalf("exact %v worse than approximate %v", exact[0].Score, approx[0].Score)
-	}
-}

@@ -547,7 +547,7 @@ func (s *Server) shardAlgorithm(st *indexState, name string, workers int) search
 // indexes across requests. Evaluators are shared across requests with
 // different k values, so their options never encode a per-request k
 // (mutating them would race with in-flight queries): non-rclique
-// evaluators run exhaustively (K=0) and handleQuery clamps to the
+// evaluators run exhaustively (K=0) and evalQuery truncates to the
 // request's k at result time; rclique pins K to the server-wide MaxK cap,
 // which every request k is clamped under.
 //

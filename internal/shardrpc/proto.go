@@ -267,17 +267,6 @@ func encodeHelloOK(info HelloInfo) []byte {
 	return e.b
 }
 
-func decodeHelloOK(p []byte) (HelloInfo, error) {
-	d := dec{b: p}
-	info := HelloInfo{
-		Digest:    d.u64(),
-		Blocks:    int(d.u32()),
-		BlockSize: int(d.u32()),
-		Vertices:  int(d.u64()),
-	}
-	return info, d.done()
-}
-
 func encodeExpand(digest uint64, req *shard.ExpandRequest) []byte {
 	var e enc
 	e.u64(digest)
@@ -286,18 +275,6 @@ func encodeExpand(digest uint64, req *shard.ExpandRequest) []byte {
 	e.u32(uint32(req.Level))
 	e.vs(req.Frontier)
 	return e.b
-}
-
-func decodeExpand(p []byte) (digest uint64, req *shard.ExpandRequest, err error) {
-	d := dec{b: p}
-	digest = d.u64()
-	req = &shard.ExpandRequest{
-		Kw:    int(d.u32()),
-		Block: int(d.u32()),
-	}
-	req.Level = int32(d.u32())
-	req.Frontier = d.vs()
-	return digest, req, d.done()
 }
 
 func encodeExpandOK(resp *shard.ExpandResponse) []byte {
@@ -314,25 +291,6 @@ func encodeExpandOK(resp *shard.ExpandResponse) []byte {
 	return e.b
 }
 
-func decodeExpandOK(p []byte) (*shard.ExpandResponse, error) {
-	d := dec{b: p}
-	resp := &shard.ExpandResponse{
-		Kw:    int(d.u32()),
-		Block: int(d.u32()),
-		Local: d.vs(),
-	}
-	n := d.count(8)
-	if n > 0 {
-		resp.Outbox = make([]shard.PortalMsg, n)
-		for i := range resp.Outbox {
-			resp.Outbox[i].V = graph.V(d.u32())
-			resp.Outbox[i].Block = int32(d.u32())
-		}
-	}
-	resp.Expanded = int(d.u32())
-	return resp, d.done()
-}
-
 func encodeVerify(digest uint64, req *shard.VerifyRequest) []byte {
 	var e enc
 	e.u64(digest)
@@ -343,21 +301,6 @@ func encodeVerify(digest uint64, req *shard.VerifyRequest) []byte {
 	}
 	e.vs(req.Roots)
 	return e.b
-}
-
-func decodeVerify(p []byte) (digest uint64, req *shard.VerifyRequest, err error) {
-	d := dec{b: p}
-	digest = d.u64()
-	req = &shard.VerifyRequest{DMax: int(d.u32())}
-	n := d.count(4)
-	if n > 0 {
-		req.Labels = make([]graph.Label, n)
-		for i := range req.Labels {
-			req.Labels[i] = graph.Label(d.u32())
-		}
-	}
-	req.Roots = d.vs()
-	return digest, req, d.done()
 }
 
 func encodeVerifyOK(resp *shard.VerifyResponse) []byte {
@@ -374,34 +317,6 @@ func encodeVerifyOK(resp *shard.VerifyResponse) []byte {
 		e.vs(m.Nodes)
 	}
 	return e.b
-}
-
-func decodeVerifyOK(p []byte) (*shard.VerifyResponse, error) {
-	d := dec{b: p}
-	resp := &shard.VerifyResponse{Verified: int(d.u32())}
-	n := d.count(4)
-	if n > 0 {
-		resp.Matches = make([]search.Match, 0, n)
-		for i := 0; i < n && !d.bad; i++ {
-			m := search.Match{Root: graph.V(d.u32())}
-			nd := d.count(4)
-			sum := 0
-			if nd > 0 {
-				m.Dists = make([]int, nd)
-				for j := range m.Dists {
-					m.Dists[j] = int(d.u32())
-					sum += m.Dists[j]
-				}
-			}
-			// Score is Σdist by construction on both sides: recomputing
-			// it here keeps floats off the wire with zero drift (small
-			// integer sums are exact in float64).
-			m.Score = float64(sum)
-			m.Nodes = d.vs()
-			resp.Matches = append(resp.Matches, m)
-		}
-	}
-	return resp, d.done()
 }
 
 func encodeErr(code int, msg string) []byte {
@@ -423,12 +338,12 @@ func decodeErr(p []byte) error {
 // --- capability / telemetry tails ---
 //
 // Optional protocol extensions ride as *tails* appended after a message's
-// base payload. Base decoders consume exactly the base fields and ignore
-// trailing bytes (dec.done checks well-formedness, not full consumption),
-// which is the whole backward-compatibility story: a pre-capability peer
-// decodes the base and never notices the tail, and a tail that fails to
-// parse is dropped — never an error — so telemetry can degrade but the
-// answer path cannot.
+// base payload. A decoder reads the base fields first and checks only
+// their well-formedness (dec.done), not full consumption, which is the
+// whole backward-compatibility story: a pre-capability peer decodes the
+// base and never notices the tail, and a tail that fails to parse is
+// dropped — never an error — so telemetry can degrade but the answer path
+// cannot.
 
 // encodeHello renders the client's capability advertisement. A
 // pre-capability client sends an empty hello payload, which decodes as
@@ -533,7 +448,8 @@ func decodeTelemetryTail(d *dec) *Telemetry {
 	return tel
 }
 
-// decodeExpandFull is decodeExpand plus the optional telemetry tail.
+// decodeExpandFull decodes an Expand request plus the optional telemetry
+// tail.
 func decodeExpandFull(p []byte) (digest uint64, req *shard.ExpandRequest, tel *Telemetry, err error) {
 	d := dec{b: p}
 	digest = d.u64()
@@ -549,7 +465,8 @@ func decodeExpandFull(p []byte) (digest uint64, req *shard.ExpandRequest, tel *T
 	return digest, req, decodeTelemetryTail(&d), nil
 }
 
-// decodeVerifyFull is decodeVerify plus the optional telemetry tail.
+// decodeVerifyFull decodes a Verify request plus the optional telemetry
+// tail.
 func decodeVerifyFull(p []byte) (digest uint64, req *shard.VerifyRequest, tel *Telemetry, err error) {
 	d := dec{b: p}
 	digest = d.u64()
@@ -598,7 +515,8 @@ func decodeSummaryTail(d *dec) []byte {
 	return []byte(s)
 }
 
-// decodeExpandOKFull is decodeExpandOK plus the optional summary tail.
+// decodeExpandOKFull decodes an ExpandOK response plus the optional
+// summary tail.
 func decodeExpandOKFull(p []byte) (*shard.ExpandResponse, []byte, error) {
 	d := dec{b: p}
 	resp := &shard.ExpandResponse{
@@ -621,7 +539,8 @@ func decodeExpandOKFull(p []byte) (*shard.ExpandResponse, []byte, error) {
 	return resp, decodeSummaryTail(&d), nil
 }
 
-// decodeVerifyOKFull is decodeVerifyOK plus the optional summary tail.
+// decodeVerifyOKFull decodes a VerifyOK response plus the optional
+// summary tail.
 func decodeVerifyOKFull(p []byte) (*shard.VerifyResponse, []byte, error) {
 	d := dec{b: p}
 	resp := &shard.VerifyResponse{Verified: int(d.u32())}
@@ -639,6 +558,9 @@ func decodeVerifyOKFull(p []byte) (*shard.VerifyResponse, []byte, error) {
 					sum += m.Dists[j]
 				}
 			}
+			// Score is Σdist by construction on both sides: recomputing it
+			// here keeps floats off the wire with zero drift (small integer
+			// sums are exact in float64).
 			m.Score = float64(sum)
 			m.Nodes = d.vs()
 			resp.Matches = append(resp.Matches, m)

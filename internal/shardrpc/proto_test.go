@@ -73,12 +73,12 @@ func TestReadFrameRejectsHostileHeaders(t *testing.T) {
 
 func TestHelloCodec(t *testing.T) {
 	want := HelloInfo{Digest: 0xDEADBEEFCAFE, Blocks: 17, BlockSize: 200, Vertices: 123456}
-	got, err := decodeHelloOK(encodeHelloOK(want))
+	got, caps, err := decodeHelloOKCaps(encodeHelloOK(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("got %+v want %+v", got, want)
+	if got != want || caps != 0 {
+		t.Fatalf("got %+v caps %#x, want %+v caps 0", got, caps, want)
 	}
 }
 
@@ -87,11 +87,11 @@ func TestExpandCodec(t *testing.T) {
 		{Kw: 2, Block: 5, Level: 3, Frontier: []graph.V{1, 9, 200000}},
 		{Kw: 0, Block: 0, Level: 0, Frontier: nil},
 	} {
-		digest, got, err := decodeExpand(encodeExpand(0x1234, req))
+		digest, got, tel, err := decodeExpandFull(encodeExpand(0x1234, req))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if digest != 0x1234 || !reflect.DeepEqual(got, req) {
+		if digest != 0x1234 || !reflect.DeepEqual(got, req) || tel != nil {
 			t.Fatalf("got (%x, %+v) want (1234, %+v)", digest, got, req)
 		}
 	}
@@ -102,11 +102,11 @@ func TestExpandOKCodec(t *testing.T) {
 		{Kw: 1, Block: 2, Local: []graph.V{3, 4}, Outbox: []shard.PortalMsg{{V: 9, Block: 1}, {V: 10, Block: 0}}, Expanded: 7},
 		{Kw: 0, Block: 0, Local: nil, Outbox: nil, Expanded: 0},
 	} {
-		got, err := decodeExpandOK(encodeExpandOK(resp))
+		got, summary, err := decodeExpandOKFull(encodeExpandOK(resp))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, resp) {
+		if !reflect.DeepEqual(got, resp) || summary != nil {
 			t.Fatalf("got %+v want %+v", got, resp)
 		}
 	}
@@ -114,11 +114,11 @@ func TestExpandOKCodec(t *testing.T) {
 
 func TestVerifyCodec(t *testing.T) {
 	req := &shard.VerifyRequest{Labels: []graph.Label{1, 2, 3}, DMax: 4, Roots: []graph.V{7, 8}}
-	digest, got, err := decodeVerify(encodeVerify(99, req))
+	digest, got, tel, err := decodeVerifyFull(encodeVerify(99, req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digest != 99 || !reflect.DeepEqual(got, req) {
+	if digest != 99 || !reflect.DeepEqual(got, req) || tel != nil {
 		t.Fatalf("got (%d, %+v)", digest, got)
 	}
 }
@@ -131,11 +131,11 @@ func TestVerifyOKCodecRecomputesScore(t *testing.T) {
 			{Root: 9, Dists: []int{1}, Score: 1, Nodes: []graph.V{9}},
 		},
 	}
-	got, err := decodeVerifyOK(encodeVerifyOK(resp))
+	got, summary, err := decodeVerifyOKFull(encodeVerifyOK(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, resp) {
+	if !reflect.DeepEqual(got, resp) || summary != nil {
 		t.Fatalf("got %+v want %+v", got, resp)
 	}
 }
@@ -156,13 +156,13 @@ func TestDecoderRejectsHostileCounts(t *testing.T) {
 	e.u32(0x7FFFFFFF) // Local count way beyond the bytes that follow
 	e.u32(1)
 	hostile := append(encodeExpandOK(&shard.ExpandResponse{})[:8], e.b...)
-	if _, err := decodeExpandOK(hostile); err == nil {
+	if _, _, err := decodeExpandOKFull(hostile); err == nil {
 		t.Fatal("hostile element count accepted")
 	}
 	// Truncated payloads across every codec.
 	full := encodeExpandOK(&shard.ExpandResponse{Local: []graph.V{1, 2, 3}, Expanded: 3})
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := decodeExpandOK(full[:cut]); err == nil {
+		if _, _, err := decodeExpandOKFull(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

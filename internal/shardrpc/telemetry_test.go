@@ -39,8 +39,8 @@ func findSpan(sj obs.SpanJSON, name string) *obs.SpanJSON {
 }
 
 // startLegacyPeer serves plan the way a pre-capability build did: the
-// hello answer has no capability tail, requests go through the base
-// decoders (a telemetry tail is never read), responses carry no summary,
+// hello answer has no capability tail, a telemetry tail on a request is
+// decoded but never acted on, responses carry no summary,
 // and a message type past msgErr kills the connection as the old
 // readFrame did. The production server speaks one vintage; this keeps the
 // client's tolerance of a caps==0 peer under test.
@@ -67,14 +67,14 @@ func startLegacyPeer(t *testing.T, plan *shard.Plan) string {
 			case msgHello:
 				mt, out = msgHelloOK, encodeHelloOK(hello)
 			case msgExpand:
-				_, req, err := decodeExpand(fr.payload)
+				_, req, _, err := decodeExpandFull(fr.payload)
 				if err != nil {
 					return
 				}
 				resp, _ := local.Expand(context.Background(), req)
 				mt, out = msgExpandOK, encodeExpandOK(resp)
 			case msgVerify:
-				_, req, err := decodeVerify(fr.payload)
+				_, req, _, err := decodeVerifyFull(fr.payload)
 				if err != nil {
 					return
 				}
@@ -265,18 +265,18 @@ func TestOldClientNewServer(t *testing.T) {
 		return fr
 	}
 
-	// Old-style hello: nil payload. The base decoder must still read the
-	// HelloOK even though the new server appends a caps tail.
+	// Old-style hello: nil payload. The base fields must still decode, and
+	// the negotiated capability set is empty.
 	fr := roundTrip(msgHello, 1, nil)
 	if fr.msgType != msgHelloOK {
 		t.Fatalf("hello answered with type %d", fr.msgType)
 	}
-	info, err := decodeHelloOK(fr.payload)
+	info, caps, err := decodeHelloOKCaps(fr.payload)
 	if err != nil {
 		t.Fatalf("old client cannot decode new HelloOK: %v", err)
 	}
-	if info != srv.Hello() {
-		t.Fatalf("hello info %+v, want %+v", info, srv.Hello())
+	if info != srv.Hello() || caps != 0 {
+		t.Fatalf("hello info %+v caps %#x, want %+v caps 0", info, caps, srv.Hello())
 	}
 
 	// Old-style expand: no telemetry tail. The response payload must be
@@ -323,7 +323,7 @@ func TestTelemetryTailGarbageIgnored(t *testing.T) {
 		if mt != msgExpandOK {
 			t.Fatalf("%s: answered type %d (telemetry damage must not fail the request)", name, mt)
 		}
-		resp, err := decodeExpandOK(out)
+		resp, _, err := decodeExpandOKFull(out)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

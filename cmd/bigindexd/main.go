@@ -96,8 +96,6 @@ func main() {
 		"auto-compact (persist snapshot, truncate WAL) once the log exceeds this size (0 = only manual POST /admin/compact)")
 	adminToken := flag.String("admin-token", "",
 		"shared secret required on the admin endpoints via X-Admin-Token or Authorization: Bearer (empty = no auth)")
-	damageBudget := flag.Float64("damage-budget", 0,
-		"max fraction of data-graph vertices a mutation batch may affect before delta maintenance falls back to a full rebuild (0 = default 0.25, negative = unbounded)")
 	reloadMinBackoff := flag.Duration("reload-min-backoff", time.Second,
 		"first retry delay after a failed reload (doubles per consecutive failure)")
 	reloadMaxBackoff := flag.Duration("reload-max-backoff", 5*time.Minute,
@@ -267,10 +265,9 @@ func main() {
 	var mut *server.Mutator
 	if wlog != nil {
 		mopt := server.MutatorOptions{
-			WAL:          wlog,
-			DamageBudget: *damageBudget,
-			MaxWALBytes:  *walMaxBytes,
-			Logger:       logger,
+			WAL:         wlog,
+			MaxWALBytes: *walMaxBytes,
+			Logger:      logger,
 		}
 		if *snapshotFile != "" {
 			mopt.Persist = func(_ context.Context, idx *core.Index, seq uint64) error {
@@ -518,7 +515,11 @@ func bootIndexWAL(ds *datagen.Dataset, snapPath, walPath string, reg *obs.Regist
 			if b.Seq <= covered {
 				continue // compaction crashed between persist and truncate; the snapshot already has it
 			}
-			idx, err = replayBatch(idx, b)
+			// The same core.Applied path a live mutation takes. Records were
+			// strictly validated before they entered the log, so only a
+			// maintenance bug can fail here.
+			d := core.Delta{AddVertices: b.AddVertices, AddEdges: b.AddEdges, RemoveEdges: b.RemoveEdges}
+			idx, _, err = idx.Applied(d, core.DeltaOptions{})
 			if err != nil {
 				fatal(logger, "replaying WAL", fmt.Errorf("batch %d: %w", b.Seq, err))
 			}
@@ -540,24 +541,6 @@ func bootIndexWAL(ds *datagen.Dataset, snapPath, walPath string, reg *obs.Regist
 		_ = persistSnapshot(snapPath, idx, walMeta(ds, covered), logger, saveSec)
 	}
 	return idx, wlog, covered
-}
-
-// replayBatch folds one durable WAL batch into the index: the delta path
-// with no damage budget (boot is offline — there is no serving index to
-// protect from a long maintenance pass), falling back to a full Refreshed
-// rebuild if maintenance refuses. Records were strictly validated before
-// they entered the log, so Patch itself cannot fail on an intact log.
-func replayBatch(idx *core.Index, b wal.Batch) (*core.Index, error) {
-	d := core.Delta{AddVertices: b.AddVertices, AddEdges: b.AddEdges, RemoveEdges: b.RemoveEdges}
-	next, _, err := idx.Applied(d, core.DeltaOptions{})
-	if err == nil {
-		return next, nil
-	}
-	patched, perr := graph.Patch(idx.Data(), b.AddVertices, b.AddEdges, b.RemoveEdges)
-	if perr != nil {
-		return nil, perr
-	}
-	return idx.Refreshed(patched)
 }
 
 // buildIndex is the cold-start build shared by both boot paths.

@@ -3,11 +3,12 @@
 // The paper sketches three maintenance cases; this example runs all of
 // them on a live index:
 //
-//  1. data-graph updates — new vertices/edges arrive; the index is
-//     refreshed by re-running Gen+Bisim with the *stored* configurations
-//     (no configuration search), and answers stay exact;
-//  2. incremental bisimulation — the bisim.Maintainer absorbs updates that
-//     provably keep every signature intact and batches the rest;
+//  1. data-graph updates — new vertices/edges arrive; Refreshed re-runs
+//     Gen+Bisim with the *stored* configurations (no configuration
+//     search), and answers stay exact;
+//  2. mutation batches — Index.Applied absorbs a batch that provably keeps
+//     every layer-1 signature intact (the summary layers are reused as
+//     they are) and re-summarizes with the stored configurations otherwise;
 //  3. ontology updates — adding supertype edges never invalidates the
 //     index; removing one drops the affected layers (and everything above
 //     them).
@@ -20,7 +21,7 @@ import (
 	"log"
 
 	"bigindex"
-	"bigindex/internal/bisim"
+	"bigindex/internal/core"
 	"bigindex/internal/graph"
 )
 
@@ -54,7 +55,7 @@ func main() {
 	}
 	fmt.Printf("query answers before update: %d\n", len(before))
 
-	// ---- (1) data update + Refresh ----
+	// ---- (1) data update + Refreshed ----
 	b := bigindex.NewGraphBuilder(ds.Graph.Dict())
 	for v := 0; v < ds.Graph.NumVertices(); v++ {
 		b.AddVertexLabel(ds.Graph.Label(bigindex.V(v)))
@@ -69,7 +70,8 @@ func main() {
 		b.AddEdge(nv, bigindex.V(i%100))
 	}
 	g2 := b.Build()
-	if err := idx.Refresh(g2); err != nil {
+	idx, err = idx.Refreshed(g2)
+	if err != nil {
 		log.Fatal(err)
 	}
 	ev2 := bigindex.NewEvaluator(idx, algo, bigindex.DefaultEvalOptions())
@@ -81,26 +83,33 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after +50 vertices and Refresh: %d answers (direct agrees: %v)\n",
+	fmt.Printf("after +50 vertices and Refreshed: %d answers (direct agrees: %v)\n",
 		len(after), len(after) == len(direct))
 
-	// ---- (2) incremental bisimulation ----
-	m := bisim.NewMaintainer(g2)
-	blocksBefore := m.Result().NumBlocks()
-	// A duplicate of an existing edge is absorbed for free (every
-	// signature provably unchanged).
-	var src, dst graph.V
+	// ---- (2) mutation batches through Applied ----
+	// A duplicate of an existing edge provably keeps every signature
+	// intact: the batch is absorbed and no summary layer is recomputed.
+	var e graph.Edge
 	for v := graph.V(0); int(v) < g2.NumVertices(); v++ {
 		if out := g2.Out(v); len(out) > 0 {
-			src, dst = v, out[0]
+			e = graph.Edge{From: v, To: out[0]}
 			break
 		}
 	}
-	m.AddEdge(src, dst) // duplicate: absorbed without recomputation
-	fmt.Printf("incremental bisim: %d blocks before, %d after an absorbed update\n",
-		blocksBefore, m.Result().NumBlocks())
-	m.RemoveEdge(src, dst)
-	fmt.Printf("after a real removal, recomputed to %d blocks\n", m.Result().NumBlocks())
+	idx, rep, err := idx.Applied(core.Delta{AddEdges: []graph.Edge{e}}, core.DeltaOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("duplicate-edge batch: absorbed=%v, %d layers recomputed\n",
+		rep.Absorbed, rep.RecomputedLayers)
+	// Removing that edge may change signatures, so the batch re-summarizes
+	// every layer with the stored configurations.
+	idx, rep, err = idx.Applied(core.Delta{RemoveEdges: []graph.Edge{e}}, core.DeltaOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("removal batch: absorbed=%v, %d layers recomputed (epoch %d)\n",
+		rep.Absorbed, rep.RecomputedLayers, idx.Epoch())
 
 	// ---- (3) ontology update ----
 	layersBefore := idx.NumLayers()

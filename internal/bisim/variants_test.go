@@ -95,3 +95,20 @@ func TestForwardEqualsBackwardOnReverse(t *testing.T) {
 		}
 	}
 }
+
+func samePartition(a, b *Result, n int) bool {
+	// Partitions are equal iff the block-of relation agrees pairwise; block
+	// numbering may differ.
+	remap := map[graph.V]graph.V{}
+	for v := 0; v < n; v++ {
+		av, bv := a.Block[v], b.Block[v]
+		if got, ok := remap[av]; ok {
+			if got != bv {
+				return false
+			}
+		} else {
+			remap[av] = bv
+		}
+	}
+	return len(remap) == b.NumBlocks()
+}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-
 	"bigindex/internal/bisim"
 	"bigindex/internal/graph"
 )
@@ -22,210 +19,61 @@ func (d Delta) Empty() bool {
 	return len(d.AddVertices) == 0 && len(d.AddEdges) == 0 && len(d.RemoveEdges) == 0
 }
 
-// DeltaOptions controls Applied.
-type DeltaOptions struct {
-	// MaxAffectedFrac is the damage budget: the fraction of data-graph
-	// vertices whose bisimilarity class the delta may plausibly touch (the
-	// backward closure of the update sites) before Applied refuses with
-	// ErrDeltaTooLarge and the caller falls back to a full refresh — past
-	// that point one recomputation over the whole graph is cheaper than
-	// maintenance and the bound no longer certifies locality. <= 0 means
-	// no budget (boot-time WAL replay must always go through).
-	MaxAffectedFrac float64
-}
+// DeltaOptions is Applied's option set. It has no fields: maintenance
+// has one path (absorb at layer 1, or re-summarize with the stored
+// configurations), so there is nothing left to tune. The type survives so
+// Applied's signature, and every caller written against it, stays stable.
+type DeltaOptions struct{}
 
 // DeltaReport describes how a delta was absorbed into the hierarchy.
 type DeltaReport struct {
-	// AffectedVertices / AffectedFrac measure the damage bound: the
-	// backward closure of the update sites in the patched data graph.
-	AffectedVertices int
-	AffectedFrac     float64
 	// Absorbed is true when layer 1's partition provably survived the
-	// delta unchanged, so every summary layer was reused verbatim.
+	// delta unchanged, so every summary layer was reused pointer-identical.
 	Absorbed bool
-	// ReusedLayers counts summary layers carried over pointer-identical
-	// from the old index; RecomputedLayers counts layers rebuilt.
-	ReusedLayers     int
+	// RecomputedLayers counts the summary layers rebuilt: 0 when absorbed,
+	// otherwise every summary layer of the result.
 	RecomputedLayers int
 }
 
-// ErrDeltaTooLarge is returned by Applied when the damage bound exceeds
-// DeltaOptions.MaxAffectedFrac.
-var ErrDeltaTooLarge = errors.New("core: delta exceeds the damage budget")
-
 // Applied returns a new index equal to rebuilding the hierarchy over the
 // mutated data graph with the stored configurations — the maintenance
-// strategy of Sec. 3.2 — but paying only for the layers the delta actually
-// disturbs. The invariant, enforced by the equivalence tests, is
+// strategy of Sec. 3.2. The invariant, enforced by the equivalence tests,
+// is
 //
 //	x.Applied(d) ≡ x.Refreshed(graph.Patch(x.Data(), d))
 //
-// layer for layer, so callers may mix the two paths freely (the server
-// falls back to Refreshed when the damage budget trips).
-//
-// Layer 1 goes through bisim.Maintainer seeded with the stored partition:
-// a pure edge-add delta whose every edge keeps all successor-block
-// signatures intact is absorbed without recomputation, in which case the
-// quotient graph — and therefore every layer above — is reused verbatim.
-// Otherwise layers recompute bottom-up, stopping early as soon as a
-// recomputed quotient equals the old one. The assembled index re-runs the
-// NewFromLayers structural validation, so a maintenance bug surfaces as an
-// error here instead of a silently wrong index, and the result's epoch is
-// x's epoch + 1 (atomic-swap + cache-invalidation contract).
+// layer for layer. It takes one shortcut: a pure edge-add delta whose
+// every edge leaves layer 1's successor-block signatures intact
+// (bisim.Absorbs) cannot change the partition, so the patched data graph
+// is paired with the old summary layers as they are. Any other delta runs
+// Refreshed over the patched graph. Either way the result passes the
+// NewFromLayers structural validation and carries x's epoch + 1 (the
+// atomic-swap and cache-invalidation contract).
 //
 // The receiver is never modified; like Refreshed, Applied is safe to run
 // while x serves queries.
-func (x *Index) Applied(d Delta, opt DeltaOptions) (*Index, *DeltaReport, error) {
-	g0old := x.layers[0].Graph
-	g0new, err := graph.Patch(g0old, d.AddVertices, d.AddEdges, d.RemoveEdges)
+func (x *Index) Applied(d Delta, _ DeltaOptions) (*Index, *DeltaReport, error) {
+	g0 := x.layers[0].Graph
+	patched, err := graph.Patch(g0, d.AddVertices, d.AddEdges, d.RemoveEdges)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	rep := &DeltaReport{}
-	rep.AffectedVertices = affectedClosure(g0new, g0old.NumVertices(), d)
-	if n := g0new.NumVertices(); n > 0 {
-		rep.AffectedFrac = float64(rep.AffectedVertices) / float64(n)
+	if len(d.AddVertices) == 0 && len(d.RemoveEdges) == 0 && len(x.layers) > 1 {
+		// Layer 1's partition was computed over Gen(G⁰, C¹), which has
+		// G⁰'s adjacency, so the data graph stands in for it.
+		l1 := x.layers[1]
+		if bisim.Absorbs(g0, &bisim.Result{Block: l1.Up, Members: l1.Down}, d.AddEdges) {
+			layers := append([]*Layer{{Graph: patched}}, x.layers[1:]...)
+			n, err := x.successor(layers)
+			if err != nil {
+				return nil, nil, err
+			}
+			return n, &DeltaReport{Absorbed: true}, nil
+		}
 	}
-	if opt.MaxAffectedFrac > 0 && rep.AffectedFrac > opt.MaxAffectedFrac {
-		return nil, rep, fmt.Errorf("%w: %.3f of vertices affected (budget %.3f)",
-			ErrDeltaTooLarge, rep.AffectedFrac, opt.MaxAffectedFrac)
-	}
-
-	newLayers := []*Layer{{Graph: g0new}}
-	top := g0new
-	for li := 1; li < len(x.layers); li++ {
-		old := x.layers[li]
-		cfg := old.Config
-
-		// Once a recomputed layer equals the old one, the rest of the old
-		// hierarchy was built from an identical input and applies verbatim.
-		if li > 1 && graphsEqual(top, x.layers[li-1].Graph) {
-			for _, o := range x.layers[li:] {
-				newLayers = append(newLayers, o)
-				rep.ReusedLayers++
-			}
-			break
-		}
-
-		// Mirror Refreshed exactly: stop at the first layer whose config
-		// generalizes nothing present in the evolved graph.
-		touches := false
-		for _, l := range top.DistinctLabels() {
-			if cfg.InDomain(l) {
-				touches = true
-				break
-			}
-		}
-		if !touches {
-			break
-		}
-
-		if li == 1 {
-			oldRes := &bisim.Result{Summary: old.Graph, Block: old.Up, Members: old.Down}
-			m := bisim.MaintainerFrom(cfg.Apply(g0old), oldRes)
-			for _, l := range d.AddVertices {
-				m.AddVertex(cfg.Map(l))
-			}
-			m.AddEdges(d.AddEdges)
-			for _, e := range d.RemoveEdges {
-				m.RemoveEdge(e.From, e.To)
-			}
-			res := m.Result()
-			if res == oldRes {
-				// Absorbed: partition, quotient graph and everything above
-				// are untouched by construction.
-				rep.Absorbed = true
-				for _, o := range x.layers[1:] {
-					newLayers = append(newLayers, o)
-					rep.ReusedLayers++
-				}
-				break
-			}
-			newLayers = append(newLayers, &Layer{Graph: res.Summary, Config: cfg, Up: res.Block, Down: res.Members})
-			rep.RecomputedLayers++
-			top = res.Summary
-			continue
-		}
-
-		res := bisim.Compute(cfg.Apply(top))
-		newLayers = append(newLayers, &Layer{Graph: res.Summary, Config: cfg, Up: res.Block, Down: res.Members})
-		rep.RecomputedLayers++
-		top = res.Summary
-	}
-
-	// Assemble through the snapshot-restore constructor: the full
-	// structural validation (Up/Down inversion, dict sharing, config vs
-	// ontology) is the gate that turns a maintenance bug into an error.
-	n, err := NewFromLayers(x.ont, newLayers)
+	n, err := x.Refreshed(patched)
 	if err != nil {
-		return nil, rep, fmt.Errorf("core: delta produced an invalid hierarchy: %w", err)
+		return nil, nil, err
 	}
-	n.RestoreEpoch(x.epoch.Load() + 1)
-	return n, rep, nil
-}
-
-// affectedClosure bounds how far the delta can perturb bisimilarity: a
-// vertex's class depends only on its successors' classes, so only vertices
-// that can reach an update site (backward closure in the patched graph)
-// can change class. Update sites are the endpoints of every added and
-// removed edge plus every appended vertex.
-func affectedClosure(g *graph.Graph, oldN int, d Delta) int {
-	n := g.NumVertices()
-	seeds := make(map[graph.V]bool)
-	add := func(v graph.V) {
-		if int(v) < n {
-			seeds[v] = true
-		}
-	}
-	for _, e := range d.AddEdges {
-		add(e.From)
-		add(e.To)
-	}
-	for _, e := range d.RemoveEdges {
-		add(e.From)
-		add(e.To)
-	}
-	for i := range d.AddVertices {
-		add(graph.V(oldN + i))
-	}
-	seen := make(map[graph.V]bool, len(seeds))
-	for s := range seeds {
-		g.BFSWithin(s, -1, graph.Backward, func(v graph.V, _ int) bool {
-			if seen[v] {
-				return false
-			}
-			seen[v] = true
-			return true
-		})
-	}
-	return len(seen)
-}
-
-// graphsEqual is an exact labeled-graph comparison (same vertex IDs, same
-// labels, same adjacency). Digests are NOT used here: a hash collision
-// would silently reuse a stale hierarchy, and the exact check is O(V+E) —
-// no more than the Compute it short-circuits.
-func graphsEqual(a, b *graph.Graph) bool {
-	if a == b {
-		return true
-	}
-	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
-		return false
-	}
-	for v := 0; v < a.NumVertices(); v++ {
-		if a.Label(graph.V(v)) != b.Label(graph.V(v)) {
-			return false
-		}
-		ao, bo := a.Out(graph.V(v)), b.Out(graph.V(v))
-		if len(ao) != len(bo) {
-			return false
-		}
-		for i := range ao {
-			if ao[i] != bo[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return n, &DeltaReport{RecomputedLayers: n.NumLayers() - 1}, nil
 }

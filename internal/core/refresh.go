@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bigindex/internal/bisim"
-	"bigindex/internal/generalize"
 	"bigindex/internal/graph"
 )
 
@@ -13,6 +12,8 @@ import (
 // maintenance strategy of Sec. 3.2: label-to-supertype decisions rarely
 // change when edges and vertices do, so only the (cheap) Gen + Bisim
 // pipeline reruns, skipping Algorithm 1's configuration search entirely.
+// It is the one maintenance loop: hot reload calls it directly, and
+// Applied calls it for every delta it cannot absorb.
 //
 // The receiver is left untouched, so Refreshed is safe to call while x
 // concurrently serves queries: the caller swaps the returned index in
@@ -26,7 +27,7 @@ import (
 // in the evolved graph are dropped from the top.
 func (x *Index) Refreshed(g *graph.Graph) (*Index, error) {
 	if g.Dict() != x.layers[0].Graph.Dict() {
-		return nil, fmt.Errorf("core: Refresh requires the original dictionary")
+		return nil, fmt.Errorf("core: Refreshed requires the original dictionary")
 	}
 	newLayers := []*Layer{{Graph: g}}
 	top := g
@@ -53,27 +54,19 @@ func (x *Index) Refreshed(g *graph.Graph) (*Index, error) {
 		})
 		top = res.Summary
 	}
-	n := &Index{
-		ont:    x.ont,
-		layers: newLayers,
-		seq:    append(generalize.Sequence(nil), x.seq[:len(newLayers)-1]...),
-	}
-	n.epoch.Store(x.epoch.Load() + 1)
-	return n, nil
+	return x.successor(newLayers)
 }
 
-// Refresh is the in-place form of Refreshed: it replaces the receiver's
-// hierarchy and bumps its epoch. It must not race with in-flight queries
-// on x — concurrent serving uses Refreshed plus an atomic swap instead.
-func (x *Index) Refresh(g *graph.Graph) error {
-	n, err := x.Refreshed(g)
+// successor assembles layers into the index that replaces x. It goes
+// through the snapshot-restore constructor, so the full structural
+// validation (Up/Down inversion, dict sharing, config vs ontology) turns
+// a maintenance bug into an error instead of a silently wrong index, and
+// it carries x's epoch + 1.
+func (x *Index) successor(layers []*Layer) (*Index, error) {
+	n, err := NewFromLayers(x.ont, layers)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("core: maintenance produced an invalid hierarchy: %w", err)
 	}
-	x.layers = n.layers
-	x.seq = n.seq
-	// Bump the version last: a cache keying on the new epoch must only
-	// ever observe the refreshed hierarchy.
-	x.epoch.Add(1)
-	return nil
+	n.RestoreEpoch(x.epoch.Load() + 1)
+	return n, nil
 }

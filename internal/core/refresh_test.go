@@ -32,11 +32,12 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 	}
 	g2 := b.Build()
 
-	if err := idx.Refresh(g2); err != nil {
-		t.Fatalf("Refresh: %v", err)
+	idx, err := idx.Refreshed(g2)
+	if err != nil {
+		t.Fatalf("Refreshed: %v", err)
 	}
 	if idx.Data() != g2 {
-		t.Fatal("Refresh did not swap the data graph")
+		t.Fatal("Refreshed did not carry the new data graph")
 	}
 
 	// The refreshed index must answer queries identically to direct eval on
@@ -65,34 +66,35 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 	}
 }
 
-// Every successful Refresh bumps the index epoch exactly once, and a
-// rejected Refresh leaves it alone — result caches key on the epoch, so
-// this is the invalidation contract they depend on.
+// Every successful Refreshed is one epoch past its receiver, and a
+// rejected one returns no index — result caches key on the epoch, so this
+// is the invalidation contract they depend on.
 func TestRefreshBumpsEpoch(t *testing.T) {
 	ds := smallDataset(302)
 	idx := buildIndex(t, ds)
 	if got := idx.Epoch(); got != 0 {
 		t.Fatalf("fresh index epoch = %d, want 0", got)
 	}
-	if err := idx.Refresh(ds.Graph); err != nil {
-		t.Fatalf("Refresh: %v", err)
+	idx, err := idx.Refreshed(ds.Graph)
+	if err != nil {
+		t.Fatalf("Refreshed: %v", err)
 	}
 	if got := idx.Epoch(); got != 1 {
-		t.Fatalf("epoch after Refresh = %d, want 1", got)
+		t.Fatalf("epoch after Refreshed = %d, want 1", got)
 	}
 	foreign := graph.NewBuilder(nil)
 	foreign.AddVertex("x")
-	if err := idx.Refresh(foreign.Build()); err == nil {
+	if n, err := idx.Refreshed(foreign.Build()); err == nil || n != nil {
 		t.Fatal("foreign dictionary accepted")
 	}
 	if got := idx.Epoch(); got != 1 {
-		t.Fatalf("epoch after rejected Refresh = %d, want 1", got)
+		t.Fatalf("epoch after rejected Refreshed = %d, want 1", got)
 	}
-	if err := idx.Refresh(ds.Graph); err != nil {
-		t.Fatalf("second Refresh: %v", err)
+	if idx, err = idx.Refreshed(ds.Graph); err != nil {
+		t.Fatalf("second Refreshed: %v", err)
 	}
 	if got := idx.Epoch(); got != 2 {
-		t.Fatalf("epoch after second Refresh = %d, want 2", got)
+		t.Fatalf("epoch after second Refreshed = %d, want 2", got)
 	}
 }
 
@@ -101,7 +103,7 @@ func TestRefreshRejectsForeignDict(t *testing.T) {
 	idx := buildIndex(t, ds)
 	foreign := graph.NewBuilder(nil)
 	foreign.AddVertex("x")
-	if err := idx.Refresh(foreign.Build()); err == nil {
+	if _, err := idx.Refreshed(foreign.Build()); err == nil {
 		t.Fatal("foreign dictionary accepted")
 	}
 }

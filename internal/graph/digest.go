@@ -68,7 +68,7 @@ func (g *Graph) Digest() uint64 {
 // Rebase returns a copy of g whose labels are translated onto dict by
 // name. It is how a hot reload brings a freshly read or regenerated data
 // graph (which carries its own dictionary) into the dictionary of a live
-// index: Index.Refresh requires the original dictionary, and that
+// index: Index.Refreshed requires the original dictionary, and that
 // dictionary must never be mutated while queries read it concurrently, so
 // Rebase only *looks up* names — a label of g whose name dict has never
 // interned is an error, not an Intern (new vocabulary requires a rebuild).

@@ -7,8 +7,7 @@ import "fmt"
 // inserted, and removeEdges deleted. The dictionary is shared with g.
 //
 // Patch is the pure structural mutation used by both the live mutation
-// service and WAL boot replay, so its semantics are deliberately lenient —
-// the same rules bisim.Maintainer's patchedGraph applies:
+// service and WAL boot replay, so its semantics are deliberately lenient:
 //
 //   - duplicate added edges, and edges already present, collapse (simple
 //     graph — Builder dedupes);

@@ -261,16 +261,16 @@ func TestConcurrentIdenticalQueriesEvalOnce(t *testing.T) {
 	}
 }
 
-// Refresh mid-flight: a result computed before a Refresh lands is
-// stored under the old epoch and can never answer post-refresh
-// traffic, even when the evaluation finishes after the swap.
+// Refresh mid-flight: a result computed before a refreshed index is
+// swapped in is stored under the old epoch and can never answer
+// post-refresh traffic, even when the evaluation finishes after the swap.
 func TestRefreshMidFlightNeverServesStale(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	gen := &stubAlgo{name: "gen", fn: func(ctx context.Context, q []graph.Label, k int) ([]search.Match, error) {
 		c := calls.Add(1)
 		if c == 1 {
-			<-release // finish only after the Refresh below has landed
+			<-release // finish only after the swap below has landed
 		}
 		return []search.Match{{Root: 0, Score: float64(c)}}, nil
 	}}
@@ -295,11 +295,13 @@ func TestRefreshMidFlightNeverServesStale(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := s.Index().Refresh(ds.Graph); err != nil {
-		t.Fatalf("Refresh: %v", err)
+	next, err := s.Index().Refreshed(ds.Graph)
+	if err != nil {
+		t.Fatalf("Refreshed: %v", err)
 	}
+	s.SwapIndex(next)
 	if got := s.Index().Epoch(); got != 1 {
-		t.Fatalf("epoch after Refresh = %d, want 1", got)
+		t.Fatalf("epoch after Refreshed = %d, want 1", got)
 	}
 	close(release)
 	<-done // pre-refresh result is now stored, under epoch 0

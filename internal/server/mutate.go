@@ -30,11 +30,6 @@ type MutatorOptions struct {
 	// as the last WAL batch it covers — the compaction step. Nil disables
 	// compaction (Compact returns an error, auto-compaction is off).
 	Persist func(ctx context.Context, idx *core.Index, seq uint64) error
-	// DamageBudget caps the fraction of data-graph vertices a delta may
-	// plausibly disturb before maintenance gives up and the batch goes
-	// through the full-rebuild fallback instead. 0 picks the default
-	// (0.25); negative disables the budget entirely.
-	DamageBudget float64
 	// MaxWALBytes triggers automatic compaction after any apply that
 	// leaves the log larger than this. 0 disables the size trigger.
 	MaxWALBytes int64
@@ -63,13 +58,12 @@ type mutationEdge struct {
 
 // MutationResult describes one applied batch.
 type MutationResult struct {
-	Seq          uint64
-	Epoch        uint64
-	Path         string // "absorbed", "delta", or "rebuild"
-	AffectedFrac float64
-	Layers       int
-	Elapsed      time.Duration
-	Compacted    bool // an auto-compaction ran after the apply
+	Seq       uint64
+	Epoch     uint64
+	Path      string // "absorbed" or "delta"
+	Layers    int
+	Elapsed   time.Duration
+	Compacted bool // an auto-compaction ran after the apply
 }
 
 // MutationHealth is the mutation service's /stats block.
@@ -87,11 +81,12 @@ var ErrBadMutation = errors.New("server: invalid mutation batch")
 var ErrWALAppend = errors.New("server: mutation could not be made durable")
 
 // Mutator is the write path: it validates mutation batches against the
-// served index, makes them durable in the WAL, applies them through
-// core.Applied (bisim.Maintainer + per-layer reuse) with an atomic index
-// swap and epoch bump per batch, and falls back to the reloader's
-// full-rebuild path when delta maintenance refuses. One batch applies at
-// a time; queries never block (they read the atomic index pointer).
+// served index, makes them durable in the WAL, and applies them through
+// core.Applied — absorbed at layer 1 or re-summarized with the stored
+// configurations — with an atomic index swap and epoch bump per batch. A
+// batch whose maintenance fails is rolled back out of the WAL and
+// reported as an error. One batch applies at a time; queries never block
+// (they read the atomic index pointer).
 type Mutator struct {
 	s   *Server
 	opt MutatorOptions
@@ -112,9 +107,6 @@ type Mutator struct {
 // the sequence number of the last batch already folded into the served
 // index (snapshot WALSeq + replayed tail); new batches continue from it.
 func NewMutator(s *Server, startSeq uint64, opt MutatorOptions) *Mutator {
-	if opt.DamageBudget == 0 {
-		opt.DamageBudget = 0.25
-	}
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = 10000
 	}
@@ -124,7 +116,7 @@ func NewMutator(s *Server, startSeq uint64, opt MutatorOptions) *Mutator {
 	m := &Mutator{s: s, opt: opt}
 	m.seq.Store(startSeq)
 	m.applyTotal = s.reg.CounterVec("bigindex_mutation_total",
-		"Mutation batches by outcome (absorbed, delta, rebuild, invalid, wal_error, error).",
+		"Mutation batches by outcome (absorbed, delta, invalid, wal_error, error).",
 		"outcome")
 	m.applySec = s.reg.Histogram("bigindex_mutation_seconds",
 		"End-to-end mutation batch apply latency in seconds (WAL append + maintenance + swap).",
@@ -161,17 +153,16 @@ func (m *Mutator) Health() MutationHealth {
 
 // Apply runs one mutation batch end to end: validate against the served
 // index, append to the WAL (durability point — only after the fsync
-// returns is the batch acknowledged), apply via delta maintenance or the
-// rebuild fallback, swap atomically, bump the epoch, refresh staleness.
+// returns is the batch acknowledged), apply via core.Applied, swap
+// atomically, bump the epoch, refresh staleness.
 func (m *Mutator) Apply(ctx context.Context, req MutationRequest) (MutationResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Also serialize against reloads: a reload snapshots the live graph,
 	// rebuilds, and swaps — a mutation landing in between would be
 	// overwritten by the swap while the WAL claims it applied. Lock order
-	// is m.mu then rl.mu everywhere (the rebuild fallback follows it too),
-	// and Reload's AfterSwap reads the sequence through the atomic, so the
-	// orders never cross.
+	// is m.mu then rl.mu everywhere, and Reload's AfterSwap reads the
+	// sequence through the atomic, so the orders never cross.
 	rl := m.s.reloader.Load()
 	if rl != nil {
 		rl.mu.Lock()
@@ -203,7 +194,7 @@ func (m *Mutator) Apply(ctx context.Context, req MutationRequest) (MutationResul
 		m.walAppends.Inc()
 	}
 
-	res, err := m.applyBatch(ctx, rl, cur, d)
+	next, rep, err := cur.Applied(d, core.DeltaOptions{})
 	if err != nil {
 		// The record is durable but the batch is NOT acknowledged: roll the
 		// WAL back so boot replay cannot resurrect a batch the client was
@@ -216,22 +207,26 @@ func (m *Mutator) Apply(ctx context.Context, req MutationRequest) (MutationResul
 			}
 		}
 		m.applyTotal.With("error").Inc()
-		return MutationResult{}, err
+		return MutationResult{}, fmt.Errorf("server: mutation maintenance: %w", err)
 	}
+	m.s.SwapIndex(next)
 
+	res := MutationResult{Seq: seq, Epoch: next.Epoch(), Path: "delta", Layers: next.NumLayers()}
+	if rep.Absorbed {
+		res.Path = "absorbed"
+	}
 	m.seq.Store(seq)
 	m.lastApply.Store(time.Now().UnixNano())
 	if rl != nil {
 		rl.MarkFresh() // a mutated index is a fresh index, not a stale one
 	}
-	res.Seq = seq
 	res.Elapsed = time.Since(start)
 	m.applyTotal.With(res.Path).Inc()
 	m.applySec.Observe(res.Elapsed.Seconds())
 	m.opt.Logger.Info("mutation applied",
 		"seq", seq, "path", res.Path, "epoch", res.Epoch,
 		"add_vertices", len(d.AddVertices), "add_edges", len(d.AddEdges), "remove_edges", len(d.RemoveEdges),
-		"affected_frac", res.AffectedFrac, "elapsed_ms", res.Elapsed.Milliseconds())
+		"elapsed_ms", res.Elapsed.Milliseconds())
 
 	if m.opt.WAL != nil && m.opt.MaxWALBytes > 0 && m.opt.WAL.Size() > m.opt.MaxWALBytes {
 		if _, err := m.compactLocked(ctx); err != nil {
@@ -244,55 +239,6 @@ func (m *Mutator) Apply(ctx context.Context, req MutationRequest) (MutationResul
 		}
 	}
 	return res, nil
-}
-
-// applyBatch tries delta maintenance first and falls back to a full
-// rebuild through the reloader's circuit-accounted path (or a plain
-// Refreshed when no reloader is wired).
-func (m *Mutator) applyBatch(ctx context.Context, rl *Reloader, cur *core.Index, d core.Delta) (MutationResult, error) {
-	next, rep, err := cur.Applied(d, core.DeltaOptions{MaxAffectedFrac: m.opt.DamageBudget})
-	if err == nil {
-		m.s.SwapIndex(next)
-		path := "delta"
-		if rep.Absorbed {
-			path = "absorbed"
-		}
-		return MutationResult{
-			Epoch:        next.Epoch(),
-			Path:         path,
-			AffectedFrac: rep.AffectedFrac,
-			Layers:       next.NumLayers(),
-		}, nil
-	}
-
-	reason := "budget"
-	if !errors.Is(err, core.ErrDeltaTooLarge) {
-		reason = "maintenance"
-	}
-	m.opt.Logger.Warn("delta maintenance refused batch; falling back to full rebuild",
-		"reason", reason, "err", err)
-
-	patched, perr := graph.Patch(cur.Data(), d.AddVertices, d.AddEdges, d.RemoveEdges)
-	if perr != nil {
-		return MutationResult{}, fmt.Errorf("server: mutation fallback patch: %w", perr)
-	}
-	var frac float64
-	if rep != nil {
-		frac = rep.AffectedFrac
-	}
-	if rl != nil {
-		next, rerr := rl.swapGraphLocked(ctx, patched)
-		if rerr != nil {
-			return MutationResult{}, fmt.Errorf("server: mutation fallback rebuild: %w", rerr)
-		}
-		return MutationResult{Epoch: next.Epoch(), Path: "rebuild", AffectedFrac: frac, Layers: next.NumLayers()}, nil
-	}
-	next, rerr := cur.Refreshed(patched)
-	if rerr != nil {
-		return MutationResult{}, fmt.Errorf("server: mutation fallback rebuild: %w", rerr)
-	}
-	m.s.SwapIndex(next)
-	return MutationResult{Epoch: next.Epoch(), Path: "rebuild", AffectedFrac: frac, Layers: next.NumLayers()}, nil
 }
 
 // CompactResult describes one compaction.
@@ -451,15 +397,14 @@ func (s *Server) handleAdminEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, struct {
-		Status       string  `json:"status"`
-		Seq          uint64  `json:"seq"`
-		Epoch        uint64  `json:"epoch"`
-		Path         string  `json:"path"`
-		AffectedFrac float64 `json:"affected_frac"`
-		Layers       int     `json:"layers"`
-		Elapsed      string  `json:"elapsed"`
-		Compacted    bool    `json:"compacted,omitempty"`
-	}{"applied", res.Seq, res.Epoch, res.Path, res.AffectedFrac, res.Layers,
+		Status    string `json:"status"`
+		Seq       uint64 `json:"seq"`
+		Epoch     uint64 `json:"epoch"`
+		Path      string `json:"path"`
+		Layers    int    `json:"layers"`
+		Elapsed   string `json:"elapsed"`
+		Compacted bool   `json:"compacted,omitempty"`
+	}{"applied", res.Seq, res.Epoch, res.Path, res.Layers,
 		res.Elapsed.Round(time.Microsecond).String(), res.Compacted})
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"testing"
 	"time"
@@ -178,6 +179,80 @@ func TestAdminEdgesMatchesRefreshedAnswers(t *testing.T) {
 	}
 }
 
+// absorbableEdge returns an edge absent from the data graph that keeps
+// layer 1's partition intact: it copies an existing edge (u, w) onto a
+// block-mate of u and a block-mate of w, and every block-mate of u
+// already sees w's block.
+func absorbableEdge(t *testing.T, idx *core.Index) graph.Edge {
+	t.Helper()
+	if idx.NumLayers() < 2 {
+		t.Skip("need summary layers")
+	}
+	g, l1 := idx.Data(), idx.Layer(1)
+	for _, e := range g.Edges() {
+		for _, u := range l1.Down[l1.Up[e.From]] {
+			for _, w := range l1.Down[l1.Up[e.To]] {
+				if !g.HasEdge(u, w) {
+					return graph.Edge{From: u, To: w}
+				}
+			}
+		}
+	}
+	t.Skip("no absorbable edge")
+	return graph.Edge{}
+}
+
+// The absorbed path end to end over HTTP: a signature-preserving pure-add
+// batch swaps in a new index that shares every summary layer with the old
+// one, still bumps the epoch (so a pre-batch cache entry is never served),
+// and a batch with a removal re-summarizes.
+func TestAdminEdgesAbsorbedPath(t *testing.T) {
+	s, ds := testServer(t)
+	NewMutator(s, 0, MutatorOptions{})
+	before := s.Index()
+
+	path := "/query?q=" + url.QueryEscape(popularTerm(ds)) + "&k=5"
+	if rec, _ := get(t, s, path); rec.Code != http.StatusOK {
+		t.Fatalf("warm query: %d %s", rec.Code, rec.Body.String())
+	}
+	if _, body := get(t, s, path); body["cached"] != true {
+		t.Fatal("setup: repeat query not cached")
+	}
+
+	add := absorbableEdge(t, before)
+	rec, body := postJSON(t, s, "/admin/edges", mutationBody(&add, nil), nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("mutation: %d: %s", rec.Code, rec.Body.String())
+	}
+	if body["path"] != "absorbed" || body["epoch"] != float64(before.Epoch()+1) {
+		t.Fatalf("absorbed batch: %v", body)
+	}
+	after := s.Index()
+	if !after.Data().HasEdge(add.From, add.To) {
+		t.Fatal("served graph lacks the absorbed edge")
+	}
+	if after.NumLayers() != before.NumLayers() {
+		t.Fatalf("layers %d, want %d", after.NumLayers(), before.NumLayers())
+	}
+	for j := 1; j < after.NumLayers(); j++ {
+		if after.LayerGraph(j) != before.LayerGraph(j) {
+			t.Fatalf("layer %d was rebuilt, want it reused", j)
+		}
+	}
+	if _, body := get(t, s, path); body["cached"] == true {
+		t.Fatal("post-batch query served the pre-batch cache entry")
+	}
+
+	_, remove := pickMutation(t, after.Data())
+	rec, body = postJSON(t, s, "/admin/edges", mutationBody(nil, &remove), nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("removal: %d: %s", rec.Code, rec.Body.String())
+	}
+	if body["path"] != "delta" || body["epoch"] != float64(before.Epoch()+2) {
+		t.Fatalf("removal batch: %v", body)
+	}
+}
+
 func TestAdminEdgesValidation(t *testing.T) {
 	s, _ := testServer(t)
 	NewMutator(s, 0, MutatorOptions{})
@@ -315,29 +390,6 @@ func TestMutationResetsStaleness(t *testing.T) {
 	}
 	if h.ConsecutiveFailures != 0 || h.CircuitOpen {
 		t.Fatalf("mutation did not close the circuit: %+v", h)
-	}
-}
-
-func TestDamageBudgetFallsBackToRebuild(t *testing.T) {
-	s, _ := testServer(t)
-	NewReloader(s, ReloaderOptions{Source: regenSource(nil)})
-	NewMutator(s, 0, MutatorOptions{DamageBudget: 1e-12})
-
-	g0 := s.Index().Data()
-	add, remove := pickMutation(t, g0)
-	rec, body := postJSON(t, s, "/admin/edges", mutationBody(&add, &remove), nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("mutation: %d: %s", rec.Code, rec.Body.String())
-	}
-	if body["path"] != "rebuild" {
-		t.Fatalf("path = %v, want rebuild", body["path"])
-	}
-	g1 := s.Index().Data()
-	if !g1.HasEdge(add.From, add.To) || g1.HasEdge(remove.From, remove.To) {
-		t.Fatal("rebuild fallback did not apply the batch")
-	}
-	if got := s.Index().Epoch(); got != 1 {
-		t.Fatalf("epoch = %d, want 1", got)
 	}
 }
 

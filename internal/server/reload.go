@@ -74,12 +74,15 @@ type ReloadResult struct {
 // never disturb the serving path: the last good index keeps answering
 // while Run retries with exponential backoff and jitter, and a run of
 // failures opens a circuit that is visible in /stats and metrics but
-// keeps readiness green — stale answers beat no answers.
+// keeps readiness green — stale answers beat no answers. The mutation
+// service applies batches through core.Applied under the same lock, so a
+// reload and a mutation never interleave; it has no path of its own
+// through the reloader.
 type Reloader struct {
 	s   *Server
 	opt ReloaderOptions
 
-	mu      sync.Mutex // serializes reload attempts (manual vs background)
+	mu      sync.Mutex // serializes reload attempts (manual vs background) and mutations
 	trigger chan struct{}
 
 	lastOK  atomic.Int64   // unix nanos of the last success (boot counts)
@@ -150,42 +153,6 @@ func (r *Reloader) Health() ReloadHealth {
 func (r *Reloader) MarkFresh() {
 	r.lastOK.Store(time.Now().UnixNano())
 	r.breaker.Reset()
-}
-
-// SwapGraph rebuilds the hierarchy over g — which must already live on
-// the served index's dictionary — and swaps the result in. It is the
-// mutation service's fallback when delta maintenance refuses a batch
-// (damage budget, validation failure): the same serialized, circuit-
-// accounted path as a reload, minus the Source re-read, so a run of
-// failing rebuilds opens the same breaker an operator already watches.
-func (r *Reloader) SwapGraph(ctx context.Context, g *graph.Graph) (*core.Index, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.swapGraphLocked(ctx, g)
-}
-
-// swapGraphLocked is SwapGraph for callers already holding r.mu — the
-// mutator's apply path, which takes the reload lock up front (see
-// Mutator.Apply) so a reload cannot interleave with a mutation and swap
-// in a hierarchy built from a pre-mutation graph, silently dropping a
-// batch the WAL says is applied.
-func (r *Reloader) swapGraphLocked(ctx context.Context, g *graph.Graph) (*core.Index, error) {
-	cur := r.s.Index()
-	next, err := cur.Refreshed(g)
-	if err != nil {
-		return nil, r.fail("refresh", err)
-	}
-	r.s.SwapIndex(next)
-	r.lastOK.Store(time.Now().UnixNano())
-	r.breaker.Reset()
-	r.total.With("success").Inc()
-	if r.opt.AfterSwap != nil {
-		if err := r.opt.AfterSwap(ctx, next); err != nil {
-			r.total.With("persist").Inc()
-			r.opt.Logger.Warn("post-rebuild persist/warm failed; serving fresh index anyway", "err", err)
-		}
-	}
-	return next, nil
 }
 
 // Trigger requests an asynchronous reload from the Run loop (the SIGHUP

@@ -112,7 +112,8 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripPreservesEpoch(t *testing.T) {
 	ds, idx := buildFixture(t)
-	if err := idx.Refresh(ds.Graph); err != nil {
+	idx, err := idx.Refreshed(ds.Graph)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if idx.Epoch() != 1 {

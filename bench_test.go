@@ -76,17 +76,68 @@ func BenchmarkQueryDirectVsBoosted(b *testing.B) {
 	})
 }
 
-// BenchmarkBisimulation isolates the summarization substrate.
+// BenchmarkBisimulation isolates the summarization substrate on layer-1
+// inputs (the data graph generalized by the built index's first config):
+//   - yago-s: the YAGO3 stand-in;
+//   - bench120k: a 120k-entity graph shaped like benchmark/'s (acyclic, so
+//     one rank-ordered pass covers every vertex);
+//   - bench120k-recip10: the same graph with a reciprocal edge on ~10 % of
+//     its edges, so ~60 % of its vertices reach a cycle and run the
+//     refinement path.
 func BenchmarkBisimulation(b *testing.B) {
 	f, err := bench.GetFixture("yago-s")
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := f.Index.Layer(1).Config.Apply(f.DS.Graph)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = bigindex.Bisim(g)
+	type input struct {
+		name string
+		g    *graph.Graph
 	}
+	inputs := []input{{"yago-s", f.Index.Layer(1).Config.Apply(f.DS.Graph)}}
+
+	ds := benchShaped(120_000)
+	opt := core.DefaultBuildOptions()
+	opt.MaxLayers = 1
+	idx, err := core.Build(ds.Graph, ds.Ont, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := idx.Layer(1).Config
+	rng := rand.New(rand.NewSource(7001))
+	rb := graph.NewBuilder(ds.Graph.Dict())
+	for _, l := range ds.Graph.Labels() {
+		rb.AddVertexLabel(l)
+	}
+	for _, e := range ds.Graph.Edges() {
+		rb.AddEdge(e.From, e.To)
+		if rng.Intn(10) == 0 {
+			rb.AddEdge(e.To, e.From)
+		}
+	}
+	inputs = append(inputs,
+		input{"bench120k", cfg.Apply(ds.Graph)},
+		input{"bench120k-recip10", cfg.Apply(rb.Build())})
+
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bisimSink = bigindex.Bisim(in.g)
+			}
+		})
+	}
+}
+
+var bisimSink *bigindex.BisimResult
+
+// benchShaped generates a graph with benchmark/'s shape (its genDataset
+// options) at the given size.
+func benchShaped(entities int) *datagen.Dataset {
+	return datagen.Generate(datagen.Options{
+		Name: "bench", Entities: entities, AvgOut: 2.0, Terms: 1500, LeafTypes: 40,
+		TypeBranching: 4, TypeHeight: 6, Relations: 60, TermSkew: 1.5, TargetSkew: 2,
+		SinkFraction: 0.35, Seed: 7001,
+	})
 }
 
 // BenchmarkAlgorithmPrepare isolates per-layer search-index construction.
@@ -205,11 +256,7 @@ func BenchmarkTopK(b *testing.B) {
 // the benchmark harness's shape and batch mix (16 edges added, 4 removed).
 // Every batch applies to the same base index, so the graph never drifts.
 func BenchmarkApplied(b *testing.B) {
-	ds := datagen.Generate(datagen.Options{
-		Name: "bench", Entities: 50_000, AvgOut: 2.0, Terms: 1500, LeafTypes: 40,
-		TypeBranching: 4, TypeHeight: 6, Relations: 60, TermSkew: 1.5, TargetSkew: 2,
-		SinkFraction: 0.35, Seed: 7001,
-	})
+	ds := benchShaped(50_000)
 	idx, err := core.Build(ds.Graph, ds.Ont, core.DefaultBuildOptions())
 	if err != nil {
 		b.Fatal(err)

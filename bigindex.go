@@ -88,15 +88,6 @@ type BisimResult = bisim.Result
 // Bisim(G)).
 func Bisim(g *Graph) *BisimResult { return bisim.Compute(g) }
 
-// BisimK computes the depth-bounded k-bisimulation summary: coarser and
-// cheaper than Bisim, sound for any query (plug into
-// BuildOptions.Summarizer).
-func BisimK(g *Graph, k int) *BisimResult { return bisim.ComputeK(g, k) }
-
-// BisimForward computes the forward-bisimulation summary (equivalence on
-// predecessor structure).
-func BisimForward(g *Graph) *BisimResult { return bisim.ComputeForward(g) }
-
 // Generalization.
 type (
 	// Config is a generalization configuration C = {ℓ→ℓ′}.

@@ -15,9 +15,9 @@
 //	                               # (default BENCH_replay.json)
 //
 // Besides the paper artifacts (table2–4, fig9–19, exp3, exp4, headline)
-// there is the summarizers ablation and the offline replay audit. Serving
-// performance — latency, throughput, build and restore time, per-package
-// costs — is measured by the benchmark/ harness, not here.
+// there is the offline replay audit. Serving performance — latency,
+// throughput, build and restore time, per-package costs — is measured by
+// the benchmark/ harness, not here.
 package main
 
 import (

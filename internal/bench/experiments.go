@@ -14,24 +14,23 @@ type Runner func() (*Report, error)
 
 // Experiments maps experiment IDs (table2, fig10, …) to runners.
 var Experiments = map[string]Runner{
-	"table2":      RunTable2,
-	"table3":      RunTable3,
-	"table4":      RunTable4,
-	"fig9":        RunFig9,
-	"fig10":       func() (*Report, error) { return runBlinksFig("fig10", "yago-s") },
-	"fig11":       func() (*Report, error) { return runBlinksFig("fig11", "dbpedia-s") },
-	"fig12":       func() (*Report, error) { return runBlinksFig("fig12", "imdb-s") },
-	"fig13":       func() (*Report, error) { return runRcliqueFig("fig13", "yago-s") },
-	"fig14":       func() (*Report, error) { return runRcliqueFig("fig14", "dbpedia-s") },
-	"fig15":       RunFig15,
-	"fig16":       RunFig16,
-	"fig17":       RunFig17,
-	"fig18":       RunFig18,
-	"fig19":       RunFig19,
-	"exp3":        RunExp3,
-	"exp4":        RunExp4,
-	"headline":    RunHeadline,
-	"summarizers": RunSummarizers,
+	"table2":   RunTable2,
+	"table3":   RunTable3,
+	"table4":   RunTable4,
+	"fig9":     RunFig9,
+	"fig10":    func() (*Report, error) { return runBlinksFig("fig10", "yago-s") },
+	"fig11":    func() (*Report, error) { return runBlinksFig("fig11", "dbpedia-s") },
+	"fig12":    func() (*Report, error) { return runBlinksFig("fig12", "imdb-s") },
+	"fig13":    func() (*Report, error) { return runRcliqueFig("fig13", "yago-s") },
+	"fig14":    func() (*Report, error) { return runRcliqueFig("fig14", "dbpedia-s") },
+	"fig15":    RunFig15,
+	"fig16":    RunFig16,
+	"fig17":    RunFig17,
+	"fig18":    RunFig18,
+	"fig19":    RunFig19,
+	"exp3":     RunExp3,
+	"exp4":     RunExp4,
+	"headline": RunHeadline,
 }
 
 // ExperimentOrder is the canonical run order for `benchrunner -exp all`.
@@ -39,7 +38,7 @@ var ExperimentOrder = []string{
 	"table2", "table3", "table4", "fig9",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 	"fig16", "fig17", "fig18", "fig19",
-	"exp3", "exp4", "headline", "summarizers",
+	"exp3", "exp4", "headline",
 }
 
 // RunTable2 reproduces Table 2: dataset statistics.

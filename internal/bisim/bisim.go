@@ -6,10 +6,24 @@
 // out-neighborhoods match block-for-block (the paper's Def. in Sec. 2; its
 // running example groups the 100 Person vertices because they share a label
 // and a bisimilar child). The unique maximal bisimulation is the coarsest
-// partition stable under that condition; we compute it by signature-based
-// partition refinement (Kanellakis-Smolka style): start from the partition
-// induced by labels and repeatedly split blocks whose members see different
-// sets of successor blocks, until a fixpoint.
+// partition stable under that condition. Compute finds it in rank order,
+// in four steps:
+//
+//  1. Peel. Kahn's algorithm on out-degree removes sinks first; the
+//     vertices it never removes are those that reach a cycle.
+//  2. Hash-cons. In peel order every successor of a vertex already has its
+//     final block, so the block of the vertex is the table entry for
+//     (label, sorted distinct successor blocks): each peeled vertex is
+//     signed exactly once. This is the well-founded case that Hellings et
+//     al. process in rank order.
+//  3. Refine the remainder. The vertices that reach a cycle start from
+//     their labels and are re-signed by (block, successor blocks) until the
+//     block count stops growing, with the peeled blocks held fixed. A vertex
+//     with an infinite path is never bisimilar to one without, so the two
+//     parts never share a block (rank stratification in the style of
+//     Dovier, Piazza and Policriti).
+//  4. Renumber blocks by their smallest member, so the output is a pure
+//     function of the graph.
 //
 // The summary graph Bisim(G) has one supernode per block, labeled with the
 // members' common label, and an edge between two supernodes iff some member
@@ -20,7 +34,7 @@
 package bisim
 
 import (
-	"hash/maphash"
+	"math/bits"
 	"slices"
 
 	"bigindex/internal/graph"
@@ -51,126 +65,209 @@ func (r *Result) CompressionRatio(original *graph.Graph) float64 {
 	return float64(r.Summary.Size()) / float64(original.Size())
 }
 
-// Compute returns the maximal bisimulation of g.
+// Compute returns the maximal bisimulation of g. Blocks are numbered by
+// their smallest member, so Block, Members and Summary are a pure function
+// of g.
 func Compute(g *graph.Graph) *Result {
 	n := g.NumVertices()
-	block := make([]uint32, n)
+	block := make([]graph.V, n)
+	var t table
+	t.reset()
+	var sig []graph.V
 
-	// Initial partition: one block per distinct label, numbered in order of
-	// first appearance so results are deterministic.
-	next := uint32(0)
-	byLabel := make(map[graph.Label]uint32)
-	for v := 0; v < n; v++ {
-		l := g.Label(graph.V(v))
-		id, ok := byLabel[l]
-		if !ok {
-			id = next
-			next++
-			byLabel[l] = id
+	// Peel: Kahn's algorithm on out-degree, sinks first. Every vertex in
+	// order comes after all of its successors; a vertex left unpeeled
+	// reaches a cycle.
+	left := make([]uint32, n)
+	order := make([]graph.V, 0, n)
+	for v := range n {
+		left[v] = uint32(g.OutDegree(graph.V(v)))
+		if left[v] == 0 {
+			order = append(order, graph.V(v))
 		}
-		block[v] = id
+	}
+	for i := 0; i < len(order); i++ {
+		for _, u := range g.In(order[i]) {
+			if left[u]--; left[u] == 0 {
+				order = append(order, u)
+			}
+		}
 	}
 
-	numBlocks := int(next)
-	sigBuf := make([]uint32, 0, 16)
-	seed := maphash.MakeSeed()
+	// Hash-cons the peeled vertices in peel order: each is signed once,
+	// after its successors' blocks are final.
+	for _, v := range order {
+		sig = successorBlocks(g, v, block, sig)
+		block[v] = t.intern(uint32(g.Label(v)), sig)
+	}
+	total := graph.V(t.len())
 
-	for {
-		// Map (old block, successor-block set) -> new block id.
-		assign := make(map[uint64][]int) // hash -> candidate vertex lists (chaining below)
-		newBlock := make([]uint32, n)
-		sigOf := make([][]uint32, 0, numBlocks*2)
-		sigOwner := make([]uint32, 0, numBlocks*2) // old block of each new block
-		nextID := uint32(0)
-
-		for v := 0; v < n; v++ {
-			sigBuf = sigBuf[:0]
-			for _, w := range g.Out(graph.V(v)) {
-				sigBuf = append(sigBuf, block[w])
+	// Refine the remainder alone, with the peeled blocks held fixed. A
+	// vertex with an infinite path is never bisimilar to one without, so
+	// the two parts never share a block.
+	if len(order) < n {
+		peeled := total
+		rest := make([]graph.V, 0, n-len(order))
+		for v := range n {
+			if left[v] > 0 {
+				rest = append(rest, graph.V(v))
 			}
-			slices.Sort(sigBuf)
-			sigBuf = slices.Compact(sigBuf)
-
-			h := hashSig(seed, block[v], sigBuf)
-			id := uint32(0)
-			found := false
-			for _, cand := range assign[h] {
-				if sigOwner[cand] == block[v] && slices.Equal(sigOf[cand], sigBuf) {
-					id = uint32(cand)
-					found = true
-					break
-				}
-			}
-			if !found {
-				id = nextID
-				nextID++
-				sigOf = append(sigOf, append([]uint32(nil), sigBuf...))
-				sigOwner = append(sigOwner, block[v])
-				assign[h] = append(assign[h], int(id))
-			}
-			newBlock[v] = id
 		}
-
-		if int(nextID) == numBlocks {
-			// Fixpoint: the partition is stable.
-			break
+		t.reset()
+		for _, v := range rest {
+			block[v] = peeled + t.intern(uint32(g.Label(v)), nil)
 		}
-		numBlocks = int(nextID)
-		block = newBlock
+		count := t.len()
+		next := make([]graph.V, len(rest))
+		for {
+			t.reset()
+			for i, v := range rest {
+				sig = successorBlocks(g, v, block, sig)
+				next[i] = peeled + t.intern(uint32(block[v]), sig)
+			}
+			for i, v := range rest {
+				block[v] = next[i]
+			}
+			// Each round refines the last, so an equal count is a fixpoint.
+			if t.len() == count {
+				break
+			}
+			count = t.len()
+		}
+		total = peeled + graph.V(count)
 	}
 
-	return buildResult(g, block, numBlocks)
+	// Renumber blocks in order of their smallest member.
+	renum := make([]graph.V, total) // new ID + 1; 0 = not yet seen
+	numBlocks := graph.V(0)
+	for v, b := range block {
+		if renum[b] == 0 {
+			numBlocks++
+			renum[b] = numBlocks
+		}
+		block[v] = renum[b] - 1
+	}
+	return buildResult(g, block, int(numBlocks))
 }
 
-func hashSig(seed maphash.Seed, owner uint32, sig []uint32) uint64 {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	var buf [4]byte
-	putU32(&buf, owner)
-	h.Write(buf[:])
+// successorBlocks returns v's sorted, distinct successor blocks in buf.
+func successorBlocks(g *graph.Graph, v graph.V, block, buf []graph.V) []graph.V {
+	buf = buf[:0]
+	for _, w := range g.Out(v) {
+		buf = append(buf, block[w])
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf)
+}
+
+// table hash-conses signatures — a head (a label, or the previous block
+// during refinement) plus a sorted successor-block set — to dense IDs in
+// first-seen order. It is open-addressed with linear probing; signatures
+// live back to back in one arena.
+type table struct {
+	slots []uint32 // ID + 1; 0 = empty
+	shift uint
+	hash  []uint64 // per ID
+	head  []uint32 // per ID
+	off   []uint32 // ID's signature is arena[off[ID]:off[ID+1]]
+	arena []graph.V
+}
+
+func (t *table) len() int { return len(t.hash) }
+
+func (t *table) reset() {
+	clear(t.slots)
+	t.hash, t.head, t.off, t.arena = t.hash[:0], t.head[:0], append(t.off[:0], 0), t.arena[:0]
+}
+
+// intern returns the ID of (head, sig), adding it if new.
+func (t *table) intern(head uint32, sig []graph.V) graph.V {
+	// FNV-1 over 32-bit words.
+	h := uint64(14695981039346656037)
+	h = (h ^ uint64(head)) * 1099511628211
 	for _, s := range sig {
-		putU32(&buf, s)
-		h.Write(buf[:])
+		h = (h ^ uint64(s)) * 1099511628211
 	}
-	return h.Sum64()
+	if 2*(len(t.hash)+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := t.slot(h); ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			id := len(t.hash)
+			t.slots[i] = uint32(id + 1)
+			t.hash = append(t.hash, h)
+			t.head = append(t.head, head)
+			t.arena = append(t.arena, sig...)
+			t.off = append(t.off, uint32(len(t.arena)))
+			return graph.V(id)
+		}
+		id := e - 1
+		if t.hash[id] == h && t.head[id] == head && slices.Equal(t.arena[t.off[id]:t.off[id+1]], sig) {
+			return graph.V(id)
+		}
+	}
 }
 
-func putU32(buf *[4]byte, x uint32) {
-	buf[0] = byte(x)
-	buf[1] = byte(x >> 8)
-	buf[2] = byte(x >> 16)
-	buf[3] = byte(x >> 24)
+// slot maps a hash to its home slot by Fibonacci hashing, which takes the
+// high bits: FNV's low bits depend only on its inputs' low bits.
+func (t *table) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> t.shift }
+
+// grow doubles the slot array and re-inserts every ID.
+func (t *table) grow() {
+	size := max(64, 2*len(t.slots))
+	t.slots = make([]uint32, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for id, h := range t.hash {
+		i := t.slot(h)
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = uint32(id + 1)
+	}
 }
 
-// buildResult materializes the quotient graph from a stable partition.
-func buildResult(g *graph.Graph, block []uint32, numBlocks int) *Result {
-	n := g.NumVertices()
+// buildResult materializes the quotient graph of a stable partition whose
+// blocks are numbered by smallest member.
+func buildResult(g *graph.Graph, block []graph.V, numBlocks int) *Result {
+	// Members rows are carved from one flat array by a counting sort, so
+	// each row is ascending.
+	start := make([]uint32, numBlocks+1)
+	for _, b := range block {
+		start[b+1]++
+	}
+	for s := range numBlocks {
+		start[s+1] += start[s]
+	}
+	flat := make([]graph.V, len(block))
+	fill := slices.Clone(start[:numBlocks])
+	for v, b := range block {
+		flat[fill[b]] = graph.V(v)
+		fill[b]++
+	}
+
+	// One quotient edge per distinct (source block, target block): stamp[t]
+	// holds the last source block that recorded an edge to t, plus one.
+	// Builder.Build sorts the edges.
 	members := make([][]graph.V, numBlocks)
-	for v := 0; v < n; v++ {
-		members[block[v]] = append(members[block[v]], graph.V(v))
-	}
-
+	stamp := make([]uint32, numBlocks)
 	b := graph.NewBuilder(g.Dict())
-	for s := 0; s < numBlocks; s++ {
+	for s := range numBlocks {
+		members[s] = flat[start[s]:start[s+1]:start[s+1]]
 		// All members share a label by construction; use the first.
 		b.AddVertexLabel(g.Label(members[s][0]))
 	}
-	seen := make(map[uint64]bool)
-	for v := 0; v < n; v++ {
-		bu := block[v]
-		for _, w := range g.Out(graph.V(v)) {
-			bv := block[w]
-			key := uint64(bu)<<32 | uint64(bv)
-			if !seen[key] {
-				seen[key] = true
-				b.AddEdge(graph.V(bu), graph.V(bv))
+	for s, row := range members {
+		for _, v := range row {
+			for _, w := range g.Out(v) {
+				if t := block[w]; stamp[t] != uint32(s)+1 {
+					stamp[t] = uint32(s) + 1
+					b.AddEdge(graph.V(s), t)
+				}
 			}
 		}
 	}
-
-	blk := make([]graph.V, n)
-	for v := 0; v < n; v++ {
-		blk[v] = graph.V(block[v])
-	}
-	return &Result{Summary: b.Build(), Block: blk, Members: members}
+	return &Result{Summary: b.Build(), Block: block, Members: members}
 }

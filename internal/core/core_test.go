@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"bigindex/internal/bisim"
 	"bigindex/internal/cost"
 	"bigindex/internal/datagen"
 	"bigindex/internal/graph"
@@ -366,55 +365,6 @@ func TestBuildDeterministic(t *testing.T) {
 			if la.Up[v] != lb.Up[v] {
 				t.Fatalf("layer %d Up[%d] differs", m, v)
 			}
-		}
-	}
-}
-
-// TestEquivalenceWithAlternateSummarizers: the equivalence theorem must
-// hold when the index is built with k-bisimulation or forward bisimulation
-// (any label-preserving quotient is sound; the paper's future-work
-// formalisms plug in through BuildOptions.Summarizer).
-func TestEquivalenceWithAlternateSummarizers(t *testing.T) {
-	ds := smallDataset(950)
-	rng := rand.New(rand.NewSource(12))
-	for name, summarize := range map[string]func(*graph.Graph) *bisim.Result{
-		"k1":      func(g *graph.Graph) *bisim.Result { return bisim.ComputeK(g, 1) },
-		"k3":      func(g *graph.Graph) *bisim.Result { return bisim.ComputeK(g, 3) },
-		"forward": bisim.ComputeForward,
-	} {
-		opt := DefaultBuildOptions()
-		opt.Search.SampleCount = 40
-		opt.Summarizer = summarize
-		idx, err := Build(ds.Graph, ds.Ont, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if idx.NumLayers() < 2 {
-			t.Fatalf("%s: no summary layers", name)
-		}
-		ev := NewEvaluator(idx, bkws.New(3), DefaultEvalOptions())
-		for trial := 0; trial < 4; trial++ {
-			q := pickQuery(rng, ds, 2, 3)
-			if q == nil {
-				t.Skip("no frequent labels")
-			}
-			want, err := ev.Direct(q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for layer := 0; layer < idx.NumLayers(); layer++ {
-				opts := DefaultEvalOptions()
-				opts.ForcedLayer = layer
-				ev.SetOptions(opts)
-				got, _, err := ev.Eval(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s layer %d: %d answers, direct %d", name, layer, len(got), len(want))
-				}
-			}
-			ev.SetOptions(DefaultEvalOptions())
 		}
 	}
 }

@@ -63,13 +63,6 @@ type BuildOptions struct {
 	// by less than this fraction (the "compression potential diminishes"
 	// termination of Sec. 3.1). Default 0.02.
 	MinGain float64
-	// Summarizer selects the summarization formalism (nil = maximal
-	// backward bisimulation, the paper's choice). Any label-preserving
-	// quotient is sound — the framework re-verifies answers on the data
-	// graph — so alternatives like bisim.ComputeK (depth-bounded, faster
-	// construction and coarser summaries) or bisim.ComputeForward plug in
-	// directly; the paper lists such formalisms as future work.
-	Summarizer func(*graph.Graph) *bisim.Result
 	// Obs, when set, receives build gauges under bigindex_build_*:
 	// per-layer config-search / Gen / Bisim wall times, layer sizes,
 	// config rule counts, and sampling effort. Nil records nothing.
@@ -151,12 +144,8 @@ func Build(g *graph.Graph, ont *ontology.Ontology, opt BuildOptions) (*Index, er
 		gen := cfg.Apply(top)
 		genDur := time.Since(t0)
 		phaseSec.With(ls, "gen").Set(genDur.Seconds())
-		summarize := opt.Summarizer
-		if summarize == nil {
-			summarize = bisim.Compute
-		}
 		t0 = time.Now()
-		res := summarize(gen)
+		res := bisim.Compute(gen)
 		bisimDur := time.Since(t0)
 		phaseSec.With(ls, "bisim").Set(bisimDur.Seconds())
 		ratio := float64(res.Summary.Size()) / float64(max(1, top.Size()))

@@ -31,6 +31,12 @@
 // which is path-preserving (Def. 2.1). Bisim⁻¹ is materialized as the
 // Members table (supernode -> member vertices), the hash-table reverse
 // mapping the paper prescribes.
+//
+// The cost model (Formula 3) needs only |Bisim(G)|, so Sizer stops after
+// step 3 and reads the size off the hash-cons table: one entry per block,
+// each holding its block's distinct successor blocks, which are exactly
+// the block's quotient edges. It reads labels through a label map, so a
+// sample is sized under a configuration without a relabelled copy.
 package bisim
 
 import (
@@ -56,30 +62,72 @@ type Result struct {
 // NumBlocks reports the number of equivalence classes.
 func (r *Result) NumBlocks() int { return len(r.Members) }
 
-// CompressionRatio reports |Bisim(G)| / |G| given the original graph size;
-// the compress component of the index cost model (Formula 3).
-func (r *Result) CompressionRatio(original *graph.Graph) float64 {
-	if original.Size() == 0 {
-		return 1
-	}
-	return float64(r.Summary.Size()) / float64(original.Size())
-}
-
 // Compute returns the maximal bisimulation of g. Blocks are numbered by
 // their smallest member, so Block, Members and Summary are a pure function
 // of g.
 func Compute(g *graph.Graph) *Result {
+	var p partitioner
+	total, _ := p.partition(g, func(l graph.Label) graph.Label { return l })
+	block := p.block
+
+	// Renumber blocks in order of their smallest member.
+	renum := make([]graph.V, total) // new ID + 1; 0 = not yet seen
+	numBlocks := graph.V(0)
+	for v, b := range block {
+		if renum[b] == 0 {
+			numBlocks++
+			renum[b] = numBlocks
+		}
+		block[v] = renum[b] - 1
+	}
+	return buildResult(g, block, int(numBlocks))
+}
+
+// Sizer computes |Bisim(G)| without building the summary, reusing its
+// buffers from call to call. The zero value is ready to use; a Sizer is
+// not safe for concurrent use.
+type Sizer struct{ p partitioner }
+
+// Size returns |Bisim(G′)| = blocks + quotient edges, where G′ is g with
+// every label l read as label(l). It equals
+// Compute(g.Relabel(label)).Summary.Size() without the relabelled copy,
+// the renumbering, the Members table or the summary graph.
+func (z *Sizer) Size(g *graph.Graph, label func(graph.Label) graph.Label) int {
+	total, edges := z.p.partition(g, label)
+	return int(total) + edges
+}
+
+// partitioner runs steps 1-3 of the package comment and keeps its buffers
+// between runs.
+type partitioner struct {
+	t     table
+	sig   []graph.V
+	left  []uint32
+	order []graph.V
+	rest  []graph.V
+	next  []graph.V
+	block []graph.V
+}
+
+// partition leaves the maximal bisimulation of g, with labels read through
+// label, in p.block as block IDs in [0, total), and returns the number of
+// quotient edges.
+//
+// The quotient edges are read off the table: a hash-consed block's members
+// share its signature, so its quotient out-edges are exactly its signature
+// entries, and in the last refinement round, which changed no block, the
+// signatures range over blocks in bijection with the final ones.
+func (p *partitioner) partition(g *graph.Graph, label func(graph.Label) graph.Label) (total graph.V, edges int) {
 	n := g.NumVertices()
-	block := make([]graph.V, n)
-	var t table
+	p.block = grow(p.block, n)
+	p.left = grow(p.left, n)
+	block, left, t := p.block, p.left, &p.t
 	t.reset()
-	var sig []graph.V
 
 	// Peel: Kahn's algorithm on out-degree, sinks first. Every vertex in
 	// order comes after all of its successors; a vertex left unpeeled
 	// reaches a cycle.
-	left := make([]uint32, n)
-	order := make([]graph.V, 0, n)
+	order := slices.Grow(p.order[:0], n)
 	for v := range n {
 		left[v] = uint32(g.OutDegree(graph.V(v)))
 		if left[v] == 0 {
@@ -93,61 +141,61 @@ func Compute(g *graph.Graph) *Result {
 			}
 		}
 	}
+	p.order = order
 
 	// Hash-cons the peeled vertices in peel order: each is signed once,
 	// after its successors' blocks are final.
 	for _, v := range order {
-		sig = successorBlocks(g, v, block, sig)
-		block[v] = t.intern(uint32(g.Label(v)), sig)
+		p.sig = successorBlocks(g, v, block, p.sig)
+		block[v] = t.intern(uint32(label(g.Label(v))), p.sig)
 	}
-	total := graph.V(t.len())
+	total, edges = graph.V(t.len()), len(t.arena)
+	if len(order) == n {
+		return total, edges
+	}
 
 	// Refine the remainder alone, with the peeled blocks held fixed. A
 	// vertex with an infinite path is never bisimilar to one without, so
 	// the two parts never share a block.
-	if len(order) < n {
-		peeled := total
-		rest := make([]graph.V, 0, n-len(order))
-		for v := range n {
-			if left[v] > 0 {
-				rest = append(rest, graph.V(v))
-			}
+	peeled := total
+	rest := slices.Grow(p.rest[:0], n-len(order))
+	for v := range n {
+		if left[v] > 0 {
+			rest = append(rest, graph.V(v))
 		}
+	}
+	p.rest = rest
+	t.reset()
+	for _, v := range rest {
+		block[v] = peeled + t.intern(uint32(label(g.Label(v))), nil)
+	}
+	count := t.len()
+	p.next = grow(p.next, len(rest))
+	next := p.next
+	for {
 		t.reset()
-		for _, v := range rest {
-			block[v] = peeled + t.intern(uint32(g.Label(v)), nil)
+		for i, v := range rest {
+			p.sig = successorBlocks(g, v, block, p.sig)
+			next[i] = peeled + t.intern(uint32(block[v]), p.sig)
 		}
-		count := t.len()
-		next := make([]graph.V, len(rest))
-		for {
-			t.reset()
-			for i, v := range rest {
-				sig = successorBlocks(g, v, block, sig)
-				next[i] = peeled + t.intern(uint32(block[v]), sig)
-			}
-			for i, v := range rest {
-				block[v] = next[i]
-			}
-			// Each round refines the last, so an equal count is a fixpoint.
-			if t.len() == count {
-				break
-			}
-			count = t.len()
+		for i, v := range rest {
+			block[v] = next[i]
 		}
-		total = peeled + graph.V(count)
+		// Each round refines the last, so an equal count is a fixpoint.
+		if t.len() == count {
+			break
+		}
+		count = t.len()
 	}
+	return peeled + graph.V(count), edges + len(t.arena)
+}
 
-	// Renumber blocks in order of their smallest member.
-	renum := make([]graph.V, total) // new ID + 1; 0 = not yet seen
-	numBlocks := graph.V(0)
-	for v, b := range block {
-		if renum[b] == 0 {
-			numBlocks++
-			renum[b] = numBlocks
-		}
-		block[v] = renum[b] - 1
+// grow returns buf resized to n, reallocating only when it is too short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return buildResult(g, block, int(numBlocks))
+	return buf[:n]
 }
 
 // successorBlocks returns v's sorted, distinct successor blocks in buf.

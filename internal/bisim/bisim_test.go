@@ -133,6 +133,33 @@ func checkAgainstReference(t testing.TB, g *graph.Graph) {
 	}
 }
 
+// labelMaps are the label readings checkSize tries: the identity, and one
+// that merges labels pairwise, as a generalization step does.
+var labelMaps = []func(graph.Label) graph.Label{
+	func(l graph.Label) graph.Label { return l },
+	func(l graph.Label) graph.Label { return l / 2 },
+}
+
+// checkSize fails t unless the count-only z.Size(g, f) equals
+// Compute(g.Relabel(f)).Summary.Size() for every f in labelMaps. Callers
+// share z across graphs so that its reused buffers are exercised too.
+func checkSize(t testing.TB, z *Sizer, g *graph.Graph) {
+	t.Helper()
+	for i, f := range labelMaps {
+		if got, want := z.Size(g, f), Compute(g.Relabel(f)).Summary.Size(); got != want {
+			t.Fatalf("label map %d: Size = %d, |Compute(g.Relabel(f)).Summary| = %d\nedges %v", i, got, want, g.Edges())
+		}
+	}
+}
+
+// compressionRatio is |Bisim(G)| / |G|, or 1 for the empty graph.
+func compressionRatio(res *Result, g *graph.Graph) float64 {
+	if g.Size() == 0 {
+		return 1
+	}
+	return float64(res.Summary.Size()) / float64(g.Size())
+}
+
 // mixedGraph draws a random graph that has every shape the engine
 // separates: an acyclic lower region whose edges only point down (to
 // smaller IDs); a cyclic upper region with reciprocal pairs and self-loops;
@@ -205,12 +232,17 @@ func mixedGraph(rng *rand.Rand) *graph.Graph {
 
 func TestComputeMatchesReferenceExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	var z Sizer
 	for range 300 {
-		checkAgainstReference(t, mixedGraph(rng))
+		g := mixedGraph(rng)
+		checkAgainstReference(t, g)
+		checkSize(t, &z, g)
 	}
 	for range 100 {
 		n := 1 + rng.Intn(40)
-		checkAgainstReference(t, randomGraph(rng, n, rng.Intn(4*n), 1+rng.Intn(4)))
+		g := randomGraph(rng, n, rng.Intn(4*n), 1+rng.Intn(4))
+		checkAgainstReference(t, g)
+		checkSize(t, &z, g)
 	}
 }
 
@@ -244,14 +276,17 @@ func TestComputeMatchesReferenceOnDatagen(t *testing.T) {
 		}
 	}
 	recip := b.Build()
+	var z Sizer
 	for _, g := range []*graph.Graph{ds.Graph, gen(ds.Graph), recip, gen(recip)} {
 		checkAgainstReference(t, g)
+		checkSize(t, &z, g)
 	}
 }
 
 // FuzzCompute decodes the input into a small labelled graph — the first
 // byte picks the vertex count (≤ 64), the next ones labels, the rest edges
-// as (from, to) byte pairs — and requires Compute to equal the reference.
+// as (from, to) byte pairs — and requires Compute to equal the reference
+// and the count-only Size to equal the size of the summary it builds.
 func FuzzCompute(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0, 1, 1, 0, 2, 2})
 	f.Add([]byte{4, 0, 1, 0, 1, 0, 1, 1, 2, 2, 3, 3, 0})
@@ -275,7 +310,10 @@ func FuzzCompute(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			b.AddEdge(graph.V(int(data[i])%n), graph.V(int(data[i+1])%n))
 		}
-		checkAgainstReference(t, b.Build())
+		g := b.Build()
+		checkAgainstReference(t, g)
+		var z Sizer
+		checkSize(t, &z, g)
 	})
 }
 
@@ -380,7 +418,7 @@ func TestHundredPersonsExample(t *testing.T) {
 	if res.Summary.NumVertices() != 2 || res.Summary.NumEdges() != 1 {
 		t.Fatalf("summary = %v", res.Summary)
 	}
-	if got := res.CompressionRatio(g); got >= 0.05 {
+	if got := compressionRatio(res, g); got >= 0.05 {
 		t.Fatalf("compression ratio %v, want tiny", got)
 	}
 }
@@ -498,7 +536,7 @@ func TestEmptyGraph(t *testing.T) {
 	if res.NumBlocks() != 0 || res.Summary.NumVertices() != 0 {
 		t.Fatalf("empty graph mishandled: %+v", res)
 	}
-	if r := res.CompressionRatio(g); r != 1 {
+	if r := compressionRatio(res, g); r != 1 {
 		t.Fatalf("empty compression ratio = %v, want 1", r)
 	}
 }

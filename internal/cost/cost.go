@@ -8,6 +8,9 @@ package cost
 
 import (
 	"container/heap"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"bigindex/internal/generalize"
 	"bigindex/internal/graph"
@@ -103,15 +106,37 @@ func GreedyConfig(g *graph.Graph, ont *ontology.Ontology, opt SearchOptions) (*g
 
 	// Score each candidate alone: cost(G, {c_i}). A singleton's distortion
 	// is zero by definition (|X_ℓ| = 1), so the ranking is by compression.
+	// The scores are independent, so they are computed on every CPU into
+	// a slice in candidate order and pushed in that order, which keeps
+	// the heap's tie-breaking what a sequential loop gives.
 	scorer := generalize.NewConfigBuilder(g)
 	scoreInc := est.StartIncremental(scorer)
-	h := &candidateHeap{}
+	var cands []candidate
 	for _, l := range g.DistinctLabels() {
 		for _, super := range ont.DirectSupertypes(l) {
-			m := generalize.Mapping{From: l, To: super}
-			compress, _ := scoreInc.CompressWith(m)
-			heap.Push(h, candidate{mapping: m, cost: opt.Alpha * compress})
+			cands = append(cands, candidate{mapping: generalize.Mapping{From: l, To: super}})
 		}
+	}
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for range min(runtime.GOMAXPROCS(0), len(cands)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(cands) {
+					return
+				}
+				compress, _ := scoreInc.CompressWith(cands[i].mapping)
+				cands[i].cost = opt.Alpha * compress
+			}
+		}()
+	}
+	wg.Wait()
+	h := &candidateHeap{}
+	for _, c := range cands {
+		heap.Push(h, c)
 	}
 
 	for h.Len() > 0 {

@@ -53,61 +53,76 @@ func (b *Builder) AddEdge(from, to V) {
 
 // Build freezes the builder into an immutable Graph. The builder may be
 // reused afterwards, but further additions do not affect the built graph.
+//
+// Build runs in time linear in the graph plus the cost of sorting each
+// vertex's own out-row: a counting sort by source places every edge in its
+// row, each row is sorted and deduplicated in place, and the in-rows are
+// filled by scanning the out-rows in vertex order, so they come out
+// ascending without a sort.
 func (b *Builder) Build() *Graph {
 	n := len(b.labels)
 	labels := append([]Label(nil), b.labels...)
 
-	edges := append([]Edge(nil), b.edges...)
-	slices.SortFunc(edges, func(a, e Edge) int {
-		if a.From != e.From {
-			return int(a.From) - int(e.From)
-		}
-		return int(a.To) - int(e.To)
-	})
-	edges = slices.Compact(edges)
+	// Counting sort by source into the out-rows.
+	outOff := make([]uint32, n+1)
+	for _, e := range b.edges {
+		outOff[e.From+1]++
+	}
+	for v := range n {
+		outOff[v+1] += outOff[v]
+	}
+	outAdj := make([]V, len(b.edges))
+	next := make([]uint32, n)
+	copy(next, outOff[:n])
+	for _, e := range b.edges {
+		outAdj[next[e.From]] = e.To
+		next[e.From]++
+	}
 
-	g := &Graph{
+	// Sort and deduplicate each row, compacting rows leftwards in place.
+	m := uint32(0)
+	for v := range n {
+		row := outAdj[outOff[v]:outOff[v+1]]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		outOff[v] = m
+		m += uint32(copy(outAdj[m:], row))
+	}
+	outOff[n] = m
+	if int(m) < len(outAdj) {
+		outAdj = slices.Clone(outAdj[:m])
+	}
+
+	// In-rows: count targets, then scan the out-rows in vertex order.
+	inOff := make([]uint32, n+1)
+	for _, w := range outAdj {
+		inOff[w+1]++
+	}
+	for v := range n {
+		inOff[v+1] += inOff[v]
+	}
+	inAdj := make([]V, m)
+	copy(next, inOff[:n])
+	for v := range n {
+		for _, w := range outAdj[outOff[v]:outOff[v+1]] {
+			inAdj[next[w]] = V(v)
+			next[w]++
+		}
+	}
+
+	posting := make(map[Label][]V)
+	for v, l := range labels {
+		posting[l] = append(posting[l], V(v))
+	}
+	return &Graph{
 		dict:    b.dict,
 		labels:  labels,
-		outOff:  make([]uint32, n+1),
-		outAdj:  make([]V, len(edges)),
-		inOff:   make([]uint32, n+1),
-		inAdj:   make([]V, len(edges)),
-		posting: make(map[Label][]V),
+		outOff:  outOff,
+		outAdj:  outAdj,
+		inOff:   inOff,
+		inAdj:   inAdj,
+		posting: posting,
 	}
-
-	// Forward CSR (edges already sorted by From, then To).
-	for _, e := range edges {
-		g.outOff[e.From+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.outOff[i+1] += g.outOff[i]
-	}
-	for i, e := range edges {
-		g.outAdj[i] = e.To
-	}
-
-	// Backward CSR via counting sort on To.
-	for _, e := range edges {
-		g.inOff[e.To+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.inOff[i+1] += g.inOff[i]
-	}
-	next := make([]uint32, n)
-	copy(next, g.inOff[:n])
-	for _, e := range edges {
-		g.inAdj[next[e.To]] = e.From
-		next[e.To]++
-	}
-	// In-neighbor rows are sorted because edges are sorted by From and the
-	// counting sort above is stable in From order.
-
-	for v := 0; v < n; v++ {
-		l := labels[v]
-		g.posting[l] = append(g.posting[l], V(v))
-	}
-	return g
 }
 
 // FromEdges builds a graph directly from per-vertex labels and an edge list.

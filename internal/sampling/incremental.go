@@ -1,7 +1,6 @@
 package sampling
 
 import (
-	"bigindex/internal/bisim"
 	"bigindex/internal/generalize"
 	"bigindex/internal/graph"
 )
@@ -71,21 +70,24 @@ func (inc *Incremental) Compress() float64 {
 }
 
 // CompressWith returns the estimated compress of C ∪ {m} without accepting
-// it, re-summarizing only the touched samples. The returned map carries the
-// recomputed per-sample ratios for Accept to apply.
-func (inc *Incremental) CompressWith(m generalize.Mapping) (float64, map[int]float64) {
+// it, re-summarizing only the touched samples. The returned slice carries
+// the recomputed ratios of the samples containing m.From, in the session's
+// order, for Accept to apply. Sessions that only score may call
+// CompressWith concurrently.
+func (inc *Incremental) CompressWith(m generalize.Mapping) (float64, []float64) {
 	if len(inc.ratios) == 0 {
 		return 1, nil
 	}
 	ext := extMapper{base: inc.mapper, m: m}
-	touched := make(map[int]float64)
+	idx := inc.byLabel[m.From]
+	touched := make([]float64, len(idx))
 	sum := 0.0
 	for _, r := range inc.ratios {
 		sum += r
 	}
-	for _, i := range inc.byLabel[m.From] {
-		nr := compressMapped(inc.est.samples[i], ext)
-		touched[i] = nr
+	for k, i := range idx {
+		nr := compressRatio(inc.est.samples[i], ext.Map)
+		touched[k] = nr
 		sum += nr - inc.ratios[i]
 	}
 	return sum / float64(len(inc.ratios)), touched
@@ -94,21 +96,12 @@ func (inc *Incremental) CompressWith(m generalize.Mapping) (float64, map[int]flo
 // Accept records that m was added to the underlying configuration, applying
 // the per-sample ratios computed by CompressWith (recomputed if nil; the
 // caller must have already added m to the builder in that case).
-func (inc *Incremental) Accept(m generalize.Mapping, touched map[int]float64) {
-	if touched == nil {
-		for _, i := range inc.byLabel[m.From] {
-			inc.ratios[i] = compressMapped(inc.est.samples[i], inc.mapper)
+func (inc *Incremental) Accept(m generalize.Mapping, touched []float64) {
+	for k, i := range inc.byLabel[m.From] {
+		if touched == nil {
+			inc.ratios[i] = compressRatio(inc.est.samples[i], inc.mapper.Map)
+		} else {
+			inc.ratios[i] = touched[k]
 		}
-		return
 	}
-	for i, r := range touched {
-		inc.ratios[i] = r
-	}
-}
-
-func compressMapped(s *graph.Graph, m generalize.Mapper) float64 {
-	if s.Size() == 0 {
-		return 1
-	}
-	return bisim.Compute(s.Relabel(m.Map)).CompressionRatio(s)
 }

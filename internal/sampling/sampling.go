@@ -79,7 +79,7 @@ func NewEstimator(g *graph.Graph, radius, n int, seed int64) *Estimator {
 				vs := g.ReachableWithin(sources[i], radius, graph.Forward)
 				sub, _ := g.InducedSubgraph(vs)
 				e.samples[i] = sub
-				e.baseline[i] = compressOf(sub, generalize.EmptyConfig())
+				e.baseline[i] = compressRatio(sub, func(l graph.Label) graph.Label { return l })
 				ls := make(map[graph.Label]bool)
 				for _, l := range sub.DistinctLabels() {
 					ls[l] = true
@@ -92,10 +92,10 @@ func NewEstimator(g *graph.Graph, radius, n int, seed int64) *Estimator {
 	return e
 }
 
-// touches reports whether cfg can change sample i's summary: true iff the
-// configuration's domain intersects the sample's label set.
-func (e *Estimator) touches(i int, cfg *generalize.Config) bool {
-	for _, l := range cfg.Domain() {
+// touches reports whether a configuration with domain dom can change
+// sample i's summary: true iff dom intersects the sample's label set.
+func (e *Estimator) touches(i int, dom []graph.Label) bool {
+	for _, l := range dom {
 		if e.labels[i][l] {
 			return true
 		}
@@ -125,10 +125,11 @@ func (e *Estimator) EstimateCompressPrefix(cfg *generalize.Config, n int) float6
 	if n == 0 {
 		return 1
 	}
+	dom := cfg.Domain()
 	sum := 0.0
 	for i, s := range e.samples[:n] {
-		if e.touches(i, cfg) {
-			sum += compressOf(s, cfg)
+		if e.touches(i, dom) {
+			sum += compressRatio(s, cfg.Map)
 		} else {
 			sum += e.baseline[i]
 		}
@@ -136,12 +137,21 @@ func (e *Estimator) EstimateCompressPrefix(cfg *generalize.Config, n int) float6
 	return sum / float64(n)
 }
 
-func compressOf(s *graph.Graph, cfg *generalize.Config) float64 {
+// sizers recycles the count-only bisimulation buffers across samples,
+// candidates and workers; they stay sample-sized.
+var sizers = sync.Pool{New: func() any { return new(bisim.Sizer) }}
+
+// compressRatio returns |Bisim(Gen(s))| / |s|, where Gen reads every label
+// l of s as label(l). It counts the summary without relabelling s or
+// building the summary graph.
+func compressRatio(s *graph.Graph, label func(graph.Label) graph.Label) float64 {
 	if s.Size() == 0 {
 		return 1
 	}
-	gen := cfg.Apply(s)
-	return bisim.Compute(gen).CompressionRatio(s)
+	z := sizers.Get().(*bisim.Sizer)
+	size := z.Size(s, label)
+	sizers.Put(z)
+	return float64(size) / float64(s.Size())
 }
 
 // ExactCompress computes the true compression ratio |χ(G,C)| / |G| on the
@@ -150,7 +160,9 @@ func ExactCompress(g *graph.Graph, cfg *generalize.Config) float64 {
 	if g.Size() == 0 {
 		return 1
 	}
-	return bisim.Compute(cfg.Apply(g)).CompressionRatio(g)
+	// A fresh Sizer keeps graph-sized buffers out of the samples' pool.
+	var z bisim.Sizer
+	return float64(z.Size(g, cfg.Map)) / float64(g.Size())
 }
 
 // Spearman returns the Spearman rank correlation coefficient r_s between two

@@ -3,8 +3,11 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"bigindex/internal/datagen"
 	"bigindex/internal/generalize"
 	"bigindex/internal/graph"
 )
@@ -180,5 +183,46 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		if math.Abs(inc.Compress()-want) > 1e-9 {
 			t.Fatalf("after Accept: %v, want %v", inc.Compress(), want)
 		}
+	}
+}
+
+// TestCompressWithConcurrent scores every one-step generalization of a
+// small knowledge graph from several goroutines sharing one session, as
+// Algo 1 does, and requires the sequential results bit for bit.
+func TestCompressWithConcurrent(t *testing.T) {
+	ds := datagen.Generate(datagen.Options{
+		Name: "test", Entities: 400, AvgOut: 2, Terms: 60, LeafTypes: 8,
+		TypeBranching: 3, TypeHeight: 3, Relations: 16, Seed: 3,
+	})
+	g := ds.Graph
+	est := NewEstimator(g, 2, 60, 4)
+	inc := est.StartIncremental(generalize.NewConfigBuilder(g))
+	var ms []generalize.Mapping
+	for _, l := range g.DistinctLabels() {
+		for _, super := range ds.Ont.DirectSupertypes(l) {
+			ms = append(ms, generalize.Mapping{From: l, To: super})
+		}
+	}
+	if len(ms) < 20 {
+		t.Fatalf("only %d candidate mappings", len(ms))
+	}
+	want := make([]float64, len(ms))
+	for i, m := range ms {
+		want[i], _ = inc.CompressWith(m)
+	}
+	got := make([]float64, len(ms))
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(ms); i += 4 {
+				got[i], _ = inc.CompressWith(ms[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(got, want) {
+		t.Fatalf("concurrent scores %v, sequential %v", got, want)
 	}
 }

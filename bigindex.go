@@ -48,6 +48,7 @@ import (
 	"bigindex/internal/search/bkws"
 	"bigindex/internal/search/blinks"
 	"bigindex/internal/search/rclique"
+	"bigindex/internal/snapshot"
 	"bigindex/internal/text"
 )
 
@@ -196,11 +197,15 @@ type TextIndex = text.Index
 // indexes the whole dictionary, ontology types included).
 func NewTextIndex(dict *Dict, g *Graph) *TextIndex { return text.NewIndex(dict, g) }
 
-// SaveIndex serializes idx to w in the binary index format.
-func SaveIndex(idx *Index, w io.Writer) error { return idx.Save(w) }
+// SaveIndex serializes idx to w in the checksummed snapshot format of
+// internal/snapshot (the one on-disk index format).
+func SaveIndex(idx *Index, w io.Writer) error { return snapshot.Write(w, idx, snapshot.Meta{}) }
 
 // LoadIndex deserializes an index written by SaveIndex, re-binding it to
 // ont (pass the ontology the index was built against; its configurations
 // are re-validated). The loaded index carries its own dictionary —
 // LoadIndex callers intern query keywords through idx.Data().Dict().
-func LoadIndex(r io.Reader, ont *Ontology) (*Index, error) { return core.Load(r, ont) }
+func LoadIndex(r io.Reader, ont *Ontology) (*Index, error) {
+	idx, _, err := snapshot.Read(r, ont)
+	return idx, err
+}

@@ -28,6 +28,7 @@ import (
 	"bigindex/internal/search/bkws"
 	"bigindex/internal/search/blinks"
 	"bigindex/internal/search/rclique"
+	"bigindex/internal/snapshot"
 	"bigindex/internal/text"
 )
 
@@ -175,7 +176,7 @@ func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	preset := fs.String("preset", "", "dataset preset")
 	layers := fs.Int("layers", 7, "max summary layers")
-	save := fs.String("save", "", "write the built index to this file")
+	save := fs.String("save", "", "write the built index to this snapshot file")
 	fs.Parse(args)
 	ds, err := loadPreset(*preset)
 	if err != nil {
@@ -189,15 +190,8 @@ func cmdBuild(args []string) error {
 		return err
 	}
 	if *save != "" {
-		out, err := os.Create(*save)
-		if err != nil {
-			return err
-		}
-		if err := idx.Save(out); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
+		meta := snapshot.Meta{CreatedUnix: time.Now().Unix(), BuildNote: ds.Name}
+		if err := snapshot.SaveFile(*save, idx, meta); err != nil {
 			return err
 		}
 		fmt.Printf("index saved to %s\n", *save)
@@ -238,7 +232,7 @@ func cmdQuery(args []string) error {
 	dmax := fs.Int("dmax", 4, "distance bound")
 	k := fs.Int("k", 10, "top-k (0 = all)")
 	direct := fs.Bool("direct", false, "bypass the index (baseline eval)")
-	load := fs.String("load", "", "load a previously saved index instead of building")
+	load := fs.String("load", "", "load a snapshot saved by build -save (same preset) instead of building")
 	expand := fs.Bool("expand", false, "expand concept keywords to their occurring subterms (concept-level search)")
 	explain := fs.Bool("explain", false, "print the evaluation plan (per-layer costs) before answering")
 	trace := fs.Bool("trace", false, "print the query's span tree (phase timings) as JSON after answering")
@@ -281,13 +275,9 @@ func cmdQuery(args []string) error {
 
 	var idx *core.Index
 	if *load != "" {
-		in, err := os.Open(*load)
-		if err != nil {
-			return err
-		}
-		idx, err = core.Load(in, ds.Ont)
-		in.Close()
-		if err != nil {
+		// The snapshot must be of this preset's graph: the keywords were
+		// resolved through its dictionary.
+		if idx, _, err = snapshot.LoadFileFor(*load, ds.Ont, ds.Graph.Digest()); err != nil {
 			return err
 		}
 	} else if idx, err = core.Build(ds.Graph, ds.Ont, core.DefaultBuildOptions()); err != nil {

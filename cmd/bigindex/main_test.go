@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bigindex/internal/snapshot"
 )
 
 // The subcommands are exercised directly (they print to stdout, which the
@@ -28,7 +31,7 @@ func TestCmdGenStatsRoundTrip(t *testing.T) {
 
 func TestCmdBuildQuerySaveLoad(t *testing.T) {
 	dir := t.TempDir()
-	idxFile := filepath.Join(dir, "demo.bigx")
+	idxFile := filepath.Join(dir, "demo.snap")
 	if err := cmdBuild([]string{"-preset", "demo", "-save", idxFile}); err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -36,19 +39,7 @@ func TestCmdBuildQuerySaveLoad(t *testing.T) {
 		t.Fatalf("index not saved: %v", err)
 	}
 
-	// Pick a keyword that exists: use the demo dataset's most frequent term.
-	ds, err := loadPreset("demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kw string
-	best := 0
-	for _, l := range ds.Graph.DistinctLabels() {
-		if c := ds.Graph.LabelCount(l); c > best {
-			best = c
-			kw = ds.Graph.Dict().Name(l)
-		}
-	}
+	kw := frequentKeyword(t, "demo")
 	if err := cmdQuery([]string{"-preset", "demo", "-q", kw, "-k", "3", "-dmax", "3"}); err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -61,6 +52,40 @@ func TestCmdBuildQuerySaveLoad(t *testing.T) {
 	if err := cmdQuery([]string{"-preset", "demo", "-q", kw, "-algo", "bkws", "-k", "2", "-expand"}); err != nil {
 		t.Fatalf("query bkws -expand: %v", err)
 	}
+}
+
+// A snapshot of one preset must not serve another preset's query: the
+// keywords are resolved through the -preset dictionary, so answers from a
+// foreign index would be silently wrong.
+func TestCmdQueryLoadRejectsOtherPreset(t *testing.T) {
+	idxFile := filepath.Join(t.TempDir(), "demo.snap")
+	if err := cmdBuild([]string{"-preset", "demo", "-save", idxFile}); err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	kw := frequentKeyword(t, "yago-s")
+	err := cmdQuery([]string{"-preset", "yago-s", "-q", kw, "-k", "3", "-load", idxFile})
+	if !errors.Is(err, snapshot.ErrSourceMismatch) {
+		t.Fatalf("query -preset yago-s -load <demo index>: got %v, want ErrSourceMismatch", err)
+	}
+}
+
+// frequentKeyword is the name of the preset's most frequent label, a
+// keyword that always resolves.
+func frequentKeyword(t *testing.T, preset string) string {
+	t.Helper()
+	ds, err := loadPreset(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kw string
+	best := 0
+	for _, l := range ds.Graph.DistinctLabels() {
+		if c := ds.Graph.LabelCount(l); c > best {
+			best = c
+			kw = ds.Graph.Dict().Name(l)
+		}
+	}
+	return kw
 }
 
 func TestCmdErrors(t *testing.T) {

@@ -2,7 +2,7 @@
 // the API):
 //
 //	bigindexd -preset yago-s -addr :8080
-//	bigindexd -preset demo -index saved.bigx      # load instead of build
+//	bigindexd -preset demo -snapshot idx.snap     # restore, or build and save
 //	bigindexd -preset demo -pprof localhost:6060  # profiling sidecar
 //
 //	curl 'localhost:8080/query?q=term 17,term 27&algo=blinks&k=5'
@@ -63,7 +63,6 @@ import (
 func main() {
 	preset := flag.String("preset", "demo", "dataset preset (demo, yago-s, dbpedia-s, imdb-s, synt-*)")
 	addr := flag.String("addr", ":8080", "listen address")
-	indexFile := flag.String("index", "", "load a saved index instead of building")
 	dmax := flag.Int("dmax", 4, "distance bound")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (separate mux; empty = off)")
 	logFormat := flag.String("log", "text", "log format: text or json")
@@ -150,26 +149,9 @@ func main() {
 	snapSaveSec := reg.Gauge("bigindex_snapshot_save_seconds",
 		"Wall time of the last successful snapshot save.")
 
-	var idx *core.Index
-	var wlog *wal.Log
-	var walSeq uint64
-	switch {
-	case *indexFile != "":
-		f, err := os.Open(*indexFile)
-		if err != nil {
-			fatal(logger, "opening index", err)
-		}
-		idx, err = core.Load(f, ds.Ont)
-		f.Close()
-		if err != nil {
-			fatal(logger, "loading index", err)
-		}
-		logger.Info("index loaded", "file", *indexFile, "layers", idx.NumLayers())
-	case *walFile != "":
-		idx, wlog, walSeq = bootIndexWAL(ds, *snapshotFile, *walFile, reg, logger, snapLoadSec, snapSaveSec)
+	idx, wlog, walSeq := bootIndex(ds, *snapshotFile, *walFile, reg, logger, snapLoadSec, snapSaveSec)
+	if wlog != nil {
 		defer wlog.Close()
-	default:
-		idx = bootIndex(ds, *snapshotFile, reg, logger, snapLoadSec, snapSaveSec)
 	}
 
 	// Shard-server mode: same boot (preset/snapshot/WAL replay give every
@@ -386,29 +368,72 @@ func runShardServer(logger *slog.Logger, idx *core.Index, addr, blockSpec string
 	srv.Close()
 }
 
-// bootIndex restores the index from the snapshot when one is configured
-// and valid; any other outcome — no file yet, corruption, a snapshot of a
-// different source graph — logs its precise reason and falls back to a
-// full build, after which the (re)built index is snapshotted for the next
-// boot. Corruption can therefore cost time but never availability.
-func bootIndex(ds *datagen.Dataset, snapPath string, reg *obs.Registry,
-	logger *slog.Logger, loadSec, saveSec *obs.Gauge) *core.Index {
+// bootIndex produces the index the daemon serves, in one pass:
+//
+//  1. With walPath set, open the WAL. Its base digest must match the
+//     preset: replaying someone else's mutation history would be silently
+//     wrong.
+//  2. With snapPath set, restore the snapshot when it is of this graph
+//     (LoadFileFor) or, with a WAL, descends from its base
+//     (LoadFileWithBase). Any other outcome — no file yet, corruption, a
+//     snapshot of a different source graph — logs its precise reason and
+//     falls back to a build, so corruption can cost time but never
+//     availability.
+//  3. Build the index if nothing was restored.
+//  4. Replay every WAL batch the snapshot does not already cover, through
+//     the same core.Applied path a live mutation takes.
+//  5. Persist the snapshot when the index was rebuilt or absorbed batches,
+//     so the next boot is a pure load.
+//
+// The one unrecoverable shape is a snapshot older than the log's first
+// record when the log does not start at batch 1 — compaction discarded
+// records only a lost newer snapshot covered — which is fatal rather than
+// quietly served wrong. The WAL and the covered sequence are nil and 0
+// without walPath.
+func bootIndex(ds *datagen.Dataset, snapPath, walPath string, reg *obs.Registry,
+	logger *slog.Logger, loadSec, saveSec *obs.Gauge) (*core.Index, *wal.Log, uint64) {
+	base := ds.Graph.Digest()
+	var wlog *wal.Log
+	var batches []wal.Batch
+	if walPath != "" {
+		var info wal.ReplayInfo
+		var err error
+		wlog, info, err = wal.Open(walPath, wal.Options{BaseDigest: base})
+		if err != nil {
+			fatal(logger, "opening WAL (a mismatched or structurally damaged log needs operator attention; deleting it discards acknowledged mutations)", err)
+		}
+		if info.Truncated {
+			logger.Warn("WAL had a torn tail (crash mid-append); truncated",
+				"file", walPath, "dropped_bytes", info.DroppedBytes)
+		}
+		batches = info.Batches
+	}
+
+	var idx *core.Index
+	var covered uint64
 	if snapPath != "" {
+		load := snapshot.LoadFileFor
+		if wlog != nil {
+			load = snapshot.LoadFileWithBase
+		}
 		start := time.Now()
-		idx, meta, err := snapshot.LoadFileFor(snapPath, ds.Ont, ds.Graph.Digest())
-		if err == nil {
+		loaded, meta, err := load(snapPath, ds.Ont, base)
+		switch {
+		case err == nil:
 			elapsed := time.Since(start)
 			loadSec.Set(elapsed.Seconds())
+			idx = loaded
+			if wlog != nil {
+				covered = meta.WALSeq
+			}
 			logger.Info("index restored from snapshot",
 				"file", snapPath,
 				"layers", idx.NumLayers(),
 				"epoch", meta.Epoch,
+				"wal_seq", covered,
 				"created", time.Unix(meta.CreatedUnix, 0).UTC().Format(time.RFC3339),
 				"note", meta.BuildNote,
 				"elapsed", elapsed.Round(time.Millisecond))
-			return idx
-		}
-		switch {
 		case snapshot.IsNotExist(err):
 			logger.Info("no snapshot yet; building index", "file", snapPath)
 		case errors.Is(err, snapshot.ErrSourceMismatch):
@@ -419,23 +444,66 @@ func bootIndex(ds *datagen.Dataset, snapPath string, reg *obs.Registry,
 			logger.Warn("snapshot unreadable; rebuilding", "file", snapPath, "err", err)
 		}
 	}
-	start := time.Now()
-	opt := core.DefaultBuildOptions()
-	opt.Obs = reg // build gauges surface on /metrics
-	opt.Logger = logger
-	idx, err := core.Build(ds.Graph, ds.Ont, opt)
-	if err != nil {
-		fatal(logger, "building index", err)
+	rebuilt := idx == nil
+	if rebuilt {
+		start := time.Now()
+		opt := core.DefaultBuildOptions()
+		opt.Obs = reg // build gauges surface on /metrics
+		opt.Logger = logger
+		var err error
+		if idx, err = core.Build(ds.Graph, ds.Ont, opt); err != nil {
+			fatal(logger, "building index", err)
+		}
+		logger.Info("index built", "dataset", ds.Name,
+			"elapsed", time.Since(start).Round(time.Millisecond), "layers", idx.NumLayers())
 	}
-	logger.Info("index built", "dataset", ds.Name,
-		"elapsed", time.Since(start).Round(time.Millisecond), "layers", idx.NumLayers())
-	if snapPath != "" {
+
+	if n := len(batches); n > 0 {
+		if lo := batches[0].Seq; covered+1 < lo {
+			// The log was compacted past this snapshot. Only a pristine
+			// log (starting at batch 1) can be replayed from a rebuilt
+			// base; anything else has lost history.
+			fatal(logger, "boot", fmt.Errorf(
+				"WAL %s starts at batch %d but snapshot %s covers only %d: the missing batches were compacted into a snapshot that no longer exists",
+				walPath, lo, snapPath, covered))
+		}
+		replayed := 0
+		start := time.Now()
+		for _, b := range batches {
+			if b.Seq <= covered {
+				continue // compaction crashed between persist and truncate; the snapshot already has it
+			}
+			// Records were strictly validated before they entered the log,
+			// so only a maintenance bug can fail here.
+			d := core.Delta{AddVertices: b.AddVertices, AddEdges: b.AddEdges, RemoveEdges: b.RemoveEdges}
+			var err error
+			if idx, _, err = idx.Applied(d, core.DeltaOptions{}); err != nil {
+				fatal(logger, "replaying WAL", fmt.Errorf("batch %d: %w", b.Seq, err))
+			}
+			covered = b.Seq
+			replayed++
+		}
+		logger.Info("WAL replayed", "file", walPath, "batches", replayed,
+			"skipped", n-replayed, "seq", covered, "wal_bytes", wlog.Size(),
+			"elapsed", time.Since(start).Round(time.Millisecond))
+	}
+	if wlog != nil {
+		// The in-memory sequence floor must cover the snapshot even when
+		// the log is empty (freshly compacted), or the next accepted batch
+		// would reuse a sequence number the snapshot already claims.
+		wlog.SetLastSeq(covered)
+	}
+
+	if snapPath != "" && (rebuilt || covered > 0) {
 		// Best effort: a failed save leaves the daemon serving; the next
-		// successful reload retries the persist.
+		// successful reload or compaction retries the persist.
 		meta := snapshot.Meta{CreatedUnix: time.Now().Unix(), BuildNote: ds.Name}
+		if wlog != nil {
+			meta = walMeta(ds, covered)
+		}
 		_ = persistSnapshot(snapPath, idx, meta, logger, saveSec)
 	}
-	return idx
+	return idx, wlog, covered
 }
 
 // walMeta is the snapshot metadata for a WAL-maintained index: it records
@@ -448,114 +516,6 @@ func walMeta(ds *datagen.Dataset, seq uint64) snapshot.Meta {
 		BaseDigest:  ds.Graph.Digest(),
 		WALSeq:      seq,
 	}
-}
-
-// bootIndexWAL is bootIndex for live-mutation deployments: open the WAL
-// (its base digest must match the preset — replaying someone else's
-// mutation history would be silently wrong), restore the snapshot when it
-// descends from that base, rebuild otherwise, then replay every WAL batch
-// the snapshot does not already cover. The one unrecoverable shape is a
-// snapshot older than the log's first record when the log does not start
-// at batch 1 — compaction discarded records only a lost newer snapshot
-// covered — which is fatal rather than quietly served wrong.
-func bootIndexWAL(ds *datagen.Dataset, snapPath, walPath string, reg *obs.Registry,
-	logger *slog.Logger, loadSec, saveSec *obs.Gauge) (*core.Index, *wal.Log, uint64) {
-	base := ds.Graph.Digest()
-	wlog, info, err := wal.Open(walPath, wal.Options{BaseDigest: base})
-	if err != nil {
-		fatal(logger, "opening WAL (a mismatched or structurally damaged log needs operator attention; deleting it discards acknowledged mutations)", err)
-	}
-	if info.Truncated {
-		logger.Warn("WAL had a torn tail (crash mid-append); truncated",
-			"file", walPath, "dropped_bytes", info.DroppedBytes)
-	}
-
-	var idx *core.Index
-	var covered uint64
-	rebuilt := false
-	if snapPath != "" {
-		start := time.Now()
-		loaded, meta, err := snapshot.LoadFileWithBase(snapPath, ds.Ont, base)
-		if err == nil {
-			elapsed := time.Since(start)
-			loadSec.Set(elapsed.Seconds())
-			idx, covered = loaded, meta.WALSeq
-			logger.Info("index restored from snapshot",
-				"file", snapPath, "layers", idx.NumLayers(), "epoch", meta.Epoch,
-				"wal_seq", covered, "elapsed", elapsed.Round(time.Millisecond))
-		} else {
-			switch {
-			case snapshot.IsNotExist(err):
-				logger.Info("no snapshot yet; building index", "file", snapPath)
-			case errors.Is(err, snapshot.ErrSourceMismatch):
-				logger.Warn("snapshot is unrelated to the WAL's base graph; rebuilding", "file", snapPath, "err", err)
-			default:
-				logger.Warn("snapshot unusable; rebuilding", "file", snapPath, "err", err)
-			}
-		}
-	}
-	if idx == nil {
-		idx = buildIndex(ds, reg, logger)
-		rebuilt = true
-	}
-
-	if n := len(info.Batches); n > 0 {
-		lo := info.Batches[0].Seq
-		if covered+1 < lo {
-			// The log was compacted past this snapshot. Only a pristine
-			// log (starting at batch 1) can be replayed from a rebuilt
-			// base; anything else has lost history.
-			fatal(logger, "boot", fmt.Errorf(
-				"WAL %s starts at batch %d but snapshot %s covers only %d: the missing batches were compacted into a snapshot that no longer exists",
-				walPath, lo, snapPath, covered))
-		}
-		replayed := 0
-		start := time.Now()
-		for _, b := range info.Batches {
-			if b.Seq <= covered {
-				continue // compaction crashed between persist and truncate; the snapshot already has it
-			}
-			// The same core.Applied path a live mutation takes. Records were
-			// strictly validated before they entered the log, so only a
-			// maintenance bug can fail here.
-			d := core.Delta{AddVertices: b.AddVertices, AddEdges: b.AddEdges, RemoveEdges: b.RemoveEdges}
-			idx, _, err = idx.Applied(d, core.DeltaOptions{})
-			if err != nil {
-				fatal(logger, "replaying WAL", fmt.Errorf("batch %d: %w", b.Seq, err))
-			}
-			covered = b.Seq
-			replayed++
-		}
-		logger.Info("WAL replayed", "file", walPath, "batches", replayed,
-			"skipped", n-replayed, "seq", covered, "wal_bytes", wlog.Size(),
-			"elapsed", time.Since(start).Round(time.Millisecond))
-	}
-	// The in-memory sequence floor must cover the snapshot even when the
-	// log is empty (freshly compacted), or the next accepted batch would
-	// reuse a sequence number the snapshot already claims.
-	wlog.SetLastSeq(covered)
-
-	if snapPath != "" && (rebuilt || covered > 0) {
-		// Best effort, exactly like bootIndex: folding the replayed tail
-		// into the snapshot now makes the next boot a pure load.
-		_ = persistSnapshot(snapPath, idx, walMeta(ds, covered), logger, saveSec)
-	}
-	return idx, wlog, covered
-}
-
-// buildIndex is the cold-start build shared by both boot paths.
-func buildIndex(ds *datagen.Dataset, reg *obs.Registry, logger *slog.Logger) *core.Index {
-	start := time.Now()
-	opt := core.DefaultBuildOptions()
-	opt.Obs = reg
-	opt.Logger = logger
-	idx, err := core.Build(ds.Graph, ds.Ont, opt)
-	if err != nil {
-		fatal(logger, "building index", err)
-	}
-	logger.Info("index built", "dataset", ds.Name,
-		"elapsed", time.Since(start).Round(time.Millisecond), "layers", idx.NumLayers())
-	return idx
 }
 
 // persistSnapshot writes the crash-safe snapshot and records its wall

@@ -71,7 +71,7 @@ func TestRestartEquivalence(t *testing.T) {
 	regA := obs.NewRegistry()
 	loadA := regA.Gauge("l", "")
 	saveA := regA.Gauge("s", "")
-	idxA := bootIndex(ds, snapPath, regA, logger, loadA, saveA)
+	idxA, _, _ := bootIndex(ds, snapPath, "", regA, logger, loadA, saveA)
 	if saveA.Value() == 0 {
 		t.Fatal("first boot did not persist a snapshot")
 	}
@@ -83,7 +83,7 @@ func TestRestartEquivalence(t *testing.T) {
 	regB := obs.NewRegistry()
 	loadB := regB.Gauge("l", "")
 	saveB := regB.Gauge("s", "")
-	idxB := bootIndex(ds, snapPath, regB, logger, loadB, saveB)
+	idxB, _, _ := bootIndex(ds, snapPath, "", regB, logger, loadB, saveB)
 	if loadB.Value() == 0 {
 		t.Fatal("second boot did not load the snapshot")
 	}
@@ -143,7 +143,7 @@ func TestRestartEquivalence(t *testing.T) {
 	regC := obs.NewRegistry()
 	loadC := regC.Gauge("l", "")
 	saveC := regC.Gauge("s", "")
-	idxC := bootIndex(ds, snapPath, regC, logger, loadC, saveC)
+	idxC, _, _ := bootIndex(ds, snapPath, "", regC, logger, loadC, saveC)
 	if loadC.Value() != 0 {
 		t.Fatal("corrupt snapshot was loaded")
 	}

@@ -19,8 +19,9 @@ import (
 )
 
 // walServer assembles the daemon's serving stack around an index that came
-// out of bootIndexWAL, mirroring main(): mutator wired with the WAL and a
-// snapshot persist hook, cache off so every answer is a fresh evaluation.
+// out of bootIndex with a WAL, mirroring main(): mutator wired with the WAL
+// and a snapshot persist hook, cache off so every answer is a fresh
+// evaluation.
 func walServer(t *testing.T, ds *datagen.Dataset, idx *core.Index,
 	wlog *wal.Log, seq uint64, snapPath string, saveSec *obs.Gauge) (*server.Server, *server.Mutator) {
 	t.Helper()
@@ -118,7 +119,7 @@ func TestWALRestartEquivalence(t *testing.T) {
 	// ---- First life: cold boot, three mutation batches, one compaction.
 	regA := obs.NewRegistry()
 	loadA, saveA := regA.Gauge("l", ""), regA.Gauge("s", "")
-	idxA, wlogA, seqA := bootIndexWAL(ds, snapPath, walPath, regA, logger, loadA, saveA)
+	idxA, wlogA, seqA := bootIndex(ds, snapPath, walPath, regA, logger, loadA, saveA)
 	if seqA != 0 {
 		t.Fatalf("cold boot covered seq %d, want 0", seqA)
 	}
@@ -167,7 +168,7 @@ func TestWALRestartEquivalence(t *testing.T) {
 	// ---- Second life: snapshot restore + WAL tail replay.
 	regB := obs.NewRegistry()
 	loadB, saveB := regB.Gauge("l", ""), regB.Gauge("s", "")
-	idxB, wlogB, seqB := bootIndexWAL(ds, snapPath, walPath, regB, logger, loadB, saveB)
+	idxB, wlogB, seqB := bootIndex(ds, snapPath, walPath, regB, logger, loadB, saveB)
 	defer wlogB.Close()
 	if loadB.Value() == 0 {
 		t.Fatal("reboot did not restore from the snapshot")
@@ -228,7 +229,7 @@ func TestWALRestartEquivalence(t *testing.T) {
 	wlogB.Close()
 	regC := obs.NewRegistry()
 	loadC, saveC := regC.Gauge("l", ""), regC.Gauge("s", "")
-	idxC, wlogC, seqC := bootIndexWAL(ds, snapPath, walPath, regC, logger, loadC, saveC)
+	idxC, wlogC, seqC := bootIndex(ds, snapPath, walPath, regC, logger, loadC, saveC)
 	defer wlogC.Close()
 	if loadC.Value() == 0 {
 		t.Fatal("third boot did not restore from the snapshot")

@@ -81,6 +81,44 @@ func TestGreedyConfigRespectsTheta(t *testing.T) {
 	}
 }
 
+// Candidates of equal cost pop in push order, which is candidate order:
+// a label with two direct supertypes absent from the graph scores the
+// same either way, and the first DirectSupertypes entry must win.
+func TestGreedyConfigTieBreaksInCandidateOrder(t *testing.T) {
+	dict := graph.NewDict()
+	ont := ontology.New(dict)
+	a := ont.AddType("A")
+	b := ont.AddType("B")
+	gb := graph.NewBuilder(dict)
+	e := dict.Intern("e")
+	for i := 0; i < 4; i++ {
+		gb.AddVertexLabel(e)
+	}
+	gb.AddEdge(0, 1)
+	gb.AddEdge(2, 3)
+	g := gb.Build()
+	for _, super := range []graph.Label{b, a} {
+		if err := ont.AddSupertype(e, super); err != nil {
+			t.Fatal(err)
+		}
+	}
+	supers := ont.DirectSupertypes(e)
+	if len(supers) != 2 {
+		t.Fatalf("fixture: %d direct supertypes, want 2", len(supers))
+	}
+
+	opt := SearchOptions{Theta: 100, Alpha: 0.5, SampleRadius: 2, SampleCount: 10, Seed: 1}
+	cfg, est := GreedyConfig(g, ont, opt)
+	c0, _ := est.StartIncremental(generalize.NewConfigBuilder(g)).CompressWith(generalize.Mapping{From: e, To: supers[0]})
+	c1, _ := est.StartIncremental(generalize.NewConfigBuilder(g)).CompressWith(generalize.Mapping{From: e, To: supers[1]})
+	if c0 != c1 {
+		t.Fatalf("fixture: singleton costs differ (%v vs %v); the tie is the point", c0, c1)
+	}
+	if cfg.Len() != 1 || cfg.Map(e) != supers[0] {
+		t.Fatalf("config %v, want the one mapping %v -> %v", cfg.Mappings(), e, supers[0])
+	}
+}
+
 func TestModelCost(t *testing.T) {
 	g, _ := fixture(t)
 	est := sampling.NewEstimator(g, 2, 50, 1)

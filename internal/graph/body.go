@@ -35,57 +35,18 @@ func (g *Graph) WriteBody(w io.Writer) error {
 	return nil
 }
 
-// ReadBody deserializes a graph written by WriteBody against an existing
-// dictionary (labels must be within the dictionary's range).
-func ReadBody(r io.Reader, dict *Dict) (*Graph, error) {
-	nV, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	b := NewBuilder(dict)
-	for i := uint32(0); i < nV; i++ {
-		l, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if l == 0 || int(l) > dict.Len() {
-			return nil, fmt.Errorf("%w: vertex label %d outside dictionary", ErrBadFormat, l)
-		}
-		b.AddVertexLabel(Label(l))
-	}
-	nE, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nE; i++ {
-		from, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		to, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if from >= nV || to >= nV {
-			return nil, fmt.Errorf("%w: edge (%d,%d) out of range", ErrBadFormat, from, to)
-		}
-		b.AddEdge(V(from), V(to))
-	}
-	return b.Build(), nil
-}
-
-// ReadBodyBytes decodes a WriteBody payload held fully in memory — the
-// fast path for snapshot loading, where the reader-stack call per u32 of
-// ReadBody dominates restore time. Every bound is checked against the
-// buffer length before the corresponding allocation, so a hostile count
-// can never allocate beyond the bytes actually present, and the payload
-// must be consumed exactly (a section carries one body, nothing else).
+// ReadBodyBytes decodes a WriteBody payload held fully in memory (the
+// one body decoder: snapshot sections and graph files both end here).
+// Every bound is checked against the buffer length before the
+// corresponding allocation, so a hostile count can never allocate beyond
+// the bytes actually present, and the payload must be consumed exactly (a
+// section carries one body, nothing else).
 //
 // WriteBody emits edges sorted by (From, To) with duplicates removed, so
 // the CSR arrays are filled directly from the wire — no edge-list
-// materialization, copy, or sort. Input violating that order (no writer
-// in this repo produces it, but the format does not forbid it) falls back
-// to the Builder, which sorts and deduplicates.
+// materialization, copy, or sort. Input that breaks that order, or repeats
+// an edge, is not a body any writer produces and is rejected as
+// ErrBadFormat.
 func ReadBodyBytes(data []byte, dict *Dict) (*Graph, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%w: truncated body", ErrBadFormat)
@@ -112,7 +73,6 @@ func ReadBodyBytes(data []byte, dict *Dict) (*Graph, error) {
 
 	outOff := make([]uint32, nV+1)
 	inOff := make([]uint32, nV+1)
-	sorted := true
 	var prevF, prevT uint32
 	for i, p := uint32(0), off; i < nE; i, p = i+1, p+8 {
 		f := binary.LittleEndian.Uint32(data[p:])
@@ -121,22 +81,11 @@ func ReadBodyBytes(data []byte, dict *Dict) (*Graph, error) {
 			return nil, fmt.Errorf("%w: edge (%d,%d) out of range", ErrBadFormat, f, t)
 		}
 		if i > 0 && (f < prevF || (f == prevF && t <= prevT)) {
-			sorted = false
+			return nil, fmt.Errorf("%w: edge (%d,%d) after (%d,%d): not sorted and deduplicated", ErrBadFormat, f, t, prevF, prevT)
 		}
 		prevF, prevT = f, t
 		outOff[f+1]++
 		inOff[t+1]++
-	}
-	if !sorted {
-		b := NewBuilder(dict)
-		for _, l := range labels {
-			b.AddVertexLabel(l)
-		}
-		for i, p := uint32(0), off; i < nE; i, p = i+1, p+8 {
-			b.AddEdge(V(binary.LittleEndian.Uint32(data[p:])),
-				V(binary.LittleEndian.Uint32(data[p+4:])))
-		}
-		return b.Build(), nil
 	}
 
 	for i := uint32(0); i < nV; i++ {

@@ -2,8 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -34,26 +34,26 @@ func TestBodyRoundTripSharedDict(t *testing.T) {
 	b2.AddVertex("z")
 	g2 := b2.Build()
 
-	var buf bytes.Buffer
-	if err := WriteDict(&buf, dict); err != nil {
+	var d, body1, body2 bytes.Buffer
+	if err := WriteDict(&d, dict); err != nil {
 		t.Fatal(err)
 	}
-	if err := g1.WriteBody(&buf); err != nil {
+	if err := g1.WriteBody(&body1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.WriteBody(&buf); err != nil {
+	if err := g2.WriteBody(&body2); err != nil {
 		t.Fatal(err)
 	}
 
-	rd, err := ReadDict(&buf)
+	rd, err := ReadDict(&d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := ReadBody(&buf, rd)
+	r1, err := ReadBodyBytes(body1.Bytes(), rd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ReadBody(&buf, rd)
+	r2, err := ReadBodyBytes(body2.Bytes(), rd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,31 +68,58 @@ func TestBodyRoundTripSharedDict(t *testing.T) {
 	}
 }
 
+// body assembles a raw WriteBody payload.
+func body(labels []uint32, edges ...[2]uint32) []byte {
+	var buf bytes.Buffer
+	writeU32(&buf, uint32(len(labels)))
+	for _, l := range labels {
+		writeU32(&buf, l)
+	}
+	writeU32(&buf, uint32(len(edges)))
+	for _, e := range edges {
+		writeU32(&buf, e[0])
+		writeU32(&buf, e[1])
+	}
+	return buf.Bytes()
+}
+
 func TestReadBodyRejectsBadLabels(t *testing.T) {
 	dict := NewDict()
 	dict.Intern("only")
-	var buf bytes.Buffer
 	// Vertex with label 9 (out of range for a 1-entry dict).
-	writeU32(&buf, 1) // nV
-	writeU32(&buf, 9) // label
-	if _, err := ReadBody(&buf, dict); err == nil {
-		t.Fatal("bad label accepted")
+	if _, err := ReadBodyBytes(body([]uint32{9}), dict); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("bad label: got %v", err)
 	}
 	// Edge out of range.
-	buf.Reset()
-	writeU32(&buf, 1) // nV
-	writeU32(&buf, 1) // label ok
-	writeU32(&buf, 1) // nE
-	writeU32(&buf, 0)
-	writeU32(&buf, 7)
-	if _, err := ReadBody(&buf, dict); err == nil {
-		t.Fatal("bad edge accepted")
+	if _, err := ReadBodyBytes(body([]uint32{1}, [2]uint32{0, 7}), dict); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("bad edge: got %v", err)
 	}
-	// Truncated input.
-	buf.Reset()
-	writeU32(&buf, 5)
-	if _, err := ReadBody(strings.NewReader(buf.String()[:2]), dict); err == nil {
-		t.Fatal("truncated input accepted")
+	// Truncated input, and a body with bytes left over.
+	valid := body([]uint32{1, 1}, [2]uint32{0, 1})
+	for _, data := range [][]byte{valid[:2], valid[:len(valid)-1], append(valid[:len(valid):len(valid)], 0)} {
+		if _, err := ReadBodyBytes(data, dict); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%d of %d bytes: got %v", len(data), len(valid), err)
+		}
+	}
+}
+
+// Every writer emits each CSR row sorted and deduplicated, so edges out of
+// (From, To) order or repeated are not a body and must not decode.
+func TestReadBodyBytesRejectsUnsortedEdges(t *testing.T) {
+	dict := NewDict()
+	dict.Intern("only")
+	labels := []uint32{1, 1, 1}
+	if _, err := ReadBodyBytes(body(labels, [2]uint32{0, 1}, [2]uint32{0, 2}, [2]uint32{1, 2}), dict); err != nil {
+		t.Fatalf("sorted body rejected: %v", err)
+	}
+	for name, edges := range map[string][][2]uint32{
+		"swapped":   {{0, 2}, {0, 1}, {1, 2}},
+		"rows":      {{1, 2}, {0, 1}},
+		"duplicate": {{0, 1}, {0, 1}, {1, 2}},
+	} {
+		if _, err := ReadBodyBytes(body(labels, edges...), dict); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s edges: got %v, want ErrBadFormat", name, err)
+		}
 	}
 }
 

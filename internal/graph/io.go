@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,20 +11,20 @@ import (
 
 // Binary on-disk format (little endian):
 //
-//	magic  "BIGG" | version u32
-//	nLabels u32   | for each: len u32, bytes
-//	nVertices u32 | for each: label u32
-//	nEdges u32    | for each: from u32, to u32
-//	crc u32       | CRC-32 (IEEE) of every preceding byte (version >= 2)
+//	magic "BIGG" | version u32
+//	dictionary   | WriteDict: nLabels u32, for each: len u32, bytes
+//	body         | WriteBody: nVertices u32, for each: label u32
+//	             |            nEdges u32, for each: from u32, to u32
+//	crc u32      | CRC-32 (IEEE) of every preceding byte (version >= 2)
 //
 // The format stores the dictionary inline so a graph round-trips without an
-// external dictionary; on load a fresh Dict is created.
+// external dictionary; on load a fresh Dict is created. The dictionary and
+// body codecs are the ones snapshot sections use.
 //
 // Version 2 appends the CRC trailer. Version 1 files (no trailer) are still
-// read: they predate the trailer and their record counts bound the parse,
-// but they cannot detect in-range bit flips (an edge endpoint silently
-// rewritten to another valid vertex) or a file cut exactly after a
-// complete prefix of the stream — the trailer closes both holes.
+// read; the body must still fill the file exactly, but an in-range bit
+// flip (an edge endpoint silently rewritten to another valid vertex) goes
+// unnoticed — the trailer closes that hole.
 
 const (
 	ioMagic   = "BIGG"
@@ -35,169 +35,51 @@ const (
 // graph produced by WriteTo.
 var ErrBadFormat = errors.New("graph: bad serialized format")
 
-// WriteTo serializes g to w in the binary format above (version 2: body
-// followed by a CRC-32 trailer over every preceding byte).
+// WriteTo serializes g to w in the binary format above (version 2): the
+// header, WriteDict, WriteBody and the CRC trailer.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	crc := crc32.NewIEEE()
-	cw := &countWriter{w: io.MultiWriter(bw, crc)}
-
-	if _, err := cw.Write([]byte(ioMagic)); err != nil {
-		return cw.n, err
-	}
-	if err := writeU32(cw, ioVersion); err != nil {
-		return cw.n, err
-	}
-
-	d := g.dict
-	if err := writeU32(cw, uint32(d.Len())); err != nil {
-		return cw.n, err
-	}
-	for i := 1; i <= d.Len(); i++ {
-		name := d.Name(Label(i))
-		if err := writeU32(cw, uint32(len(name))); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write([]byte(name)); err != nil {
-			return cw.n, err
-		}
-	}
-
-	if err := writeU32(cw, uint32(g.NumVertices())); err != nil {
-		return cw.n, err
-	}
-	for _, l := range g.labels {
-		if err := writeU32(cw, uint32(l)); err != nil {
-			return cw.n, err
-		}
-	}
-
-	if err := writeU32(cw, uint32(g.NumEdges())); err != nil {
-		return cw.n, err
-	}
-	for v := V(0); int(v) < g.NumVertices(); v++ {
-		for _, wv := range g.Out(v) {
-			if err := writeU32(cw, uint32(v)); err != nil {
-				return cw.n, err
-			}
-			if err := writeU32(cw, uint32(wv)); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-
-	// Trailer: the checksum itself is not part of the checksummed stream.
-	var tb [4]byte
-	binary.LittleEndian.PutUint32(tb[:], crc.Sum32())
-	if _, err := bw.Write(tb[:]); err != nil {
-		return cw.n, err
-	}
-	cw.n += 4
-	return cw.n, bw.Flush()
+	// Writes to a bytes.Buffer cannot fail.
+	var buf bytes.Buffer
+	buf.WriteString(ioMagic)
+	writeU32(&buf, ioVersion)
+	WriteDict(&buf, g.dict)
+	g.WriteBody(&buf)
+	// The checksum itself is not part of the checksummed stream.
+	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
+	return buf.WriteTo(w)
 }
 
-// Read deserializes a graph written by WriteTo. Version 2 input is
-// verified against its CRC trailer; version 1 input is accepted as-is for
-// compatibility with pre-trailer files.
+// Read deserializes a graph written by WriteTo, which must be all of r.
+// Version 2 input is verified against its CRC trailer; version 1 input is
+// accepted as-is for compatibility with pre-trailer files.
 func Read(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	// Everything up to the trailer is hashed as it is parsed; the trailer
-	// itself is read from br directly, past the tee.
-	tr := io.TeeReader(br, crc)
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(tr, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != ioMagic {
+	if len(data) < 8 || string(data[:4]) != ioMagic {
 		return nil, ErrBadFormat
 	}
-	ver, err := readU32(tr)
-	if err != nil {
-		return nil, err
-	}
-	if ver != 1 && ver != ioVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, ver)
-	}
-
-	nLabels, err := readU32(tr)
-	if err != nil {
-		return nil, err
-	}
-	dict := NewDict()
-	for i := uint32(0); i < nLabels; i++ {
-		n, err := readU32(tr)
-		if err != nil {
-			return nil, err
+	switch ver := binary.LittleEndian.Uint32(data[4:]); ver {
+	case 1:
+	case ioVersion:
+		n := len(data) - 4
+		if n < 8 {
+			return nil, fmt.Errorf("%w: missing checksum trailer", ErrBadFormat)
 		}
-		if n > 1<<20 {
-			return nil, fmt.Errorf("%w: label length %d too large", ErrBadFormat, n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return nil, fmt.Errorf("graph: reading label: %w", err)
-		}
-		dict.Intern(string(buf))
-	}
-
-	nV, err := readU32(tr)
-	if err != nil {
-		return nil, err
-	}
-	b := NewBuilder(dict)
-	for i := uint32(0); i < nV; i++ {
-		l, err := readU32(tr)
-		if err != nil {
-			return nil, err
-		}
-		if l == 0 || l > nLabels {
-			return nil, fmt.Errorf("%w: vertex label %d out of range", ErrBadFormat, l)
-		}
-		b.AddVertexLabel(Label(l))
-	}
-
-	nE, err := readU32(tr)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nE; i++ {
-		from, err := readU32(tr)
-		if err != nil {
-			return nil, err
-		}
-		to, err := readU32(tr)
-		if err != nil {
-			return nil, err
-		}
-		if from >= nV || to >= nV {
-			return nil, fmt.Errorf("%w: edge (%d,%d) out of range", ErrBadFormat, from, to)
-		}
-		b.AddEdge(V(from), V(to))
-	}
-
-	if ver >= 2 {
-		want := crc.Sum32()
-		var tb [4]byte
-		if _, err := io.ReadFull(br, tb[:]); err != nil {
-			return nil, fmt.Errorf("%w: missing checksum trailer: %v", ErrBadFormat, err)
-		}
-		if got := binary.LittleEndian.Uint32(tb[:]); got != want {
+		if got, want := binary.LittleEndian.Uint32(data[n:]), crc32.ChecksumIEEE(data[:n]); got != want {
 			return nil, fmt.Errorf("%w: checksum mismatch (file %08x, computed %08x)", ErrBadFormat, got, want)
 		}
+		data = data[:n]
+	default:
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, ver)
 	}
-	return b.Build(), nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	rest := bytes.NewReader(data[8:])
+	dict, err := ReadDict(rest)
+	if err != nil {
+		return nil, err
+	}
+	return ReadBodyBytes(data[len(data)-rest.Len():], dict)
 }
 
 func writeU32(w io.Writer, x uint32) error {

@@ -113,12 +113,7 @@ func fsyncDir(dir string) error {
 // usual fs.ErrNotExist, distinguishable so callers can treat "no snapshot
 // yet" as a cold start rather than damage.
 func LoadFile(path string, ont *ontology.Ontology) (*core.Index, Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	defer f.Close()
-	return Read(bufio.NewReader(f), ont)
+	return loadFile(path, ont, nil)
 }
 
 // LoadFileFor is LoadFile plus source verification: the snapshot must have
@@ -127,15 +122,13 @@ func LoadFile(path string, ont *ontology.Ontology) (*core.Index, Meta, error) {
 // from different data would be silently wrong, which is worse than the
 // rebuild the mismatch forces.
 func LoadFileFor(path string, ont *ontology.Ontology, wantDigest uint64) (*core.Index, Meta, error) {
-	idx, meta, err := LoadFile(path, ont)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if meta.SourceDigest != wantDigest {
-		return nil, Meta{}, fmt.Errorf("%w: snapshot digest %016x, want %016x",
-			ErrSourceMismatch, meta.SourceDigest, wantDigest)
-	}
-	return idx, meta, nil
+	return loadFile(path, ont, func(meta Meta) error {
+		if meta.SourceDigest != wantDigest {
+			return fmt.Errorf("%w: snapshot digest %016x, want %016x",
+				ErrSourceMismatch, meta.SourceDigest, wantDigest)
+		}
+		return nil
+	})
 }
 
 // LoadFileWithBase is the boot path for WAL-maintained deployments: the
@@ -146,15 +139,22 @@ func LoadFileFor(path string, ont *ontology.Ontology, wantDigest uint64) (*core.
 // folded in). Anything else is ErrSourceMismatch: replaying this WAL onto
 // that snapshot would splice mutation histories of unrelated graphs.
 func LoadFileWithBase(path string, ont *ontology.Ontology, base uint64) (*core.Index, Meta, error) {
-	idx, meta, err := LoadFile(path, ont)
+	return loadFile(path, ont, func(meta Meta) error {
+		if meta.SourceDigest != base && meta.BaseDigest != base {
+			return fmt.Errorf("%w: snapshot source %016x / base %016x, want base %016x",
+				ErrSourceMismatch, meta.SourceDigest, meta.BaseDigest, base)
+		}
+		return nil
+	})
+}
+
+func loadFile(path string, ont *ontology.Ontology, accept func(Meta) error) (*core.Index, Meta, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	if meta.SourceDigest != base && meta.BaseDigest != base {
-		return nil, Meta{}, fmt.Errorf("%w: snapshot source %016x / base %016x, want base %016x",
-			ErrSourceMismatch, meta.SourceDigest, meta.BaseDigest, base)
-	}
-	return idx, meta, nil
+	defer f.Close()
+	return read(bufio.NewReader(f), ont, accept)
 }
 
 // IsNotExist reports whether err is the "no snapshot file" case of

@@ -245,6 +245,15 @@ func Write(w io.Writer, idx *core.Index, meta Meta) error {
 // be positioned at the start of the snapshot and is consumed exactly to
 // its end: leftover bytes after the trailer are corruption, not slack.
 func Read(r io.Reader, ont *ontology.Ontology) (*core.Index, Meta, error) {
+	return read(r, ont, nil)
+}
+
+// read is Read with a source check: accept, when non-nil, judges the
+// stored metadata as soon as its section is verified, so a snapshot of
+// another graph is refused as such (ErrSourceMismatch) before its
+// configurations are validated against an ontology they were never
+// meant for.
+func read(r io.Reader, ont *ontology.Ontology, accept func(Meta) error) (*core.Index, Meta, error) {
 	fileCRC := crc32.NewIEEE()
 	tr := io.TeeReader(r, fileCRC)
 
@@ -283,6 +292,11 @@ func Read(r io.Reader, ont *ontology.Ontology) (*core.Index, Meta, error) {
 	}
 	if meta.Layers < 1 || meta.Layers > maxLayers {
 		return fail(corruptf("meta", "layer count %d out of range", meta.Layers))
+	}
+	if accept != nil {
+		if err := accept(meta); err != nil {
+			return fail(err)
+		}
 	}
 
 	// Section 2: the shared dictionary.

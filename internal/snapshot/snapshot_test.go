@@ -12,6 +12,7 @@ import (
 	"bigindex/internal/core"
 	"bigindex/internal/datagen"
 	"bigindex/internal/faultio"
+	"bigindex/internal/ontology"
 )
 
 // buildFixture builds a small but real multi-layer index once per process.
@@ -107,6 +108,20 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if meta.Layers != idx.NumLayers() {
 		t.Fatalf("meta layers %d, want %d", meta.Layers, idx.NumLayers())
+	}
+}
+
+// The stored configurations are re-validated against the caller's
+// ontology: one without the index's supertype edges is refused, and a nil
+// ontology skips the check.
+func TestReadValidatesConfigs(t *testing.T) {
+	_, idx := buildFixture(t)
+	data := encode(t, idx)
+	if _, _, err := Read(bytes.NewReader(data), ontology.New(nil)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("incompatible ontology: got %v, want ErrBadSnapshot", err)
+	}
+	if _, _, err := Read(bytes.NewReader(data), nil); err != nil {
+		t.Fatalf("nil-ontology read failed: %v", err)
 	}
 }
 

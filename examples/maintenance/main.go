@@ -6,9 +6,10 @@
 //  1. data-graph updates — new vertices/edges arrive; Refreshed re-runs
 //     Gen+Bisim with the *stored* configurations (no configuration
 //     search), and answers stay exact;
-//  2. mutation batches — Index.Applied absorbs a batch that provably keeps
-//     every layer-1 signature intact (the summary layers are reused as
-//     they are) and re-summarizes with the stored configurations otherwise;
+//  2. mutation batches — Index.Applied re-signs only the vertices a batch
+//     reaches, layer by layer: a batch that moves no vertex to another
+//     block is absorbed (every summary layer is reused as it is), and one
+//     that does rebuilds only the summary layers whose graph changed;
 //  3. ontology updates — adding supertype edges never invalidates the
 //     index; removing one drops the affected layers (and everything above
 //     them).
@@ -87,8 +88,8 @@ func main() {
 		len(after), len(after) == len(direct))
 
 	// ---- (2) mutation batches through Applied ----
-	// A duplicate of an existing edge provably keeps every signature
-	// intact: the batch is absorbed and no summary layer is recomputed.
+	// A duplicate of an existing edge moves no vertex: the batch is
+	// absorbed and no summary layer is recomputed.
 	var e graph.Edge
 	for v := graph.V(0); int(v) < g2.NumVertices(); v++ {
 		if out := g2.Out(v); len(out) > 0 {
@@ -102,14 +103,14 @@ func main() {
 	}
 	fmt.Printf("duplicate-edge batch: absorbed=%v, %d layers recomputed\n",
 		rep.Absorbed, rep.RecomputedLayers)
-	// Removing that edge may change signatures, so the batch re-summarizes
-	// every layer with the stored configurations.
+	// Removing that edge may move its source to another block; the batch
+	// then rebuilds the summary layers whose graph changed, and only those.
 	idx, rep, err = idx.Applied(core.Delta{RemoveEdges: []graph.Edge{e}}, core.DeltaOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("removal batch: absorbed=%v, %d layers recomputed (epoch %d)\n",
-		rep.Absorbed, rep.RecomputedLayers, idx.Epoch())
+	fmt.Printf("removal batch: absorbed=%v, %d of %d layers recomputed (epoch %d)\n",
+		rep.Absorbed, rep.RecomputedLayers, idx.NumLayers()-1, idx.Epoch())
 
 	// ---- (3) ontology update ----
 	layersBefore := idx.NumLayers()

@@ -37,6 +37,11 @@
 // each holding its block's distinct successor blocks, which are exactly
 // the block's quotient edges. It reads labels through a label map, so a
 // sample is sized under a configuration without a relabelled copy.
+//
+// Update maintains a result under a change to the graph without starting
+// over: it re-signs only the vertices the change reaches, looking
+// signatures up in the old summary graph, and gives up where the change
+// reaches a cycle.
 package bisim
 
 import (
@@ -124,23 +129,7 @@ func (p *partitioner) partition(g *graph.Graph, label func(graph.Label) graph.La
 	block, left, t := p.block, p.left, &p.t
 	t.reset()
 
-	// Peel: Kahn's algorithm on out-degree, sinks first. Every vertex in
-	// order comes after all of its successors; a vertex left unpeeled
-	// reaches a cycle.
-	order := slices.Grow(p.order[:0], n)
-	for v := range n {
-		left[v] = uint32(g.OutDegree(graph.V(v)))
-		if left[v] == 0 {
-			order = append(order, graph.V(v))
-		}
-	}
-	for i := 0; i < len(order); i++ {
-		for _, u := range g.In(order[i]) {
-			if left[u]--; left[u] == 0 {
-				order = append(order, u)
-			}
-		}
-	}
+	order := peel(g, left, slices.Grow(p.order[:0], n))
 	p.order = order
 
 	// Hash-cons the peeled vertices in peel order: each is signed once,
@@ -188,6 +177,27 @@ func (p *partitioner) partition(g *graph.Graph, label func(graph.Label) graph.La
 		count = t.len()
 	}
 	return peeled + graph.V(count), edges + len(t.arena)
+}
+
+// peel is Kahn's algorithm on out-degree, sinks first: it appends to
+// order every vertex that does not reach a cycle, each after all of its
+// successors. left (len n) ends holding 0 for those vertices and a
+// positive count for the ones that reach a cycle.
+func peel(g *graph.Graph, left []uint32, order []graph.V) []graph.V {
+	for v := range g.NumVertices() {
+		left[v] = uint32(g.OutDegree(graph.V(v)))
+		if left[v] == 0 {
+			order = append(order, graph.V(v))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, u := range g.In(order[i]) {
+			if left[u]--; left[u] == 0 {
+				order = append(order, u)
+			}
+		}
+	}
+	return order
 }
 
 // grow returns buf resized to n, reallocating only when it is too short.
@@ -280,8 +290,32 @@ func (t *table) grow() {
 // buildResult materializes the quotient graph of a stable partition whose
 // blocks are numbered by smallest member.
 func buildResult(g *graph.Graph, block []graph.V, numBlocks int) *Result {
-	// Members rows are carved from one flat array by a counting sort, so
-	// each row is ascending.
+	// One quotient edge per distinct (source block, target block): stamp[t]
+	// holds the last source block that recorded an edge to t, plus one.
+	// Builder.Build sorts the edges.
+	members := members(block, numBlocks)
+	stamp := make([]uint32, numBlocks)
+	b := graph.NewBuilder(g.Dict())
+	for _, row := range members {
+		// All members share a label by construction; use the first.
+		b.AddVertexLabel(g.Label(row[0]))
+	}
+	for s, row := range members {
+		for _, v := range row {
+			for _, w := range g.Out(v) {
+				if t := block[w]; stamp[t] != uint32(s)+1 {
+					stamp[t] = uint32(s) + 1
+					b.AddEdge(graph.V(s), t)
+				}
+			}
+		}
+	}
+	return &Result{Summary: b.Build(), Block: block, Members: members}
+}
+
+// members inverts block into ascending member rows, carved from one flat
+// array by a counting sort.
+func members(block []graph.V, numBlocks int) [][]graph.V {
 	start := make([]uint32, numBlocks+1)
 	for _, b := range block {
 		start[b+1]++
@@ -295,27 +329,9 @@ func buildResult(g *graph.Graph, block []graph.V, numBlocks int) *Result {
 		flat[fill[b]] = graph.V(v)
 		fill[b]++
 	}
-
-	// One quotient edge per distinct (source block, target block): stamp[t]
-	// holds the last source block that recorded an edge to t, plus one.
-	// Builder.Build sorts the edges.
-	members := make([][]graph.V, numBlocks)
-	stamp := make([]uint32, numBlocks)
-	b := graph.NewBuilder(g.Dict())
-	for s := range numBlocks {
-		members[s] = flat[start[s]:start[s+1]:start[s+1]]
-		// All members share a label by construction; use the first.
-		b.AddVertexLabel(g.Label(members[s][0]))
+	rows := make([][]graph.V, numBlocks)
+	for s := range rows {
+		rows[s] = flat[start[s]:start[s+1]:start[s+1]]
 	}
-	for s, row := range members {
-		for _, v := range row {
-			for _, w := range g.Out(v) {
-				if t := block[w]; stamp[t] != uint32(s)+1 {
-					stamp[t] = uint32(s) + 1
-					b.AddEdge(graph.V(s), t)
-				}
-			}
-		}
-	}
-	return &Result{Summary: b.Build(), Block: block, Members: members}
+	return rows
 }

@@ -20,19 +20,24 @@ func (d Delta) Empty() bool {
 }
 
 // DeltaOptions is Applied's option set. It has no fields: maintenance
-// has one path (absorb at layer 1, or re-summarize with the stored
-// configurations), so there is nothing left to tune. The type survives so
-// Applied's signature, and every caller written against it, stays stable.
+// has one path (re-sign what the batch reaches, layer by layer), so there
+// is nothing to tune. The type survives so Applied's signature, and every
+// caller written against it, stays stable.
 type DeltaOptions struct{}
 
-// DeltaReport describes how a delta was absorbed into the hierarchy.
+// DeltaReport describes what a delta did to the hierarchy.
 type DeltaReport struct {
-	// Absorbed is true when layer 1's partition provably survived the
-	// delta unchanged, so every summary layer was reused pointer-identical.
+	// Absorbed is true when every summary layer was reused
+	// pointer-identical: the batch moved no vertex to another block at
+	// layer 1, added no vertex, and so changed nothing above layer 0.
 	Absorbed bool
-	// RecomputedLayers counts the summary layers rebuilt: 0 when absorbed,
-	// otherwise every summary layer of the result.
+	// RecomputedLayers counts the summary layers whose graph changed; a
+	// layer re-summarized whole by the fallback always counts.
 	RecomputedLayers int
+	// FallbackLayers counts the summary layers re-summarized whole by
+	// bisim.Compute because the batch reached a cycle there; every layer
+	// above the first such layer is re-summarized whole too.
+	FallbackLayers int
 }
 
 // Applied returns a new index equal to rebuilding the hierarchy over the
@@ -42,13 +47,14 @@ type DeltaReport struct {
 //
 //	x.Applied(d) ≡ x.Refreshed(graph.Patch(x.Data(), d))
 //
-// layer for layer. It takes one shortcut: a pure edge-add delta whose
-// every edge leaves layer 1's successor-block signatures intact
-// (bisim.Absorbs) cannot change the partition, so the patched data graph
-// is paired with the old summary layers as they are. Any other delta runs
-// Refreshed over the patched graph. Either way the result passes the
-// NewFromLayers structural validation and carries x's epoch + 1 (the
-// atomic-swap and cache-invalidation contract).
+// layer for layer and byte for byte. It costs what the batch touches:
+// graph.Patch splices layer 0's rows, and each summary layer re-signs
+// only the sources of changed edges and the new vertices, walking to
+// predecessors while blocks change (bisim.Update), then hands the change
+// in its summary to the layer above. Where the walk reaches a cycle the
+// layer and those above it are re-summarized whole. Either way the result
+// passes the NewFromLayers structural validation and carries x's epoch + 1
+// (the atomic-swap and cache-invalidation contract).
 //
 // The receiver is never modified; like Refreshed, Applied is safe to run
 // while x serves queries.
@@ -58,22 +64,21 @@ func (x *Index) Applied(d Delta, _ DeltaOptions) (*Index, *DeltaReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(d.AddVertices) == 0 && len(d.RemoveEdges) == 0 && len(x.layers) > 1 {
-		// Layer 1's partition was computed over Gen(G⁰, C¹), which has
-		// G⁰'s adjacency, so the data graph stands in for it.
-		l1 := x.layers[1]
-		if bisim.Absorbs(g0, &bisim.Result{Block: l1.Up, Members: l1.Down}, d.AddEdges) {
-			layers := append([]*Layer{{Graph: patched}}, x.layers[1:]...)
-			n, err := x.successor(layers)
-			if err != nil {
-				return nil, nil, err
-			}
-			return n, &DeltaReport{Absorbed: true}, nil
+	n0, n := g0.NumVertices(), patched.NumVertices()
+	ch := bisim.Change{Prev: make([]graph.V, n)}
+	for v := range ch.Prev {
+		ch.Prev[v] = graph.V(v)
+		if v >= n0 {
+			ch.Prev[v] = bisim.NoVertex
+			ch.Touched = append(ch.Touched, graph.V(v))
 		}
 	}
-	n, err := x.Refreshed(patched)
-	if err != nil {
-		return nil, nil, err
+	for _, es := range [][]graph.Edge{d.AddEdges, d.RemoveEdges} {
+		for _, e := range es {
+			if int(e.From) < n {
+				ch.Touched = append(ch.Touched, e.From)
+			}
+		}
 	}
-	return n, &DeltaReport{RecomputedLayers: n.NumLayers() - 1}, nil
+	return x.resummarized(patched, &ch)
 }

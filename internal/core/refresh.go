@@ -12,8 +12,8 @@ import (
 // maintenance strategy of Sec. 3.2: label-to-supertype decisions rarely
 // change when edges and vertices do, so only the (cheap) Gen + Bisim
 // pipeline reruns, skipping Algorithm 1's configuration search entirely.
-// It is the one maintenance loop: hot reload calls it directly, and
-// Applied calls it for every delta it cannot absorb.
+// Hot reload calls it directly; Applied is the same loop told what
+// changed.
 //
 // The receiver is left untouched, so Refreshed is safe to call while x
 // concurrently serves queries: the caller swaps the returned index in
@@ -29,9 +29,26 @@ func (x *Index) Refreshed(g *graph.Graph) (*Index, error) {
 	if g.Dict() != x.layers[0].Graph.Dict() {
 		return nil, fmt.Errorf("core: Refreshed requires the original dictionary")
 	}
-	newLayers := []*Layer{{Graph: g}}
+	n, _, err := x.resummarized(g, nil)
+	return n, err
+}
+
+// resummarized runs Gen + Bisim with the stored configurations over g,
+// layer by layer. With ch nil every layer runs bisim.Compute. Otherwise ch
+// describes g against x's data graph, and each layer re-signs only what
+// changed (bisim.Update), handing the change in its summary to the layer
+// above; a layer where Update gives up runs Compute, and so does every
+// layer above it. A layer whose partition comes out unchanged is reused
+// as it is, and once a layer's summary is, every layer above it is too.
+func (x *Index) resummarized(g *graph.Graph, ch *bisim.Change) (*Index, *DeltaReport, error) {
+	layers := []*Layer{{Graph: g}}
+	rep := &DeltaReport{}
 	top := g
-	for _, old := range x.layers[1:] {
+	for i, old := range x.layers[1:] {
+		if top == x.layers[i].Graph {
+			layers = append(layers, x.layers[i+1:]...)
+			break
+		}
 		cfg := old.Config
 		// Skip (and stop at) layers whose configuration touches nothing in
 		// the evolved graph: further layers were built on top of them.
@@ -45,16 +62,36 @@ func (x *Index) Refreshed(g *graph.Graph) (*Index, error) {
 		if !touches {
 			break
 		}
-		res := bisim.Compute(cfg.Apply(top))
-		newLayers = append(newLayers, &Layer{
-			Graph:  res.Summary,
-			Config: cfg,
-			Up:     res.Block,
-			Down:   res.Members,
-		})
-		top = res.Summary
+		prev := &bisim.Result{Summary: old.Graph, Block: old.Up, Members: old.Down}
+		var res *bisim.Result
+		if ch != nil {
+			r, next, ok := bisim.Update(top, cfg.Map, prev, *ch)
+			if ok {
+				res, ch = r, &next
+			} else {
+				ch = nil
+				rep.FallbackLayers++
+			}
+		}
+		if res == nil {
+			res = bisim.Compute(cfg.Apply(top))
+		}
+		l := old
+		if res != prev {
+			l = &Layer{Graph: res.Summary, Config: cfg, Up: res.Block, Down: res.Members}
+		}
+		if l.Graph != old.Graph {
+			rep.RecomputedLayers++
+		}
+		layers = append(layers, l)
+		top = l.Graph
 	}
-	return x.successor(newLayers)
+	rep.Absorbed = len(layers) == len(x.layers)
+	for i := 1; i < len(layers) && rep.Absorbed; i++ {
+		rep.Absorbed = layers[i] == x.layers[i]
+	}
+	n, err := x.successor(layers)
+	return n, rep, err
 }
 
 // successor assembles layers into the index that replaces x. It goes

@@ -103,29 +103,6 @@ func ReadBodyBytes(data []byte, dict *Dict) (*Graph, error) {
 		inAdj[next[t]] = V(f)
 		next[t]++
 	}
-	// Posting lists carved out of one flat allocation rather than grown
-	// per label; rows stay ascending because the fill walks vertices in
-	// order. Capped subslices keep the rows from aliasing on append.
-	counts := make([]uint32, dict.Len()+1)
-	for _, l := range labels {
-		counts[l]++
-	}
-	flat := make([]V, nV)
-	posting := make(map[Label][]V)
-	var start uint32
-	for l := 1; l <= dict.Len(); l++ {
-		if counts[l] == 0 {
-			continue
-		}
-		end := start + counts[l]
-		posting[Label(l)] = flat[start:end:end]
-		counts[l] = start // reuse as this label's write cursor
-		start = end
-	}
-	for v, l := range labels {
-		flat[counts[l]] = V(v)
-		counts[l]++
-	}
 	return &Graph{
 		dict:    dict,
 		labels:  labels,
@@ -133,7 +110,7 @@ func ReadBodyBytes(data []byte, dict *Dict) (*Graph, error) {
 		outAdj:  outAdj,
 		inOff:   inOff,
 		inAdj:   inAdj,
-		posting: posting,
+		posting: postingLists(labels),
 	}, nil
 }
 

@@ -38,6 +38,10 @@ func (b *Builder) AddVertexLabel(l Label) V {
 	return v
 }
 
+// Grow reserves room for n more edges, so a caller that knows the
+// count up front adds them without reallocating.
+func (b *Builder) Grow(n int) { b.edges = slices.Grow(b.edges, n) }
+
 // NumVertices reports the number of vertices added so far.
 func (b *Builder) NumVertices() int { return len(b.labels) }
 
@@ -110,10 +114,6 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 
-	posting := make(map[Label][]V)
-	for v, l := range labels {
-		posting[l] = append(posting[l], V(v))
-	}
 	return &Graph{
 		dict:    b.dict,
 		labels:  labels,
@@ -121,8 +121,40 @@ func (b *Builder) Build() *Graph {
 		outAdj:  outAdj,
 		inOff:   inOff,
 		inAdj:   inAdj,
-		posting: posting,
+		posting: postingLists(labels),
 	}
+}
+
+// postingLists groups the vertices by label, each list ascending. The
+// lists are carved out of one flat allocation by a counting sort rather
+// than grown per label; capped subslices keep them from aliasing on
+// append.
+func postingLists(labels []Label) map[Label][]V {
+	top := Label(0)
+	for _, l := range labels {
+		top = max(top, l)
+	}
+	counts := make([]uint32, int(top)+1)
+	for _, l := range labels {
+		counts[l]++
+	}
+	flat := make([]V, len(labels))
+	posting := make(map[Label][]V)
+	var start uint32
+	for l, c := range counts {
+		if c == 0 {
+			continue
+		}
+		end := start + c
+		posting[Label(l)] = flat[start:end:end]
+		counts[l] = start // reuse as this label's write cursor
+		start = end
+	}
+	for v, l := range labels {
+		flat[counts[l]] = V(v)
+		counts[l]++
+	}
+	return posting
 }
 
 // FromEdges builds a graph directly from per-vertex labels and an edge list.
@@ -144,13 +176,9 @@ func FromEdges(dict *Dict, labels []Label, edges []Edge) *Graph {
 // structural core of the generalization operator Gen (Sec. 3.1): Gen only
 // rewrites labels and leaves topology untouched.
 func (g *Graph) Relabel(f func(Label) Label) *Graph {
-	n := g.NumVertices()
-	labels := make([]Label, n)
-	posting := make(map[Label][]V)
-	for v := 0; v < n; v++ {
-		l := f(g.labels[v])
-		labels[v] = l
-		posting[l] = append(posting[l], V(v))
+	labels := make([]Label, g.NumVertices())
+	for v, l := range g.labels {
+		labels[v] = f(l)
 	}
 	return &Graph{
 		dict:    g.dict,
@@ -159,6 +187,6 @@ func (g *Graph) Relabel(f func(Label) Label) *Graph {
 		outAdj:  g.outAdj,
 		inOff:   g.inOff,
 		inAdj:   g.inAdj,
-		posting: posting,
+		posting: postingLists(labels),
 	}
 }

@@ -60,7 +60,7 @@ type mutationEdge struct {
 type MutationResult struct {
 	Seq       uint64
 	Epoch     uint64
-	Path      string // "absorbed" or "delta"
+	Path      string // "absorbed" (no summary layer changed) or "delta"
 	Layers    int
 	Elapsed   time.Duration
 	Compacted bool // an auto-compaction ran after the apply
@@ -82,11 +82,13 @@ var ErrWALAppend = errors.New("server: mutation could not be made durable")
 
 // Mutator is the write path: it validates mutation batches against the
 // served index, makes them durable in the WAL, and applies them through
-// core.Applied — absorbed at layer 1 or re-summarized with the stored
-// configurations — with an atomic index swap and epoch bump per batch. A
-// batch whose maintenance fails is rolled back out of the WAL and
-// reported as an error. One batch applies at a time; queries never block
-// (they read the atomic index pointer).
+// core.Applied, with an atomic index swap and epoch bump per batch.
+// Applied re-signs only what a batch reaches at each layer: a batch that
+// moves no vertex to another block is "absorbed" (every summary layer is
+// reused as it is), any other is a "delta". A batch whose maintenance
+// fails is rolled back out of the WAL and reported as an error. One batch
+// applies at a time; queries never block (they read the atomic index
+// pointer).
 type Mutator struct {
 	s   *Server
 	opt MutatorOptions
@@ -116,7 +118,7 @@ func NewMutator(s *Server, startSeq uint64, opt MutatorOptions) *Mutator {
 	m := &Mutator{s: s, opt: opt}
 	m.seq.Store(startSeq)
 	m.applyTotal = s.reg.CounterVec("bigindex_mutation_total",
-		"Mutation batches by outcome (absorbed, delta, invalid, wal_error, error).",
+		"Mutation batches by outcome: absorbed (every summary layer reused), delta (some summary layer changed), invalid, wal_error, error.",
 		"outcome")
 	m.applySec = s.reg.Histogram("bigindex_mutation_seconds",
 		"End-to-end mutation batch apply latency in seconds (WAL append + maintenance + swap).",
@@ -226,6 +228,7 @@ func (m *Mutator) Apply(ctx context.Context, req MutationRequest) (MutationResul
 	m.opt.Logger.Info("mutation applied",
 		"seq", seq, "path", res.Path, "epoch", res.Epoch,
 		"add_vertices", len(d.AddVertices), "add_edges", len(d.AddEdges), "remove_edges", len(d.RemoveEdges),
+		"changed_layers", rep.RecomputedLayers, "fallback_layers", rep.FallbackLayers,
 		"elapsed_ms", res.Elapsed.Milliseconds())
 
 	if m.opt.WAL != nil && m.opt.MaxWALBytes > 0 && m.opt.WAL.Size() > m.opt.MaxWALBytes {

@@ -202,10 +202,31 @@ func absorbableEdge(t *testing.T, idx *core.Index) graph.Edge {
 	return graph.Edge{}
 }
 
+// movingRemoval returns an edge (u, w) whose source has no other
+// successor in w's layer-1 block: removing it changes u's signature, so
+// u leaves its block and layer 1 changes.
+func movingRemoval(t *testing.T, idx *core.Index) graph.Edge {
+	t.Helper()
+	g, up := idx.Data(), idx.Layer(1).Up
+	for _, e := range g.Edges() {
+		same := 0
+		for _, w := range g.Out(e.From) {
+			if up[w] == up[e.To] {
+				same++
+			}
+		}
+		if same == 1 {
+			return e
+		}
+	}
+	t.Skip("no removal moves a vertex")
+	return graph.Edge{}
+}
+
 // The absorbed path end to end over HTTP: a signature-preserving pure-add
 // batch swaps in a new index that shares every summary layer with the old
 // one, still bumps the epoch (so a pre-batch cache entry is never served),
-// and a batch with a removal re-summarizes.
+// and a removal that moves a vertex to another layer-1 block is a delta.
 func TestAdminEdgesAbsorbedPath(t *testing.T) {
 	s, ds := testServer(t)
 	NewMutator(s, 0, MutatorOptions{})
@@ -243,7 +264,7 @@ func TestAdminEdgesAbsorbedPath(t *testing.T) {
 		t.Fatal("post-batch query served the pre-batch cache entry")
 	}
 
-	_, remove := pickMutation(t, after.Data())
+	remove := movingRemoval(t, after)
 	rec, body = postJSON(t, s, "/admin/edges", mutationBody(nil, &remove), nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("removal: %d: %s", rec.Code, rec.Body.String())

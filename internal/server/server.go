@@ -55,6 +55,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -437,13 +438,31 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // newIndexState derives a fresh bundle from an index version. It is a
 // method because the bundle's shard plan cache inherits the server's
 // partition options (one plan per graph, shared by every worker count).
+//
+// The text index depends only on the dictionary and on which of its
+// labels occur in the data graph, so it carries over from the served
+// bundle when both are unchanged — always after an edge-only mutation
+// batch.
 func (s *Server) newIndexState(idx *core.Index) *indexState {
+	g := idx.Data()
+	var tix *text.Index
+	if cur := s.state.Load(); cur != nil && sameLabels(cur.idx.Data(), g) {
+		tix = cur.tix
+	} else {
+		tix = text.NewIndex(g.Dict(), g)
+	}
 	return &indexState{
 		idx:   idx,
-		tix:   text.NewIndex(idx.Data().Dict(), idx.Data()),
+		tix:   tix,
 		plans: shard.NewPlanCache(shard.Options{BlockSize: s.opt.BlockSize}),
 		evs:   map[string]*core.Evaluator{},
 	}
+}
+
+// sameLabels reports whether a and b share a dictionary and the set of
+// labels that occur on their vertices.
+func sameLabels(a, b *graph.Graph) bool {
+	return a.Dict() == b.Dict() && slices.Equal(a.DistinctLabels(), b.DistinctLabels())
 }
 
 // st returns the current index state; handlers load it once at entry so a

@@ -25,7 +25,13 @@
 // clients cannot pin connections, and SIGINT/SIGTERM trigger a graceful
 // drain: /readyz flips to 503 (-drain-grace gives load balancers time to
 // notice), in-flight queries get -drain-timeout to finish, and the process
-// exits 0.
+// exits 0. SIGHUP is ignored.
+//
+// With -wal the index is live: POST /admin/edges applies a batch of edge
+// and vertex changes through core.Applied, after making it durable in the
+// write-ahead log, and swaps the result in without interrupting in-flight
+// queries. That is the only way the served index changes; boot replays the
+// log's tail on top of the -snapshot.
 //
 // Query results are cached (-cache-size, -cache-ttl, -cache-bytes;
 // internal/qcache) and -warm-file pre-populates the cache from a
@@ -51,7 +57,6 @@ import (
 
 	"bigindex/internal/core"
 	"bigindex/internal/datagen"
-	"bigindex/internal/graph"
 	"bigindex/internal/obs"
 	"bigindex/internal/server"
 	"bigindex/internal/shard"
@@ -88,19 +93,13 @@ func main() {
 	warmFile := flag.String("warm-file", "",
 		"pre-populate the query cache from this workload file before serving (one query per line: kw1,kw2 [| algo [| k]])")
 	snapshotFile := flag.String("snapshot", "",
-		"crash-safe index snapshot path: boot from it when valid (falling back to a rebuild on corruption or source mismatch), re-save after every build and reload")
+		"crash-safe index snapshot path: boot from it when valid (falling back to a rebuild on corruption or source mismatch), re-save after every build, WAL replay and compaction")
 	walFile := flag.String("wal", "",
 		"write-ahead log path; enables the live mutation API (POST /admin/edges): batches are fsynced here before applying, and boot replays the tail not yet covered by the snapshot")
 	walMaxBytes := flag.Int64("wal-max-bytes", 64<<20,
 		"auto-compact (persist snapshot, truncate WAL) once the log exceeds this size (0 = only manual POST /admin/compact)")
 	adminToken := flag.String("admin-token", "",
 		"shared secret required on the admin endpoints via X-Admin-Token or Authorization: Bearer (empty = no auth)")
-	reloadMinBackoff := flag.Duration("reload-min-backoff", time.Second,
-		"first retry delay after a failed reload (doubles per consecutive failure)")
-	reloadMaxBackoff := flag.Duration("reload-max-backoff", 5*time.Minute,
-		"retry delay cap for failed reloads")
-	reloadFails := flag.Int64("reload-fails", 5,
-		"consecutive reload failures before the circuit opens (stale index keeps serving; /stats and metrics report it)")
 	debugEndpoints := flag.Bool("debug-endpoints", false,
 		"expose the flight-recorder endpoints /debug/traces, /debug/active, /debug/index (off by default: they reveal query text)")
 	traceSample := flag.Float64("trace-sample", 0.01,
@@ -126,6 +125,9 @@ func main() {
 	shardTelemetrySample := flag.Float64("shard-telemetry-sample", 0.01,
 		"fraction of traced queries that carry distributed-tracing headers over shard RPCs and stitch peer spans/ledgers into /debug/traces (0 disables; answers are byte-identical either way)")
 	flag.Parse()
+	// Nothing reloads the index on SIGHUP; ignoring it from the start keeps
+	// a habitual kill -HUP from terminating the daemon, even mid-boot.
+	signal.Ignore(syscall.SIGHUP)
 
 	logger := obs.NewLogger(os.Stderr, parseLevel(*logLevel), *logFormat == "json")
 	if *shards < 0 {
@@ -144,10 +146,7 @@ func main() {
 	if err != nil {
 		fatal(logger, "bad preset", err)
 	}
-	snapLoadSec := reg.Gauge("bigindex_snapshot_load_seconds",
-		"Wall time of the last successful snapshot load.")
-	snapSaveSec := reg.Gauge("bigindex_snapshot_save_seconds",
-		"Wall time of the last successful snapshot save.")
+	snapLoadSec, snapSaveSec := snapshotGauges(reg)
 
 	idx, wlog, walSeq := bootIndex(ds, *snapshotFile, *walFile, reg, logger, snapLoadSec, snapSaveSec)
 	if wlog != nil {
@@ -242,9 +241,8 @@ func main() {
 	// Live mutation: with -wal set, POST /admin/edges mutates the served
 	// graph through delta maintenance, every accepted batch fsynced to the
 	// WAL before it is applied, and POST /admin/compact (or -wal-max-bytes)
-	// folds the log into the snapshot. Wired before the reloader so a
-	// mutation can never observe a half-wired admin surface.
-	var mut *server.Mutator
+	// folds the log into the snapshot. It is the one path that changes the
+	// served index.
 	if wlog != nil {
 		mopt := server.MutatorOptions{
 			WAL:         wlog,
@@ -256,50 +254,8 @@ func main() {
 				return persistSnapshot(*snapshotFile, idx, walMeta(ds, seq), logger, snapSaveSec)
 			}
 		}
-		mut = server.NewMutator(srv, walSeq, mopt)
+		server.NewMutator(srv, walSeq, mopt)
 	}
-
-	// Hot reload: POST /admin/reload or SIGHUP re-reads the data graph,
-	// rebuilds the hierarchy with the stored configurations, swaps it in
-	// without interrupting in-flight queries, then re-persists the
-	// snapshot and re-warms the cache. Failures keep the last good index
-	// serving and retry on a jittered exponential backoff. With a WAL the
-	// source is the *live* graph — mutation batches are part of the data
-	// now, so a reload recomputes the hierarchy in place instead of
-	// resurrecting the boot preset and silently discarding them.
-	rl := server.NewReloader(srv, server.ReloaderOptions{
-		Source: func(context.Context) (*graph.Graph, error) {
-			if wlog != nil {
-				return srv.Index().Data(), nil
-			}
-			fresh, err := presetByName(*preset)
-			if err != nil {
-				return nil, err
-			}
-			return fresh.Graph, nil
-		},
-		AfterSwap: func(ctx context.Context, idx *core.Index) error {
-			var errs []error
-			if *snapshotFile != "" {
-				meta := snapshot.Meta{CreatedUnix: time.Now().Unix(), BuildNote: ds.Name}
-				if mut != nil {
-					meta = walMeta(ds, mut.Seq())
-				}
-				errs = append(errs, persistSnapshot(*snapshotFile, idx, meta, logger, snapSaveSec))
-			}
-			if *warmFile != "" {
-				errs = append(errs, warmCache(srv, logger, *warmFile))
-			}
-			return errors.Join(errs...)
-		},
-		MinBackoff:    *reloadMinBackoff,
-		MaxBackoff:    *reloadMaxBackoff,
-		FailThreshold: *reloadFails,
-		Logger:        logger,
-	})
-	rlCtx, rlCancel := context.WithCancel(context.Background())
-	defer rlCancel()
-	go rl.Run(rlCtx)
 
 	wt := *writeTimeout
 	if wt == 0 {
@@ -321,12 +277,10 @@ func main() {
 	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	hups := make(chan os.Signal, 1)
-	signal.Notify(hups, syscall.SIGHUP)
 
 	logger.Info("serving", "dataset", ds.Name, "addr", ln.Addr().String(),
 		"query_timeout", *queryTimeout, "max_inflight", *maxInFlight)
-	if err := serve(ln, httpSrv, srv, logger, *drainGrace, *drainTimeout, sigs, hups, rl); err != nil {
+	if err := serve(ln, httpSrv, srv, logger, *drainGrace, *drainTimeout, sigs); err != nil {
 		fatal(logger, "listen", err)
 	}
 }
@@ -496,7 +450,7 @@ func bootIndex(ds *datagen.Dataset, snapPath, walPath string, reg *obs.Registry,
 
 	if snapPath != "" && (rebuilt || covered > 0) {
 		// Best effort: a failed save leaves the daemon serving; the next
-		// successful reload or compaction retries the persist.
+		// successful compaction retries the persist.
 		meta := snapshot.Meta{CreatedUnix: time.Now().Unix(), BuildNote: ds.Name}
 		if wlog != nil {
 			meta = walMeta(ds, covered)
@@ -504,6 +458,13 @@ func bootIndex(ds *datagen.Dataset, snapPath, walPath string, reg *obs.Registry,
 		_ = persistSnapshot(snapPath, idx, meta, logger, saveSec)
 	}
 	return idx, wlog, covered
+}
+
+// snapshotGauges registers the wall-time gauges of the last snapshot
+// load and save.
+func snapshotGauges(reg *obs.Registry) (load, save *obs.Gauge) {
+	return reg.Gauge("bigindex_snapshot_load_seconds", "Wall time of the last successful snapshot load."),
+		reg.Gauge("bigindex_snapshot_save_seconds", "Wall time of the last successful snapshot save.")
 }
 
 // walMeta is the snapshot metadata for a WAL-maintained index: it records
@@ -539,39 +500,30 @@ func persistSnapshot(path string, idx *core.Index, meta snapshot.Meta,
 // passes so they have a chance to notice, in-flight requests get up to
 // drainTimeout to finish via http.Server.Shutdown, and serve returns nil
 // for a clean exit 0. A listener error before any signal is returned as-is.
-// SIGHUP (hups) schedules an asynchronous index reload through rl and
-// keeps serving; both hups and rl may be nil (tests).
 func serve(ln net.Listener, httpSrv *http.Server, srv *server.Server, logger *slog.Logger,
-	grace, drainTimeout time.Duration, sigs, hups <-chan os.Signal, rl *server.Reloader) error {
+	grace, drainTimeout time.Duration, sigs <-chan os.Signal) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	for {
-		select {
-		case err := <-errCh:
-			if err == http.ErrServerClosed {
-				return nil
-			}
-			return err
-		case <-hups:
-			logger.Info("SIGHUP received; scheduling index reload")
-			if rl != nil {
-				rl.Trigger()
-			}
-		case sig := <-sigs:
-			logger.Info("shutdown signal received; draining",
-				"signal", fmt.Sprint(sig), "grace", grace, "timeout", drainTimeout)
-			srv.SetDraining(true)
-			time.Sleep(grace)
-			ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-			defer cancel()
-			if err := httpSrv.Shutdown(ctx); err != nil {
-				logger.Warn("drain timed out; forcing close", "err", err)
-				httpSrv.Close()
-			}
-			logger.Info("drained; exiting")
+	select {
+	case err := <-errCh:
+		if err == http.ErrServerClosed {
 			return nil
 		}
+		return err
+	case sig := <-sigs:
+		logger.Info("shutdown signal received; draining",
+			"signal", fmt.Sprint(sig), "grace", grace, "timeout", drainTimeout)
+		srv.SetDraining(true)
+		time.Sleep(grace)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		if err := httpSrv.Shutdown(ctx); err != nil {
+			logger.Warn("drain timed out; forcing close", "err", err)
+			httpSrv.Close()
+		}
+		logger.Info("drained; exiting")
+		return nil
 	}
 }
 

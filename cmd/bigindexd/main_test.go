@@ -136,7 +136,7 @@ func TestGracefulDrain(t *testing.T) {
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- serve(ln, httpSrv, srv, obs.DiscardLogger(), 600*time.Millisecond, 10*time.Second, sigs, nil, nil)
+		done <- serve(ln, httpSrv, srv, obs.DiscardLogger(), 600*time.Millisecond, 10*time.Second, sigs)
 	}()
 	base := "http://" + ln.Addr().String()
 

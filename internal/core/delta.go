@@ -6,8 +6,8 @@ import (
 )
 
 // Delta is one batch of data-graph mutations: vertices to append (by
-// dictionary label — new vocabulary requires a rebuild, matching the
-// Rebase policy), edges to add and edges to remove.
+// dictionary label — new vocabulary requires a rebuild), edges to add and
+// edges to remove.
 type Delta struct {
 	AddVertices []graph.Label
 	AddEdges    []graph.Edge

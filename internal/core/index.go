@@ -277,7 +277,7 @@ func (x *Index) Epoch() uint64 { return x.epoch.Load() }
 
 // RestoreEpoch overwrites the epoch counter. It exists solely so snapshot
 // restore can carry the persisted epoch across a process restart (keeping
-// /stats monotonic and staleness accounting honest); never call it on an
+// /stats monotonic); never call it on an
 // index that is serving traffic — epoch-keyed caches rely on the counter
 // only ever increasing.
 func (x *Index) RestoreEpoch(e uint64) { x.epoch.Store(e) }

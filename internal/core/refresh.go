@@ -12,19 +12,18 @@ import (
 // maintenance strategy of Sec. 3.2: label-to-supertype decisions rarely
 // change when edges and vertices do, so only the (cheap) Gen + Bisim
 // pipeline reruns, skipping Algorithm 1's configuration search entirely.
-// Hot reload calls it directly; Applied is the same loop told what
-// changed.
+// Applied is the same loop told what changed, and the one the server
+// runs; Refreshed is the whole-graph reference it is tested against
+// (TestAppliedMatchesRefreshed), byte for byte.
 //
 // The receiver is left untouched, so Refreshed is safe to call while x
-// concurrently serves queries: the caller swaps the returned index in
-// atomically once it is complete (the server's hot reload). The new
-// index's epoch is x's epoch + 1, so epoch-keyed result caches can never
-// answer post-swap traffic from pre-swap entries.
+// concurrently serves queries. The new index's epoch is x's epoch + 1, so
+// epoch-keyed result caches can never answer post-swap traffic from
+// pre-swap entries.
 //
 // The new graph must use the same dictionary as the old one (labels keep
-// their meaning; see graph.Rebase for bringing a freshly read graph onto
-// it). Layers whose configuration no longer generalizes anything present
-// in the evolved graph are dropped from the top.
+// their meaning). Layers whose configuration no longer generalizes
+// anything present in the evolved graph are dropped from the top.
 func (x *Index) Refreshed(g *graph.Graph) (*Index, error) {
 	if g.Dict() != x.layers[0].Graph.Dict() {
 		return nil, fmt.Errorf("core: Refreshed requires the original dictionary")

@@ -2,7 +2,7 @@
 // and filesystem hooks for crash-safety tests. The snapshot suite uses
 // them to kill writes at every byte offset, simulate disks that silently
 // drop tail bytes, make fsync or rename fail, and slow streams down so
-// reload/query interleavings become reproducible.
+// snapshot-write/query interleavings become reproducible.
 //
 // All injected failures return (or wrap) ErrInjected so tests can assert
 // the failure they caused is the failure they observed.
@@ -78,7 +78,7 @@ func (s *shortWriter) Write(p []byte) (int, error) {
 }
 
 // SlowWriter sleeps d before every Write, stretching the window in which
-// concurrent activity (queries, reloads, shutdown) can interleave with a
+// concurrent activity (queries, mutations, shutdown) can interleave with a
 // snapshot write.
 func SlowWriter(w io.Writer, d time.Duration) io.Writer {
 	return writerFunc(func(p []byte) (int, error) {

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc64"
 )
 
@@ -63,33 +62,4 @@ func (g *Graph) Digest() uint64 {
 	}
 	flush()
 	return h.Sum64()
-}
-
-// Rebase returns a copy of g whose labels are translated onto dict by
-// name. It is how a hot reload brings a freshly read or regenerated data
-// graph (which carries its own dictionary) into the dictionary of a live
-// index: Index.Refreshed requires the original dictionary, and that
-// dictionary must never be mutated while queries read it concurrently, so
-// Rebase only *looks up* names — a label of g whose name dict has never
-// interned is an error, not an Intern (new vocabulary requires a rebuild).
-//
-// Rebasing onto the dictionary g already uses returns g unchanged.
-func (g *Graph) Rebase(dict *Dict) (*Graph, error) {
-	if g.dict == dict {
-		return g, nil
-	}
-	labels := make([]Label, g.NumVertices())
-	xlat := make(map[Label]Label, len(g.posting))
-	for v, l := range g.labels {
-		nl, ok := xlat[l]
-		if !ok {
-			nl = dict.Lookup(g.dict.Name(l))
-			if nl == NoLabel {
-				return nil, fmt.Errorf("graph: label %q not in target dictionary", g.dict.Name(l))
-			}
-			xlat[l] = nl
-		}
-		labels[v] = nl
-	}
-	return FromEdges(dict, labels, g.Edges()), nil
 }

@@ -112,43 +112,3 @@ func TestDigestContentDefined(t *testing.T) {
 		t.Fatal("label rename did not change the digest")
 	}
 }
-
-func TestRebase(t *testing.T) {
-	g := testGraph(t)
-	// Same dict: identity, no copy.
-	if got, err := g.Rebase(g.Dict()); err != nil || got != g {
-		t.Fatalf("same-dict rebase: %v %v", got, err)
-	}
-
-	// A target dict with the same names under different Label values.
-	target := NewDict()
-	target.Intern("padding") // shift label numbering
-	target.Intern("y")
-	target.Intern("x")
-	got, err := g.Rebase(target)
-	if err != nil {
-		t.Fatalf("rebase: %v", err)
-	}
-	if got.Dict() != target {
-		t.Fatal("rebased graph not on target dict")
-	}
-	if got.Digest() != g.Digest() {
-		t.Fatal("rebase changed graph content")
-	}
-	for v := V(0); int(v) < g.NumVertices(); v++ {
-		if g.Dict().Name(g.Label(v)) != target.Name(got.Label(v)) {
-			t.Fatalf("vertex %d label name changed", v)
-		}
-	}
-
-	// A label missing from the target dict is a typed failure, not an
-	// Intern (reload must never mutate the live dictionary).
-	sparse := NewDict()
-	sparse.Intern("x")
-	if _, err := g.Rebase(sparse); err == nil {
-		t.Fatal("rebase onto incomplete dict must fail")
-	}
-	if sparse.Len() != 1 {
-		t.Fatal("failed rebase mutated the target dictionary")
-	}
-}

@@ -1,10 +1,8 @@
-// Package retry holds the retry primitives shared by everything in
-// bigindex that talks to something unreliable: exponential backoff with
-// jitter (the Reloader's schedule, the shardrpc client's between-attempt
-// waits) and a consecutive-failure circuit breaker with a half-open probe
-// state (the Reloader's reload circuit, the shardrpc client's per-peer
-// breakers). Both are small, deterministic under a seed, and safe for
-// concurrent use.
+// Package retry holds the shardrpc client's retry primitives: exponential
+// backoff with full jitter (the waits between attempts) and a
+// consecutive-failure circuit breaker with a half-open probe state (one
+// per peer). Both are small, deterministic under a seed or clock, and
+// safe for concurrent use.
 package retry
 
 import (
@@ -14,23 +12,15 @@ import (
 )
 
 // Backoff computes the delay before retry attempt n. The base delay grows
-// exponentially — Min × Factor^n, capped at Max — and jitter is layered on
-// top in one of two shapes:
-//
-//   - additive (Full == false): delay = base + base×Jitter×U(0,1), the
-//     Reloader's historical schedule — the base is a floor, jitter spreads
-//     a fleet that would otherwise retry in lockstep;
-//   - full (Full == true): delay = U(0, base), the classic "full jitter"
-//     of the AWS architecture blog — the right shape for RPC retries,
-//     where the goal is decorrelation and an immediate retry is fine.
+// exponentially — Min × 2^n, capped at Max — and the delay is drawn
+// uniformly from [0, base], the classic "full jitter" of the AWS
+// architecture blog: the right shape for RPC retries, where the goal is
+// decorrelation and an immediate retry is fine.
 //
 // The zero value is not usable; call New.
 type Backoff struct {
-	min    time.Duration
-	max    time.Duration
-	factor float64
-	jitter float64
-	full   bool
+	min time.Duration
+	max time.Duration
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -38,12 +28,9 @@ type Backoff struct {
 
 // BackoffOptions configures New. Zero values take the defaults noted.
 type BackoffOptions struct {
-	Min    time.Duration // first-attempt base delay (default 1s)
-	Max    time.Duration // base-delay cap (default 5m)
-	Factor float64       // base growth per attempt (default 2; values <= 1 mean 2)
-	Jitter float64       // additive-jitter fraction of the base (default 0.2; ignored when Full)
-	Full   bool          // full jitter: delay drawn uniformly from [0, base]
-	Seed   int64         // jitter stream seed (0 derives from the clock)
+	Min  time.Duration // first-attempt base delay (default 1s)
+	Max  time.Duration // base-delay cap (default 5m)
+	Seed int64         // jitter stream seed (0 derives from the clock)
 }
 
 // New returns a Backoff with opts applied over the defaults.
@@ -57,25 +44,14 @@ func New(opts BackoffOptions) *Backoff {
 	if opts.Max < opts.Min {
 		opts.Max = opts.Min
 	}
-	if opts.Factor <= 1 {
-		opts.Factor = 2
-	}
-	if opts.Jitter < 0 {
-		opts.Jitter = 0
-	} else if opts.Jitter == 0 {
-		opts.Jitter = 0.2
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
 	return &Backoff{
-		min:    opts.Min,
-		max:    opts.Max,
-		factor: opts.Factor,
-		jitter: opts.Jitter,
-		full:   opts.Full,
-		rng:    rand.New(rand.NewSource(seed)),
+		min: opts.Min,
+		max: opts.Max,
+		rng: rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -84,7 +60,7 @@ func New(opts BackoffOptions) *Backoff {
 func (b *Backoff) Base(attempt int) time.Duration {
 	d := float64(b.min)
 	for i := 0; i < attempt; i++ {
-		d *= b.factor
+		d *= 2
 		if d >= float64(b.max) {
 			return b.max
 		}
@@ -95,17 +71,14 @@ func (b *Backoff) Base(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// Delay returns the jittered delay for attempt n. Additive jitter keeps
-// the base as a floor; full jitter draws uniformly from [0, base].
+// Delay returns the jittered delay for attempt n, drawn uniformly from
+// [0, Base(n)].
 func (b *Backoff) Delay(attempt int) time.Duration {
 	base := b.Base(attempt)
 	b.mu.Lock()
 	u := b.rng.Float64()
 	b.mu.Unlock()
-	if b.full {
-		return time.Duration(u * float64(base))
-	}
-	return base + time.Duration(float64(base)*b.jitter*u)
+	return time.Duration(u * float64(base))
 }
 
 // State is a Breaker's position.
@@ -140,10 +113,6 @@ func (s State) String() string {
 // failure count. Callers refused while the probe is in flight get a
 // channel to wait on its outcome, so concurrent requests to a recovering
 // dependency queue behind the probe instead of failing beside it.
-//
-// Callers that only want the counting-and-state shape (the Reloader,
-// which retries on its own schedule regardless) can skip Allow and just
-// report Success/Failure, reading State for health.
 type Breaker struct {
 	threshold int64
 	cooldown  time.Duration
@@ -272,10 +241,4 @@ func (b *Breaker) Fails() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.fails
-}
-
-// Reset force-closes the breaker and zeroes the count (the Reloader's
-// MarkFresh path: an external signal proved the dependency healthy).
-func (b *Breaker) Reset() {
-	b.Success()
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBackoffBaseGrowthAndCap(t *testing.T) {
-	b := New(BackoffOptions{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Seed: 1})
+	b := New(BackoffOptions{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond, Seed: 1})
 	want := []time.Duration{
 		10 * time.Millisecond,
 		20 * time.Millisecond,
@@ -23,22 +23,8 @@ func TestBackoffBaseGrowthAndCap(t *testing.T) {
 	}
 }
 
-func TestAdditiveJitterBounds(t *testing.T) {
-	b := New(BackoffOptions{Min: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.25, Seed: 42})
-	for attempt := 0; attempt < 5; attempt++ {
-		base := b.Base(attempt)
-		lo, hi := base, base+time.Duration(float64(base)*0.25)
-		for i := 0; i < 200; i++ {
-			d := b.Delay(attempt)
-			if d < lo || d > hi {
-				t.Fatalf("attempt %d: delay %v outside additive-jitter bounds [%v, %v]", attempt, d, lo, hi)
-			}
-		}
-	}
-}
-
 func TestFullJitterBounds(t *testing.T) {
-	b := New(BackoffOptions{Min: 100 * time.Millisecond, Max: time.Second, Factor: 2, Full: true, Seed: 7})
+	b := New(BackoffOptions{Min: 100 * time.Millisecond, Max: time.Second, Seed: 7})
 	for attempt := 0; attempt < 5; attempt++ {
 		base := b.Base(attempt)
 		var minSeen, maxSeen time.Duration = base, 0
@@ -62,8 +48,8 @@ func TestFullJitterBounds(t *testing.T) {
 }
 
 func TestBackoffDeterministicUnderSeed(t *testing.T) {
-	a := New(BackoffOptions{Min: 50 * time.Millisecond, Full: true, Seed: 99})
-	b := New(BackoffOptions{Min: 50 * time.Millisecond, Full: true, Seed: 99})
+	a := New(BackoffOptions{Min: 50 * time.Millisecond, Seed: 99})
+	b := New(BackoffOptions{Min: 50 * time.Millisecond, Seed: 99})
 	for i := 0; i < 20; i++ {
 		if da, db := a.Delay(i%4), b.Delay(i%4); da != db {
 			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, da, db)
@@ -149,9 +135,9 @@ func TestBreakerStateStringAndReset(t *testing.T) {
 	}
 	b := NewBreaker(BreakerOptions{Threshold: 1})
 	b.Failure()
-	b.Reset()
+	b.Success()
 	if b.State() != Closed || b.Fails() != 0 {
-		t.Fatal("Reset should close and zero the breaker")
+		t.Fatal("Success should reset the breaker: close it and zero the count")
 	}
 }
 

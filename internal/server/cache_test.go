@@ -345,12 +345,14 @@ func TestWarm(t *testing.T) {
 		kw,
 		kw + " | bkws | 5",
 		"zzzznotaterm",
+		kw + " | bkws | 101", // k above MaxK: the same check /query makes
 	})
 	if n != 2 {
 		t.Fatalf("warmed %d queries, want 2 (err %v)", n, err)
 	}
-	if err == nil || !strings.Contains(err.Error(), "zzzznotaterm") {
-		t.Fatalf("bad line not reported: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "zzzznotaterm") ||
+		!strings.Contains(err.Error(), "k=101 out of range") {
+		t.Fatalf("bad lines not reported: %v", err)
 	}
 	if got := s.Cache().Len(); got != 2 {
 		t.Fatalf("cache entries after warm = %d, want 2", got)

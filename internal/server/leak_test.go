@@ -40,7 +40,7 @@ func bootQueryDrop(t *testing.T, seed int64, path func(kw string) string, collec
 // must not keep its graphs reachable once it is dropped. Routing used to
 // memoize per-graph branching factors in a process-wide map, which pinned
 // every layer graph of every index the process had ever routed over —
-// one data graph per boot, reload or /admin/edges batch.
+// one data graph per boot or /admin/edges batch.
 func TestServedGraphsAreCollectable(t *testing.T) {
 	for name, path := range map[string]func(string) string{
 		"query":   func(kw string) string { return "/query?q=" + kw + "&k=3&nocache=1" },

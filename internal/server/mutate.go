@@ -42,9 +42,9 @@ type MutatorOptions struct {
 }
 
 // MutationRequest is the POST /admin/edges body. Vertices are added by
-// label *name* and must already exist in the dictionary — new vocabulary
-// changes the label universe and requires a rebuild, exactly like the
-// reloader's Rebase policy.
+// label *name* and must already exist in the dictionary: new vocabulary
+// changes the label universe and requires a rebuild, so the dictionary
+// concurrent requests read is never mutated.
 type MutationRequest struct {
 	AddVertices []string       `json:"add_vertices,omitempty"`
 	AddEdges    []mutationEdge `json:"add_edges,omitempty"`
@@ -94,7 +94,7 @@ type Mutator struct {
 	opt MutatorOptions
 
 	mu        sync.Mutex    // serializes Apply and Compact
-	seq       atomic.Uint64 // last applied batch sequence (atomic: read by stats/AfterSwap without mu)
+	seq       atomic.Uint64 // last applied batch sequence (atomic: read by stats without mu)
 	lastApply atomic.Int64  // unix nanos of the last successful apply
 
 	applyTotal  *obs.CounterVec
@@ -136,11 +136,6 @@ func NewMutator(s *Server, startSeq uint64, opt MutatorOptions) *Mutator {
 	return m
 }
 
-// Seq reports the sequence number of the last applied batch. Lock-free on
-// purpose: the daemon's AfterSwap hook reads it while the reloader holds
-// its own lock, and a mutex here would couple the two lock orders.
-func (m *Mutator) Seq() uint64 { return m.seq.Load() }
-
 // Health reports the mutation service's current state.
 func (m *Mutator) Health() MutationHealth {
 	h := MutationHealth{Seq: m.seq.Load()}
@@ -156,20 +151,10 @@ func (m *Mutator) Health() MutationHealth {
 // Apply runs one mutation batch end to end: validate against the served
 // index, append to the WAL (durability point — only after the fsync
 // returns is the batch acknowledged), apply via core.Applied, swap
-// atomically, bump the epoch, refresh staleness.
+// atomically, bump the epoch.
 func (m *Mutator) Apply(ctx context.Context, req MutationRequest) (MutationResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Also serialize against reloads: a reload snapshots the live graph,
-	// rebuilds, and swaps — a mutation landing in between would be
-	// overwritten by the swap while the WAL claims it applied. Lock order
-	// is m.mu then rl.mu everywhere, and Reload's AfterSwap reads the
-	// sequence through the atomic, so the orders never cross.
-	rl := m.s.reloader.Load()
-	if rl != nil {
-		rl.mu.Lock()
-		defer rl.mu.Unlock()
-	}
 	start := time.Now()
 
 	cur := m.s.Index()
@@ -219,9 +204,6 @@ func (m *Mutator) Apply(ctx context.Context, req MutationRequest) (MutationResul
 	}
 	m.seq.Store(seq)
 	m.lastApply.Store(time.Now().UnixNano())
-	if rl != nil {
-		rl.MarkFresh() // a mutated index is a fresh index, not a stale one
-	}
 	res.Elapsed = time.Since(start)
 	m.applyTotal.With(res.Path).Inc()
 	m.applySec.Observe(res.Elapsed.Seconds())

@@ -10,8 +10,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"sync"
 	"testing"
-	"time"
 
 	"bigindex/internal/core"
 	"bigindex/internal/datagen"
@@ -312,8 +312,8 @@ func TestAdminEdgesValidation(t *testing.T) {
 	if got := s.Index().Epoch(); got != 0 {
 		t.Fatalf("rejected batches advanced epoch to %d", got)
 	}
-	if mut := s.mutator.Load(); mut.Seq() != 0 {
-		t.Fatalf("rejected batches advanced seq to %d", mut.Seq())
+	if seq := s.mutator.Load().Health().Seq; seq != 0 {
+		t.Fatalf("rejected batches advanced seq to %d", seq)
 	}
 }
 
@@ -357,7 +357,13 @@ func TestAdminTokenGate(t *testing.T) {
 	NewMutator(s, 0, MutatorOptions{})
 	add, _ := pickMutation(t, s.Index().Data())
 
-	for _, path := range []string{"/admin/reload", "/admin/edges", "/admin/compact"} {
+	// /admin/reload is not routed: 404, token or not.
+	for _, hdr := range []map[string]string{nil, {"X-Admin-Token": "sesame"}} {
+		if rec, _ := postJSON(t, s, "/admin/reload", nil, hdr); rec.Code != http.StatusNotFound {
+			t.Fatalf("POST /admin/reload (token %v): %d, want 404", hdr != nil, rec.Code)
+		}
+	}
+	for _, path := range []string{"/admin/edges", "/admin/compact"} {
 		// GET is rejected with 405 + Allow before anything else.
 		rec, _ := get(t, s, path)
 		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != http.MethodPost {
@@ -373,44 +379,67 @@ func TestAdminTokenGate(t *testing.T) {
 	}
 
 	// A correct token passes the gate (both header forms) and reaches the
-	// handler: /admin/edges applies, the others report their wiring state.
+	// handler: /admin/edges applies, /admin/compact reports its wiring state.
 	rec, _ := postJSON(t, s, "/admin/edges", mutationBody(&add, nil),
 		map[string]string{"X-Admin-Token": "sesame"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("authorized mutation: %d: %s", rec.Code, rec.Body.String())
 	}
-	rec, _ = postJSON(t, s, "/admin/reload", nil,
+	rec, _ = postJSON(t, s, "/admin/compact", nil,
 		map[string]string{"Authorization": "Bearer sesame"})
-	if rec.Code != http.StatusNotImplemented { // no reloader wired; gate passed
-		t.Fatalf("authorized reload: %d, want 501", rec.Code)
+	if rec.Code == http.StatusUnauthorized {
+		t.Fatalf("authorized compact: %d, want past the gate", rec.Code)
 	}
 }
 
-// Satellite check: a delta apply must reset staleness and close the
-// reload circuit — dashboards must not show a freshly mutated index as
-// stale just because no full reload ran.
-func TestMutationResetsStaleness(t *testing.T) {
-	s, _ := testServer(t)
-	rl := NewReloader(s, ReloaderOptions{Source: regenSource(nil)})
+// In-flight queries run against a consistent index bundle while mutation
+// batches swap new versions in underneath them; run with -race this is the
+// hot-swap safety proof.
+func TestQueriesDuringSwaps(t *testing.T) {
+	s, ds := testServer(t)
 	NewMutator(s, 0, MutatorOptions{})
+	kw := popularTerm(ds)
 
-	// Pretend the index went stale an hour ago with a tripped circuit.
-	rl.lastOK.Store(time.Now().Add(-time.Hour).UnixNano())
-	for i := 0; i < 7; i++ {
-		rl.breaker.Failure()
+	var wg, started sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(algo string) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				req := httptest.NewRequest(http.MethodGet, "/query?q="+kw+"&algo="+algo+"&k=3", nil)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, req)
+				if n == 0 {
+					started.Done()
+				}
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s during swap: %d: %s", algo, rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}([]string{"bkws", "bidir", "blinks", "rclique"}[i])
 	}
-
-	add, _ := pickMutation(t, s.Index().Data())
-	rec, _ := postJSON(t, s, "/admin/edges", mutationBody(&add, nil), nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("mutation: %d: %s", rec.Code, rec.Body.String())
+	started.Wait() // every reader is in its loop before the first swap
+	// Remove an edge, put it back, remove it again: three batches, three swaps.
+	e := s.Index().Data().Edges()[0]
+	for i, body := range []map[string]interface{}{
+		mutationBody(nil, &e), mutationBody(&e, nil), mutationBody(nil, &e),
+	} {
+		if rec, _ := postJSON(t, s, "/admin/edges", body, nil); rec.Code != http.StatusOK {
+			t.Errorf("batch %d: %d: %s", i, rec.Code, rec.Body.String())
+		}
 	}
-	h := rl.Health()
-	if h.Staleness > time.Minute {
-		t.Fatalf("staleness after mutation: %v, want ~0", h.Staleness)
-	}
-	if h.ConsecutiveFailures != 0 || h.CircuitOpen {
-		t.Fatalf("mutation did not close the circuit: %+v", h)
+	close(stop)
+	wg.Wait()
+	if got := s.Index().Epoch(); got != 3 {
+		t.Fatalf("epoch = %d, want 3", got)
 	}
 }
 

@@ -254,6 +254,9 @@ func TestMalformedParams(t *testing.T) {
 	bad := []string{
 		"/query?q=" + kw + "&k=abc",
 		"/query?q=" + kw + "&k=2.5",
+		"/query?q=" + kw + "&k=0",
+		"/query?q=" + kw + "&k=-3",
+		"/query?q=" + kw + "&k=101", // above the default MaxK of 100
 		"/query?q=" + kw + "&layer=abc",
 		"/query?q=" + kw + "&layer=99",
 		"/query?q=" + kw + "&timeout=abc",
@@ -273,6 +276,7 @@ func TestMalformedParams(t *testing.T) {
 	for _, path := range []string{
 		"/query?q=" + kw,
 		"/query?q=" + kw + "&timeout=5s",
+		"/query?q=" + kw + "&k=100",
 		"/complete?prefix=term",
 	} {
 		rec, _ := get(t, s, path)

@@ -84,7 +84,8 @@ type Options struct {
 	DMax int
 	// BlockSize is Blinks' partition block size.
 	BlockSize int
-	// MaxK caps the top-k a client may request (0 = 100).
+	// MaxK bounds the top-k a client may request (0 = 100): /query
+	// answers a k outside 1..MaxK with 400, and Warm rejects the line.
 	MaxK int
 	// Metrics is the registry served at /metrics. Nil creates a private
 	// one; pass the registry used for core.Build to expose build gauges
@@ -188,16 +189,17 @@ type CacheOptions struct {
 
 // indexState bundles everything derived from one version of the index:
 // the index itself, the text index over its data graph, and the shared
-// evaluators (which cache per-layer prepared indexes). A hot reload swaps
-// the whole bundle atomically, so a request that loaded the state at entry
-// sees one consistent version end to end; the old bundle stays valid for
-// requests still holding it and is garbage-collected when they finish.
+// evaluators (which cache per-layer prepared indexes). An applied mutation
+// batch swaps the whole bundle atomically (SwapIndex), so a request that
+// loaded the state at entry sees one consistent version end to end; the
+// old bundle stays valid for requests still holding it and is
+// garbage-collected when they finish.
 type indexState struct {
 	idx *core.Index
 	tix *text.Index
 	// plans caches the shard execution plan per layer graph of this index
 	// version. Tying the cache to the bundle is what gives sharded
-	// queries epoch consistency under hot swaps: a request resolves both
+	// queries epoch consistency under index swaps: a request resolves both
 	// its graphs and its plans through the one bundle it loaded at entry,
 	// so a concurrent SwapIndex can never mix a new graph with an old
 	// partition (or vice versa) inside one query.
@@ -214,14 +216,13 @@ type Server struct {
 	mux      *http.ServeMux
 	handler  http.Handler
 	boot     time.Time
-	sem      chan struct{}            // load-shedding slots (nil = unbounded)
-	draining atomic.Bool              // readiness flips to 503 during shutdown drain
-	cache    *qcache.Cache            // query result cache (nil = disabled)
-	reloader atomic.Pointer[Reloader] // set by SetReloader; nil = /admin/reload disabled
-	mutator  atomic.Pointer[Mutator]  // set by SetMutator; nil = /admin/edges disabled
-	recorder *obs.Recorder            // flight recorder (nil = disabled)
-	audit    *costAudit               // Formula 4 calibration audit (costmodel.go)
-	shardMet *shard.Metrics           // shard query/task/portal/round metrics
+	sem      chan struct{}           // load-shedding slots (nil = unbounded)
+	draining atomic.Bool             // readiness flips to 503 during shutdown drain
+	cache    *qcache.Cache           // query result cache (nil = disabled)
+	mutator  atomic.Pointer[Mutator] // set by SetMutator; nil = /admin/edges disabled
+	recorder *obs.Recorder           // flight recorder (nil = disabled)
+	audit    *costAudit              // Formula 4 calibration audit (costmodel.go)
+	shardMet *shard.Metrics          // shard query/task/portal/round metrics
 
 	reg       *obs.Registry
 	cacheSec  *obs.HistogramVec // end-to-end /query latency by cache outcome
@@ -244,7 +245,7 @@ type Server struct {
 	genChecks   *obs.CounterVec // Def 4.2/4.3 qualification checks, by kind and result
 	specFanout  *obs.Histogram  // candidates per layer-descent step
 
-	// Index-shape gauges, re-set on every hot swap.
+	// Index-shape gauges, re-set on every index swap.
 	idxLayers *obs.Gauge
 	idxSize   *obs.Gauge
 	gVerts    *obs.Gauge
@@ -257,7 +258,7 @@ type Server struct {
 var knownPaths = map[string]bool{
 	"/query": true, "/explain": true, "/complete": true,
 	"/stats": true, "/metrics": true, "/healthz": true, "/readyz": true,
-	"/admin/reload": true, "/admin/edges": true, "/admin/compact": true,
+	"/admin/edges": true, "/admin/compact": true,
 	"/debug/traces": true, "/debug/active": true, "/debug/index": true,
 	"/debug/costmodel": true, "/debug/fleet": true,
 }
@@ -397,7 +398,6 @@ func New(idx *core.Index, ont *ontology.Ontology, opt Options) *Server {
 	s.mux.HandleFunc("/explain", s.handleExplain)
 	s.mux.HandleFunc("/complete", s.handleComplete)
 	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/admin/reload", s.adminOnly(s.handleAdminReload))
 	s.mux.HandleFunc("/admin/edges", s.adminOnly(s.handleAdminEdges))
 	s.mux.HandleFunc("/admin/compact", s.adminOnly(s.handleAdminCompact))
 	s.mux.HandleFunc("/healthz", s.handleHealth)
@@ -472,7 +472,8 @@ func (s *Server) st() *indexState { return s.state.Load() }
 // Index returns the currently served index.
 func (s *Server) Index() *core.Index { return s.st().idx }
 
-// SwapIndex atomically replaces the served index with a new version: the
+// SwapIndex atomically replaces the served index with a new version (the
+// mutation service's one write path, after each applied batch): the
 // text index and evaluator pool are rebuilt against it, the index-shape
 // gauges are re-set, and subsequent requests see only the new bundle.
 // In-flight requests finish against the version they started with — both
@@ -492,10 +493,6 @@ func (s *Server) setIndexGauges(idx *core.Index) {
 	s.gVerts.Set(float64(idx.Data().NumVertices()))
 	s.gEdges.Set(float64(idx.Data().NumEdges()))
 }
-
-// SetReloader wires a Reloader into the server: /admin/reload starts
-// delegating to it and /stats reports its health. Called once at startup.
-func (s *Server) SetReloader(r *Reloader) { s.reloader.Store(r) }
 
 // SetMutator wires a Mutator into the server: /admin/edges and
 // /admin/compact start delegating to it and /stats reports its state.
@@ -805,18 +802,17 @@ func (s *Server) Warm(ctx context.Context, queries []string) (int, error) {
 		for i := range fields {
 			fields[i] = strings.TrimSpace(fields[i])
 		}
-		algoName := ""
-		k := 10
+		algoName, rawK := "", ""
 		if len(fields) > 1 {
 			algoName = fields[1]
 		}
-		if len(fields) > 2 && fields[2] != "" {
-			v, err := strconv.Atoi(fields[2])
-			if err != nil || v <= 0 || v > s.opt.MaxK {
-				errs = append(errs, fmt.Errorf("warm %q: bad k %q", line, fields[2]))
-				continue
-			}
-			k = v
+		if len(fields) > 2 {
+			rawK = fields[2]
+		}
+		k, err := s.parseK(rawK)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("warm %q: %w", line, err))
+			continue
 		}
 		q, _, err := s.resolveKeywords(st, strings.Split(fields[0], ","))
 		if err != nil {
@@ -877,6 +873,23 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
+// parseK is the one parser of a requested top-k, for /query's &k= and the
+// warm file's third field: empty means 10, anything but an integer in
+// 1..MaxK is an error.
+func (s *Server) parseK(raw string) (int, error) {
+	if raw == "" {
+		return 10, nil
+	}
+	k, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, fmt.Errorf("parameter k=%q is not an integer", raw)
+	}
+	if k <= 0 || k > s.opt.MaxK {
+		return 0, fmt.Errorf("parameter k=%d out of range (1..%d)", k, s.opt.MaxK)
+	}
+	return k, nil
+}
+
 // queryDeadline resolves the effective evaluation deadline: the server's
 // QueryTimeout, optionally shortened (never extended) by a &timeout=
 // duration parameter.
@@ -933,13 +946,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	algoName := r.URL.Query().Get("algo")
-	k, err := intParam(r, "k", 10)
+	k, err := s.parseK(r.URL.Query().Get("k"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	if k <= 0 || k > s.opt.MaxK {
-		k = 10
 	}
 	forcedLayer, err := intParam(r, "layer", -1)
 	if err != nil {
@@ -1244,12 +1254,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Misses  int64 `json:"misses"`
 		Shared  int64 `json:"shared"`
 	}
-	type reloadJSON struct {
-		LastSuccess      string `json:"last_success"`
-		StalenessSeconds int64  `json:"staleness_seconds"`
-		Failures         int64  `json:"consecutive_failures"`
-		CircuitOpen      bool   `json:"circuit_open"`
-	}
 	type mutationJSON struct {
 		Seq       uint64 `json:"seq"`
 		WALBytes  int64  `json:"wal_bytes"`
@@ -1280,7 +1284,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Layers   []core.LayerStats  `json:"layers"`
 		Epoch    uint64             `json:"epoch"`
 		Cache    *cacheJSON         `json:"cache,omitempty"`
-		Reload   *reloadJSON        `json:"reload,omitempty"`
 		Mutation *mutationJSON      `json:"mutation,omitempty"`
 		Recorder *obs.RecorderStats `json:"recorder,omitempty"`
 		Shard    shardJSON          `json:"shard"`
@@ -1307,15 +1310,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.recorder != nil {
 		occ := s.recorder.Occupancy()
 		out.Recorder = &occ
-	}
-	if rl := s.reloader.Load(); rl != nil {
-		h := rl.Health()
-		out.Reload = &reloadJSON{
-			LastSuccess:      h.LastSuccess.UTC().Format(time.RFC3339),
-			StalenessSeconds: int64(h.Staleness.Seconds()),
-			Failures:         h.ConsecutiveFailures,
-			CircuitOpen:      h.CircuitOpen,
-		}
 	}
 	if mut := s.mutator.Load(); mut != nil {
 		h := mut.Health()

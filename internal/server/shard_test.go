@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -10,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"bigindex/internal/graph"
 )
 
 // TestShardParamValidation: &shards= follows the strict parameter
@@ -186,21 +183,15 @@ func TestShardMetrics(t *testing.T) {
 	}
 }
 
-// TestShardMutateReloadRace is the -race stress gate: concurrent sharded
-// queries interleave with /admin/edges mutation batches and /admin/reload
-// hot swaps. Every query must come back 200 (each request resolves graph,
-// plan, and evaluator through one atomically-loaded bundle), and after
-// quiescing the sharded answers must be byte-identical to sequential on
-// the final index.
-func TestShardMutateReloadRace(t *testing.T) {
+// TestShardMutateSwapRace is the -race stress gate: concurrent sharded
+// queries interleave with index swaps from two /admin/edges writers. Every
+// query must come back 200 (each request resolves graph, plan, and
+// evaluator through one atomically-loaded bundle), and after quiescing the
+// sharded answers must be byte-identical to sequential on the final index.
+func TestShardMutateSwapRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	s, ds := testServer(t)
 	NewMutator(s, 0, MutatorOptions{}) // nil WAL: in-memory mutation only
-	// Reload recomputes the hierarchy over the *live* (mutated) graph,
-	// mirroring bigindexd's WAL deployment wiring.
-	NewReloader(s, ReloaderOptions{Source: func(context.Context) (*graph.Graph, error) {
-		return s.Index().Data(), nil
-	}})
 	kw := popularTerm(ds)
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -224,53 +215,41 @@ func TestShardMutateReloadRace(t *testing.T) {
 		}(algo)
 	}
 
-	// Mutator: applies a valid edge flip against the graph version it
-	// loaded; a concurrent reload can invalidate the pick, which the
-	// admission layer rejects with a client error — that's fine, only
-	// 5xx would indicate torn state.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for time.Now().Before(deadline) {
-			g := s.Index().Data()
-			es := g.Edges()
-			if len(es) == 0 {
-				return
+	// Writers: each flips an edge picked from the graph version it loaded;
+	// the other writer's batch can invalidate the pick, which the
+	// admission layer rejects with a client error — that's fine, only 5xx
+	// would indicate torn state.
+	for _, pick := range []func(n int) int{
+		func(n int) int { return n / 2 },
+		func(n int) int { return n / 3 },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				es := s.Index().Data().Edges()
+				if len(es) == 0 {
+					return
+				}
+				e := es[pick(len(es))]
+				for _, body := range []map[string]interface{}{mutationBody(nil, &e), mutationBody(&e, nil)} {
+					rec, _ := postJSON(t, s, "/admin/edges", body, nil)
+					if rec.Code >= 500 {
+						failures.Add(1)
+						t.Errorf("mutation: %d: %s", rec.Code, rec.Body.String())
+						return
+					}
+				}
 			}
-			e := es[len(es)/2]
-			rec, _ := postJSON(t, s, "/admin/edges", mutationBody(nil, &e), nil)
-			if rec.Code >= 500 {
-				failures.Add(1)
-				t.Errorf("mutation: %d: %s", rec.Code, rec.Body.String())
-				return
-			}
-			rec, _ = postJSON(t, s, "/admin/edges", mutationBody(&e, nil), nil)
-			if rec.Code >= 500 {
-				failures.Add(1)
-				t.Errorf("mutation: %d: %s", rec.Code, rec.Body.String())
-				return
-			}
-		}
-	}()
-
-	// Reloader: full hierarchy rebuild + atomic swap, concurrently.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for time.Now().Before(deadline) {
-			rec, _ := post(t, s, "/admin/reload")
-			if rec.Code >= 500 {
-				failures.Add(1)
-				t.Errorf("reload: %d: %s", rec.Code, rec.Body.String())
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}()
+		}()
+	}
 
 	wg.Wait()
 	if failures.Load() > 0 {
 		t.Fatal("stress run had failures")
+	}
+	if s.Index().Epoch() == 0 {
+		t.Fatal("no batch applied: the queries never raced a swap")
 	}
 
 	// Quiesced equivalence: on the settled index, sharded == sequential.

@@ -128,7 +128,7 @@ func (p *Plan) seedsByBlock(l graph.Label) map[int][]graph.V {
 }
 
 // PlanCache builds and caches one Plan per graph identity. Graphs are
-// immutable (mutations and reloads swap in a new *graph.Graph), so the
+// immutable (a mutation batch swaps in a new *graph.Graph), so the
 // pointer is a sound cache key and a cached plan can never go stale —
 // this is also what gives sharded queries epoch consistency: a query
 // resolves its plan through the index-state bundle it loaded at entry,

@@ -170,7 +170,6 @@ func NewClient(opt ClientOptions) *Client {
 	if opt.Backoff.Max <= 0 {
 		opt.Backoff.Max = defaultBackoffMax
 	}
-	opt.Backoff.Full = true // AWS-style full jitter for RPC storms
 	if opt.BreakerThreshold <= 0 {
 		opt.BreakerThreshold = defaultBreakThreshold
 	}

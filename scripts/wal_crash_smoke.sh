@@ -3,7 +3,8 @@
 # admin token, mutate the live graph through POST /admin/edges, kill the
 # daemon with SIGKILL (no drain, no compaction), restart it, and assert the
 # reborn process converged: same mutation sequence, same graph shape, and a
-# byte-identical query answer. Then prove the write path survived recovery
+# byte-identical query answer. Check that /admin/reload is gone and that
+# SIGHUP changes nothing. Then prove the write path survived recovery
 # (another batch + a manual compaction). CI runs this next to
 # replay_smoke.sh; it is also handy locally:
 #
@@ -49,6 +50,9 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/admin/edges")
 [ "$code" = 405 ] || { echo "GET /admin/edges returned $code, want 405" >&2; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/admin/edges" -d '{}')
 [ "$code" = 401 ] || { echo "unauthenticated mutation returned $code, want 401" >&2; exit 1; }
+# /admin/edges is the one way to change the index; /admin/reload is not routed.
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H "X-Admin-Token: $token" "http://$addr/admin/reload")
+[ "$code" = 404 ] || { echo "POST /admin/reload returned $code, want 404" >&2; exit 1; }
 
 # One batch: a new vertex (existing label -> id = current |V|) plus an edge
 # from it into the graph. Acknowledged means fsynced to the WAL.
@@ -82,6 +86,15 @@ post_query=$(curl -fsS "http://$addr/query?q=demo/term/0&algo=blinks&k=5&nocache
   echo "after:  $post_query" >&2
   exit 1
 }
+
+# SIGHUP is ignored: the daemon neither dies nor changes what it serves.
+kill -HUP "$daemon_pid"
+sleep 0.5
+kill -0 "$daemon_pid" 2>/dev/null || { echo "daemon died on SIGHUP" >&2; cat "$workdir/daemon.log" >&2; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/readyz")
+[ "$code" = 200 ] || { echo "/readyz after SIGHUP returned $code, want 200" >&2; exit 1; }
+hup_query=$(curl -fsS "http://$addr/query?q=demo/term/0&algo=blinks&k=5&nocache=1" | normalize)
+[ "$hup_query" = "$post_query" ] || { echo "query answers changed after SIGHUP" >&2; exit 1; }
 
 # The write path survived recovery: another batch continues the sequence,
 # and a manual compaction folds the log into the snapshot.

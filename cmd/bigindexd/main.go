@@ -112,14 +112,12 @@ func main() {
 		"rotate the query log once it reaches this size (one .1 predecessor is kept)")
 	shadowSample := flag.Float64("costmodel-shadow", 0,
 		"probability of re-evaluating a routed query at the runner-up layer to measure cost-model misroutes (0 = off)")
-	shards := flag.Int("shards", 0,
-		"default worker count for partition-sharded bkws/bidir execution; &shards= overrides per query (0 = sequential, clamped to GOMAXPROCS)")
 	shardServe := flag.String("shard-serve", "",
 		"run as a shard server instead of the HTTP daemon: boot the index, then answer shardrpc expansion/verification on this address until SIGTERM")
 	shardBlocks := flag.String("shard-blocks", "all",
 		"with -shard-serve, which plan blocks this process answers: 'all', a list like '0,2-5', or a residue class like '0%2'")
 	shardPeers := flag.String("shard-peers", "",
-		"serve sharded data-graph execution through these shardrpc peers: 'addr[=blocks];...' or '@file' (one entry per line, # comments); every block needs at least one replica or queries degrade")
+		"run bkws/bidir layer-0 expansion on these shardrpc peers: 'addr[=blocks];...' or '@file' (one entry per line, # comments); every block needs at least one replica or queries degrade; summary layers and a data graph the peers no longer serve search in process")
 	shardBlockSize := flag.Int("shard-block-size", 0,
 		"partition block size for sharded execution; must match across coordinator and shard servers (0 = default)")
 	shardTelemetrySample := flag.Float64("shard-telemetry-sample", 0.01,
@@ -130,9 +128,6 @@ func main() {
 	signal.Ignore(syscall.SIGHUP)
 
 	logger := obs.NewLogger(os.Stderr, parseLevel(*logLevel), *logFormat == "json")
-	if *shards < 0 {
-		fatal(logger, "bad flag", fmt.Errorf("-shards must be >= 0, got %d", *shards))
-	}
 	if *shardServe != "" && *shardPeers != "" {
 		fatal(logger, "bad flag", fmt.Errorf("-shard-serve and -shard-peers are mutually exclusive (a process is a shard server or a coordinator, not both)"))
 	}
@@ -180,12 +175,6 @@ func main() {
 			Logger:          logger,
 		})
 		defer shardClient.Close()
-		if *shards == 0 {
-			// A fleet without an explicit -shards default: the sharded
-			// execution path must engage for the peers to matter at all.
-			*shards = 1
-			logger.Info("-shard-peers set; defaulting -shards to 1")
-		}
 		logger.Info("shard fleet configured", "peers", shardClient.Peers())
 	}
 
@@ -227,7 +216,6 @@ func main() {
 		QueryLog:     qlog,
 		ShadowSample: *shadowSample,
 		AdminToken:   *adminToken,
-		Shards:       *shards,
 		BlockSize:    *shardBlockSize,
 		ShardClient:  shardClient,
 	})

@@ -43,9 +43,9 @@ func startPeer(t *testing.T, plan *shard.Plan) (*shardrpc.Server, string) {
 }
 
 // TestRemoteQueryMatchesInProcess: with a healthy two-replica fleet, the
-// remote sharded path returns byte-identical JSON matches to in-process
-// sharded execution, with no degradation and no coverage block, and
-// /stats reports the fleet.
+// remote sharded path returns byte-identical JSON matches to the
+// in-process sequential search, with no degradation and no coverage
+// block, and /stats reports the fleet.
 func TestRemoteQueryMatchesInProcess(t *testing.T) {
 	ds, idx, plan := remoteIndex(t)
 	_, a1 := startPeer(t, plan)
@@ -62,7 +62,7 @@ func TestRemoteQueryMatchesInProcess(t *testing.T) {
 	kw := popularTerm(ds)
 
 	for _, algo := range []string{"bkws", "bidir"} {
-		path := "/query?q=" + kw + "&algo=" + algo + "&shards=2&k=5&layer=0&nocache=1"
+		path := "/query?q=" + kw + "&algo=" + algo + "&k=5&layer=0&nocache=1"
 		rrec, rbody := get(t, remote, path)
 		lrec, lbody := get(t, local, path)
 		if rrec.Code != http.StatusOK || lrec.Code != http.StatusOK {
@@ -115,7 +115,7 @@ func TestRemoteShardLossDegradesAndRecovers(t *testing.T) {
 	t.Cleanup(cl.Close)
 	s := New(idx, ds.Ont, Options{DMax: 3, BlockSize: 64, ShardClient: cl})
 	kw := popularTerm(ds)
-	path := "/query?q=" + kw + "&algo=bkws&shards=2&k=5&layer=0"
+	path := "/query?q=" + kw + "&algo=bkws&k=5&layer=0"
 
 	// Healthy baseline (uncached), and the readiness gate is open.
 	rec, healthy := get(t, s, path+"&nocache=1")
@@ -232,7 +232,7 @@ func TestRemoteFleetDebugAndPeerAttribution(t *testing.T) {
 		Debug: DebugOptions{Endpoints: true, Sample: 1},
 	})
 	kw := popularTerm(ds)
-	path := "/query?q=" + kw + "&algo=bkws&shards=2&k=5&layer=0&nocache=1"
+	path := "/query?q=" + kw + "&algo=bkws&k=5&layer=0&nocache=1"
 
 	// Fleet view while healthy: the one peer row carries negotiated
 	// telemetry and an in-process stats snapshot.
@@ -286,9 +286,10 @@ func TestRemoteFleetDebugAndPeerAttribution(t *testing.T) {
 }
 
 // TestRemoteStaleFleetFallsBackToLocal: peers serving a different graph
-// (digest mismatch) are detected at plan-bind time and the coordinator
-// runs in-process — reachable-but-wrong is a configuration problem, not
-// an outage, so answers stay exact rather than degraded.
+// (digest mismatch) are detected when the evaluator prepares the data
+// graph, and the search runs sequentially in process — reachable-but-wrong
+// is a configuration problem, not an outage, so answers stay exact rather
+// than degraded, and nothing is sent to the peers.
 func TestRemoteStaleFleetFallsBackToLocal(t *testing.T) {
 	ds, idx, _ := remoteIndex(t)
 	other := datagen.Generate(datagen.Options{
@@ -306,7 +307,7 @@ func TestRemoteStaleFleetFallsBackToLocal(t *testing.T) {
 	s := New(idx, ds.Ont, Options{DMax: 3, BlockSize: 64, ShardClient: cl})
 	local := New(idx, ds.Ont, Options{DMax: 3, BlockSize: 64})
 	kw := popularTerm(ds)
-	path := fmt.Sprintf("/query?q=%s&algo=bkws&shards=2&k=5&layer=0&nocache=1", kw)
+	path := fmt.Sprintf("/query?q=%s&algo=bkws&k=5&layer=0&nocache=1", kw)
 	rec, body := get(t, s, path)
 	lrec, lbody := get(t, local, path)
 	if rec.Code != http.StatusOK || lrec.Code != http.StatusOK {
@@ -317,5 +318,8 @@ func TestRemoteStaleFleetFallsBackToLocal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(body["matches"], lbody["matches"]) {
 		t.Fatal("fallback answers differ from in-process execution")
+	}
+	if n := shardQueries(s, "bkws"); n != 0 {
+		t.Fatalf("%d searches went to a stale fleet", n)
 	}
 }

@@ -259,6 +259,8 @@ func TestMalformedParams(t *testing.T) {
 		"/query?q=" + kw + "&k=101", // above the default MaxK of 100
 		"/query?q=" + kw + "&layer=abc",
 		"/query?q=" + kw + "&layer=99",
+		"/query?q=" + kw + "&layer=-1", // negative is not "absent"
+		"/query?q=" + kw + "&layer=-7",
 		"/query?q=" + kw + "&timeout=abc",
 		"/query?q=" + kw + "&timeout=-5s",
 		"/query?q=" + kw + "&timeout=0s",
@@ -277,6 +279,7 @@ func TestMalformedParams(t *testing.T) {
 		"/query?q=" + kw,
 		"/query?q=" + kw + "&timeout=5s",
 		"/query?q=" + kw + "&k=100",
+		"/query?q=" + kw + "&layer=0",
 		"/complete?prefix=term",
 	} {
 		rec, _ := get(t, s, path)

@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -137,24 +136,20 @@ type Options struct {
 	// compared in constant time. Empty leaves the admin surface open
 	// (trusted-network deployments).
 	AdminToken string
-	// Shards is the default worker count for partition-sharded query
-	// execution (internal/shard) of algo=bkws and algo=bidir; other
-	// algorithms ignore it. 0 keeps the sequential path; >= 1 runs the
-	// scatter-gather coordinator with that many workers (1 exercises the
-	// full sharded machinery on one worker — the parity baseline). A
-	// &shards= request parameter overrides it per query. Values above
-	// GOMAXPROCS are clamped (extra workers on a saturated scheduler only
-	// add coordination cost); answers are byte-identical either way.
-	Shards int
-	// ShardClient, when non-nil, serves sharded data-graph expansion
-	// remotely through a fleet of shardrpc peers (bigindexd's
-	// -shard-peers). Summary-layer expansion always stays in-process —
-	// peers advertise the data graph's digest, and the per-request digest
-	// check would (correctly) refuse anything else. When every replica of
-	// a block is unreachable past budget the query completes over the
-	// surviving blocks and returns degraded with a coverage annotation;
-	// such results are never cached.
+	// ShardClient, when non-nil, runs bkws and bidir searches on the data
+	// graph through a fleet of shardrpc peers (bigindexd's -shard-peers):
+	// the shard.Coordinator expands layer 0 block by block on the peers.
+	// Every other search runs the sequential algorithm in process: summary
+	// layers, and a data graph the peers do not serve (a mutation swap
+	// changed its digest). When every replica of a block is unreachable
+	// past budget the query completes over the surviving blocks and
+	// returns degraded with a coverage annotation; such results are never
+	// cached.
 	ShardClient *shardrpc.Client
+	// Shards is the coordinator's fan-out over ShardClient: how many
+	// per-(keyword × block) expansions it keeps in flight at once. It is
+	// read only when ShardClient is set; values below 1 mean 1.
+	Shards int
 }
 
 // DebugOptions configures the flight recorder (obs.Recorder) and its
@@ -197,12 +192,13 @@ type CacheOptions struct {
 type indexState struct {
 	idx *core.Index
 	tix *text.Index
-	// plans caches the shard execution plan per layer graph of this index
-	// version. Tying the cache to the bundle is what gives sharded
-	// queries epoch consistency under index swaps: a request resolves both
-	// its graphs and its plans through the one bundle it loaded at entry,
-	// so a concurrent SwapIndex can never mix a new graph with an old
-	// partition (or vice versa) inside one query.
+	// plans holds the shard plan of this version's data graph, built on
+	// first use (the first search routed to the peers, or /debug/index);
+	// no other graph is ever planned. Tying the cache to the bundle is
+	// what gives sharded queries epoch consistency under index swaps: a
+	// request resolves its graph and its plan through the one bundle it
+	// loaded at entry, so a concurrent SwapIndex can never mix a new graph
+	// with an old partition (or vice versa) inside one query.
 	plans *shard.PlanCache
 	mu    sync.Mutex
 	evs   map[string]*core.Evaluator
@@ -250,8 +246,6 @@ type Server struct {
 	idxSize   *obs.Gauge
 	gVerts    *obs.Gauge
 	gEdges    *obs.Gauge
-
-	shardWorkers *obs.Gauge // configured default shard worker count
 }
 
 // knownPaths bounds the path label cardinality of the HTTP metrics.
@@ -291,14 +285,6 @@ func New(idx *core.Index, ont *ontology.Ontology, opt Options) *Server {
 		opt.ShedWait = 100 * time.Millisecond
 	case opt.ShedWait < 0:
 		opt.ShedWait = 0
-	}
-	if opt.Shards < 0 {
-		opt.Shards = 0
-	}
-	if maxp := runtime.GOMAXPROCS(0); opt.Shards > maxp {
-		opt.Logger.Warn("clamping shard workers to GOMAXPROCS",
-			slog.Int("requested", opt.Shards), slog.Int("gomaxprocs", maxp))
-		opt.Shards = maxp
 	}
 	s := &Server{
 		ont:  ont,
@@ -389,9 +375,6 @@ func New(idx *core.Index, ont *ontology.Ontology, opt Options) *Server {
 	s.idxSize = s.reg.Gauge("bigindex_index_size", "BiG-index size (sum of summary graph sizes).")
 	s.gVerts = s.reg.Gauge("bigindex_graph_vertices", "Data graph vertices.")
 	s.gEdges = s.reg.Gauge("bigindex_graph_edges", "Data graph edges.")
-	s.shardWorkers = s.reg.Gauge("bigindex_shard_workers",
-		"Default worker count for partition-sharded query execution (0 = sequential).")
-	s.shardWorkers.Set(float64(opt.Shards))
 	s.setIndexGauges(idx)
 
 	s.mux.HandleFunc("/query", s.shedded(s.handleQuery))
@@ -437,7 +420,7 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // newIndexState derives a fresh bundle from an index version. It is a
 // method because the bundle's shard plan cache inherits the server's
-// partition options (one plan per graph, shared by every worker count).
+// partition options.
 //
 // The text index depends only on the dictionary and on which of its
 // labels occur in the data graph, so it carries over from the served
@@ -499,7 +482,11 @@ func (s *Server) setIndexGauges(idx *core.Index) {
 // Called once at startup (NewMutator does it for you).
 func (s *Server) SetMutator(m *Mutator) { s.mutator.Store(m) }
 
-func (s *Server) algorithm(name string) (search.Algorithm, error) {
+// algorithm resolves name to the search algorithm an evaluator over st
+// runs. An ExtraAlgorithms entry wins, even over a built-in name, and is
+// used as is: a plug-in's semantics are unknown, so it never goes to the
+// shard peers.
+func (s *Server) algorithm(st *indexState, name string) (search.Algorithm, error) {
 	if a, ok := s.opt.ExtraAlgorithms[name]; ok {
 		return a, nil
 	}
@@ -507,9 +494,9 @@ func (s *Server) algorithm(name string) (search.Algorithm, error) {
 	case "", "blinks":
 		return blinks.New(blinks.Options{DMax: s.opt.DMax, BlockSize: s.opt.BlockSize}), nil
 	case "bkws":
-		return bkws.New(s.opt.DMax), nil
+		return s.onFleet(st, bkws.New(s.opt.DMax), bkws.NewSharded), nil
 	case "bidir":
-		return bidir.New(s.opt.DMax), nil
+		return s.onFleet(st, bidir.New(s.opt.DMax), bidir.NewSharded), nil
 	case "rclique":
 		return rclique.New(max(1, s.opt.DMax-1)), nil
 	default:
@@ -517,45 +504,47 @@ func (s *Server) algorithm(name string) (search.Algorithm, error) {
 	}
 }
 
-// shardable reports whether name resolves to an algorithm with a
-// partition-sharded execution path. An ExtraAlgorithms entry shadowing a
-// built-in name disables sharding for it — the plug-in's semantics are
-// unknown, and silently swapping in the built-in sharded variant would
-// answer with the wrong algorithm.
-func (s *Server) shardable(name string) bool {
-	if _, shadowed := s.opt.ExtraAlgorithms[name]; shadowed {
-		return false
+// onFleet returns seq unchanged on a server without a ShardClient, and
+// otherwise wraps it so that searches on st's data graph go to the peers.
+func (s *Server) onFleet(st *indexState, seq search.Algorithm,
+	sharded func(int, shard.Options) search.Algorithm) search.Algorithm {
+	c := s.opt.ShardClient
+	if c == nil {
+		return seq
 	}
-	return name == "bkws" || name == "bidir"
+	return &fleetAlgorithm{
+		Algorithm: seq,
+		sharded: sharded(s.opt.DMax, shard.Options{
+			Workers:   s.opt.Shards,
+			BlockSize: s.opt.BlockSize,
+			Cache:     st.plans,
+			Server:    c.For,
+			Metrics:   s.shardMet,
+		}),
+		data:   st.idx.Data(),
+		plans:  st.plans,
+		client: c,
+	}
 }
 
-// shardAlgorithm builds the sharded variant of a shardable algorithm,
-// wired to the bundle's plan cache (epoch-consistent plans) and the
-// server's shard metrics.
-func (s *Server) shardAlgorithm(st *indexState, name string, workers int) search.Algorithm {
-	opt := shard.Options{
-		Workers:   workers,
-		BlockSize: s.opt.BlockSize,
-		Cache:     st.plans,
-		Metrics:   s.shardMet,
+// fleetAlgorithm prepares the shard coordinator for the data graph when
+// the peers serve its plan, and the embedded sequential algorithm for
+// every other graph. Both answer byte-identically (DESIGN.md §9.2), so
+// the choice changes where the work runs, never the result.
+type fleetAlgorithm struct {
+	search.Algorithm // sequential bkws or bidir
+	sharded          search.Algorithm
+	data             *graph.Graph
+	plans            *shard.PlanCache
+	client           *shardrpc.Client
+}
+
+// Prepare implements search.Algorithm.
+func (a *fleetAlgorithm) Prepare(g *graph.Graph) (search.Prepared, error) {
+	if g == a.data && a.client.ServesPlan(a.plans.For(g)) {
+		return a.sharded.Prepare(g)
 	}
-	if c := s.opt.ShardClient; c != nil {
-		data := st.idx.Data()
-		opt.Server = func(p *shard.Plan) shard.ShardServer {
-			// Only the data graph goes remote: peers advertise the data
-			// graph's digest, so routing a summary-layer plan at them
-			// would just bounce off the per-request digest check. A nil
-			// return falls back to in-process execution.
-			if p.Graph() == data && c.ServesPlan(p) {
-				return c.For(p)
-			}
-			return nil
-		}
-	}
-	if name == "bidir" {
-		return bidir.NewSharded(s.opt.DMax, opt)
-	}
-	return bkws.NewSharded(s.opt.DMax, opt)
+	return a.Algorithm.Prepare(g)
 }
 
 // evaluator returns (creating on first use) the shared evaluator for an
@@ -566,33 +555,13 @@ func (s *Server) shardAlgorithm(st *indexState, name string, workers int) search
 // evaluators run exhaustively (K=0) and evalQuery truncates to the
 // request's k at result time; rclique pins K to the server-wide MaxK cap,
 // which every request k is clamped under.
-//
-// shards >= 1 on a shardable algorithm selects the partition-sharded
-// execution path (1 = coordinator with a single worker); the evaluator is
-// keyed "name@N" so each worker count keeps its own evaluator, while the
-// algorithm's Name() stays the sequential name — answers are
-// byte-identical, so result-cache entries and per-algo metrics are
-// deliberately shared across worker counts.
-func (s *Server) evaluator(st *indexState, name string, shards int) (*core.Evaluator, error) {
+func (s *Server) evaluator(st *indexState, name string) (*core.Evaluator, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	key := name
-	if key == "" {
-		key = "blinks"
-	}
-	sharded := shards >= 1 && s.shardable(name)
-	if sharded {
-		key = fmt.Sprintf("%s@%d", name, shards)
-	}
+	key := orDefault(name, "blinks")
 	ev, ok := st.evs[key]
 	if !ok {
-		var algo search.Algorithm
-		var err error
-		if sharded {
-			algo = s.shardAlgorithm(st, name, shards)
-		} else {
-			algo, err = s.algorithm(name)
-		}
+		algo, err := s.algorithm(st, name)
 		if err != nil {
 			return nil, err
 		}
@@ -819,7 +788,7 @@ func (s *Server) Warm(ctx context.Context, queries []string) (int, error) {
 			errs = append(errs, fmt.Errorf("warm %q: %w", line, err))
 			continue
 		}
-		ev, err := s.evaluator(st, algoName, s.opt.Shards)
+		ev, err := s.evaluator(st, algoName)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("warm %q: %w", line, err))
 			continue
@@ -951,12 +920,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Absent, the layer is -1 and Formula 4 routes; present, it must name
+	// one of the index's layers.
 	forcedLayer, err := intParam(r, "layer", -1)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if forcedLayer >= st.idx.NumLayers() {
+	if r.URL.Query().Get("layer") != "" && (forcedLayer < 0 || forcedLayer >= st.idx.NumLayers()) {
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("layer %d out of range (index has layers 0..%d)", forcedLayer, st.idx.NumLayers()-1))
 		return
@@ -966,34 +937,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// &shards= overrides the server default per query. Explicit values are
-	// validated strictly (PR 2 param conventions): malformed or negative is
-	// a 400, as is asking a non-shardable algorithm to shard — silently
-	// running it sequentially would misreport what executed. The inherited
-	// server default, by contrast, applies opportunistically: algorithms
-	// without a sharded path just stay sequential.
-	shards, err := intParam(r, "shards", s.opt.Shards)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if explicit := r.URL.Query().Get("shards") != ""; explicit {
-		if shards < 0 {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("parameter shards=%d must be >= 0", shards))
-			return
-		}
-		if shards > 1 && !s.shardable(orDefault(algoName, "blinks")) {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("algorithm %q has no sharded execution path (use bkws or bidir)", orDefault(algoName, "blinks")))
-			return
-		}
-	}
-	if maxp := runtime.GOMAXPROCS(0); shards > maxp {
-		shards = maxp
-		notes = append(notes, fmt.Sprintf("shards clamped to GOMAXPROCS (%d)", maxp))
-	}
-	ev, err := s.evaluator(st, algoName, shards)
+	ev, err := s.evaluator(st, algoName)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -1188,7 +1132,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	ev, err := s.evaluator(st, r.URL.Query().Get("algo"), 0)
+	ev, err := s.evaluator(st, r.URL.Query().Get("algo"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -1259,19 +1203,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WALBytes  int64  `json:"wal_bytes"`
 		LastApply string `json:"last_apply,omitempty"`
 	}
-	// The shard block reads plans through Peek: a plan exists only after
-	// the first sharded query against this index version, and /stats must
-	// observe, not trigger, the (one-off) planning cost. Plans counts every
-	// planned graph (hierarchical routing plans the summary layer it
-	// evaluates at); Blocks/EdgeCut describe the data graph's plan, the one
-	// direct evaluation and layer-0 routing use.
+	// The shard block reads the data graph's plan through Peek: it exists
+	// only after the first search routed to the peers (or /debug/index)
+	// against this index version, and /stats must observe, not trigger,
+	// the one-off planning cost.
 	type shardJSON struct {
-		Workers    int  `json:"workers"`
-		GOMAXPROCS int  `json:"gomaxprocs"`
-		Plans      int  `json:"plans"`
-		Planned    bool `json:"planned"`
-		Blocks     int  `json:"blocks,omitempty"`
-		EdgeCut    int  `json:"edge_cut,omitempty"`
+		Planned bool `json:"planned"`
+		Blocks  int  `json:"blocks,omitempty"`
+		EdgeCut int  `json:"edge_cut,omitempty"`
 		// Remote-serving state (-shard-peers): per-peer health and the
 		// worst-case block coverage a query started now could see.
 		// CoverageFloor is a pointer so 0.0 — total outage — still renders.
@@ -1289,8 +1228,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shard    shardJSON          `json:"shard"`
 		Uptime   string             `json:"uptime"`
 	}{Graph: gs, Layers: st.idx.Stats().Layers, Epoch: st.idx.Epoch(),
-		Shard: shardJSON{Workers: s.opt.Shards, GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Plans: st.plans.Len()},
 		Uptime: time.Since(s.boot).Round(time.Second).String()}
 	if p := st.plans.Peek(g); p != nil {
 		out.Shard.Planned = true

@@ -304,7 +304,7 @@ func (f *fleet) finish(ctx context.Context, algo string, roots int, earlyStop bo
 		}
 	}
 	if m := f.c.met; m != nil {
-		m.Queries.With(algo, strconv.Itoa(f.c.exec.Workers())).Inc()
+		m.Queries.With(algo).Inc()
 		m.Tasks.Add(int64(f.tasks))
 		m.Portal.Add(int64(f.portal))
 		m.Rounds.Observe(float64(f.rounds))

@@ -58,14 +58,14 @@ type Options struct {
 	// Seed controls partition.BFSGrowSeed's seed order (0 = ascending).
 	Seed int64
 	// Cache, when non-nil, shares plans across Algorithm instances (the
-	// server shares one cache across worker-count variants so the plan is
-	// built once per index version, not once per &shards= value).
+	// server's bkws and bidir evaluators share one per index version, so
+	// the data graph is planned once per version).
 	Cache *PlanCache
 	// Server, when non-nil, supplies the ShardServer a prepared search's
 	// coordinator dispatches to for the given plan — the stage-2 hook: the
-	// HTTP server plugs in a shardrpc client here when remote peers are
-	// configured and the plan's graph matches what they serve. Returning
-	// nil falls back to the in-process Local, as does leaving Server nil.
+	// HTTP server plugs in a shardrpc client here, and prepares this
+	// algorithm only for a data graph the peers serve. Returning nil falls
+	// back to the in-process Local, as does leaving Server nil.
 	Server func(*Plan) ShardServer
 	// Metrics, when non-nil, receives the bigindex_shard_* counters.
 	Metrics *Metrics
@@ -155,7 +155,7 @@ type ShardServer interface {
 // Metrics is the bigindex_shard_* instrument set, shared by every sharded
 // evaluator of a server.
 type Metrics struct {
-	Queries *obs.CounterVec // sharded searches by algo and worker count
+	Queries *obs.CounterVec // sharded searches by algo
 	Tasks   *obs.Counter    // per-(keyword × block) expansion rounds dispatched
 	Portal  *obs.Counter    // portal-crossing frontier messages routed
 	Rounds  *obs.Histogram  // level-synchronous rounds per sharded search
@@ -166,7 +166,7 @@ type Metrics struct {
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Queries: reg.CounterVec("bigindex_shard_queries_total",
-			"Sharded searches by algorithm and worker count.", "algo", "workers"),
+			"Sharded searches by algorithm.", "algo"),
 		Tasks: reg.Counter("bigindex_shard_tasks_total",
 			"Per-(keyword x block) expansion tasks dispatched to shard workers."),
 		Portal: reg.Counter("bigindex_shard_portal_messages_total",

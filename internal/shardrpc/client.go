@@ -37,15 +37,14 @@ const (
 
 // Metrics is the client-side instrument set.
 type Metrics struct {
-	Calls        *obs.CounterVec   // op, outcome: ok|remote_error|network_error
-	Retries      *obs.Counter      // attempts beyond the first
-	Hedges       *obs.CounterVec   // outcome: won|lost
-	BreakerOpens *obs.Counter      // closed/half-open -> open transitions
-	Seconds      *obs.HistogramVec // op
+	Retries *obs.Counter      // attempts beyond the first
+	Hedges  *obs.CounterVec   // outcome: won|lost
+	Seconds *obs.HistogramVec // op
 
-	// Per-peer telemetry: the fleet-wide aggregates above answer "is the
-	// RPC layer healthy"; these answer "which peer".
-	PeerCalls          *obs.CounterVec   // peer, op, outcome
+	// Per-peer telemetry: the series that say "which peer". A fleet-wide
+	// count is their sum by the remaining labels (attempts by op and
+	// outcome, breaker opens by to="open"), so none is kept separately.
+	PeerCalls          *obs.CounterVec   // peer, op, outcome: ok|remote_error|network_error
 	PeerSeconds        *obs.HistogramVec // peer; exemplars carry trace IDs
 	PeerBytes          *obs.CounterVec   // peer, dir: sent|recv
 	BreakerTransitions *obs.CounterVec   // peer, to: open|half-open|closed
@@ -54,14 +53,10 @@ type Metrics struct {
 // NewMetrics registers the bigindex_shardrpc_* metrics on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Calls: reg.CounterVec("bigindex_shardrpc_calls_total",
-			"Shard RPC attempts by operation and outcome.", "op", "outcome"),
 		Retries: reg.Counter("bigindex_shardrpc_retries_total",
 			"Shard RPC attempts beyond the first for a call."),
 		Hedges: reg.CounterVec("bigindex_shardrpc_hedges_total",
 			"Hedged shard RPC attempts by outcome.", "outcome"),
-		BreakerOpens: reg.Counter("bigindex_shardrpc_breaker_opens_total",
-			"Per-peer circuit breaker open transitions."),
 		Seconds: reg.HistogramVec("bigindex_shardrpc_call_seconds",
 			"Shard RPC attempt latency by operation.", nil, "op"),
 		PeerCalls: reg.CounterVec("bigindex_shardrpc_peer_calls_total",
@@ -412,7 +407,6 @@ func (c *Client) settle(p *peer, op string, err error, elapsed time.Duration, te
 		p.breaker.Success()
 		c.lat.observe(elapsed)
 		if m != nil {
-			m.Calls.With(op, "ok").Inc()
 			m.PeerCalls.With(p.addr, op, "ok").Inc()
 		}
 	case errors.As(err, &re):
@@ -422,14 +416,10 @@ func (c *Client) settle(p *peer, op string, err error, elapsed time.Duration, te
 		p.breaker.Success()
 		p.noteErr(err)
 		if m != nil {
-			m.Calls.With(op, "remote_error").Inc()
 			m.PeerCalls.With(p.addr, op, "remote_error").Inc()
 		}
 	default:
 		if opened := p.breaker.Failure(); opened {
-			if m != nil {
-				m.BreakerOpens.Inc()
-			}
 			c.opt.Logger.Warn("shardrpc: peer breaker opened", "peer", p.addr, "err", err)
 		}
 		p.noteErr(err)
@@ -439,7 +429,6 @@ func (c *Client) settle(p *peer, op string, err error, elapsed time.Duration, te
 		// would fail the half-open probe of a peer that has recovered.
 		p.closeIdle()
 		if m != nil {
-			m.Calls.With(op, "network_error").Inc()
 			m.PeerCalls.With(p.addr, op, "network_error").Inc()
 		}
 	}

@@ -8,22 +8,16 @@
 //	benchrunner -list              # show available experiment IDs
 //	benchrunner -json out.json     # machine-readable export (default
 //	                               # BENCH_eval.json; -json "" disables)
-//	benchrunner -exp replay -workload qlog.jsonl
-//	                               # replay a bigindexd -query-log capture
-//	                               # and audit the Formula 4 cost model;
-//	                               # also written to -replay-json
-//	                               # (default BENCH_replay.json)
 //
-// Besides the paper artifacts (table2–4, fig9–19, exp3, exp4, headline)
-// there is the offline replay audit. Serving performance — latency,
-// throughput, build and restore time, per-package costs — is measured by
-// the benchmark/ harness, not here.
+// It runs only the paper artifacts (table2–4, fig9–19, exp3, exp4,
+// headline). Serving performance — latency, throughput, build and restore
+// time, per-package costs — is measured by the benchmark/ harness, and the
+// served Formula 4 calibration by bigindexd's /debug/costmodel, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"maps"
 	"os"
 	"slices"
 	"strings"
@@ -36,24 +30,11 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
 	list := flag.Bool("list", false, "list available experiments")
 	jsonOut := flag.String("json", "BENCH_eval.json", "write a machine-readable report here (empty = off)")
-	workload := flag.String("workload", "",
-		"query log captured by bigindexd -query-log; required by -exp replay")
-	workloadDataset := flag.String("workload-dataset", "demo",
-		"dataset the workload was captured against (bigindexd -preset value)")
-	replayOut := flag.String("replay-json", "BENCH_replay.json",
-		"when the replay experiment runs, also write its report here (empty = off)")
 	flag.Parse()
 
-	// replay needs a captured workload file, so it is registered here from
-	// the flags and is not part of "-exp all".
-	runners := maps.Clone(bench.Experiments)
-	runners["replay"] = func() (*bench.Report, error) {
-		return bench.RunReplay(*workload, *workloadDataset)
-	}
-
 	if *list {
-		ids := make([]string, 0, len(runners))
-		for id := range runners {
+		ids := make([]string, 0, len(bench.Experiments))
+		for id := range bench.Experiments {
 			ids = append(ids, id)
 		}
 		slices.Sort(ids)
@@ -70,10 +51,10 @@ func main() {
 		ids = strings.Split(*exp, ",")
 	}
 
-	var reports, replayReports []*bench.Report
+	var reports []*bench.Report
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		runner, ok := runners[id]
+		runner, ok := bench.Experiments[id]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
 			os.Exit(2)
@@ -86,9 +67,6 @@ func main() {
 		}
 		rep.Elapsed = time.Since(start)
 		reports = append(reports, rep)
-		if id == "replay" {
-			replayReports = append(replayReports, rep)
-		}
 		if err := rep.Write(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "writing report: %v\n", err)
 			os.Exit(1)
@@ -98,9 +76,6 @@ func main() {
 
 	if *jsonOut != "" {
 		writeJSON(*jsonOut, reports)
-	}
-	if *replayOut != "" && len(replayReports) > 0 {
-		writeJSON(*replayOut, replayReports)
 	}
 }
 

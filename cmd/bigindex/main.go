@@ -74,31 +74,10 @@ algos:   blinks (default), bkws, rclique`)
 }
 
 func loadPreset(name string) (*datagen.Dataset, error) {
-	switch name {
-	case "yago-s":
-		return datagen.YagoSmall(), nil
-	case "dbpedia-s":
-		return datagen.DbpediaSmall(), nil
-	case "imdb-s":
-		return datagen.ImdbSmall(), nil
-	case "synt-10k":
-		return datagen.Synthetic(10000, 8101), nil
-	case "synt-20k":
-		return datagen.Synthetic(20000, 8102), nil
-	case "synt-40k":
-		return datagen.Synthetic(40000, 8103), nil
-	case "synt-80k":
-		return datagen.Synthetic(80000, 8104), nil
-	case "demo":
-		// A small preset for smoke tests and quick exploration.
-		return datagen.Generate(datagen.Options{
-			Name: "demo", Entities: 1500, Terms: 120, LeafTypes: 8, Seed: 4242,
-		}), nil
-	case "":
+	if name == "" {
 		return nil, fmt.Errorf("missing -preset")
-	default:
-		return nil, fmt.Errorf("unknown preset %q", name)
 	}
+	return datagen.Preset(name)
 }
 
 func newAlgo(name string, dmax int) (search.Algorithm, error) {

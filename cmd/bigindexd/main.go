@@ -106,10 +106,6 @@ func main() {
 		"uniform keep probability for unremarkable query traces; slow/errored/degraded/shed queries are always kept (negative = recorder off)")
 	traceStoreSize := flag.Int("trace-store-size", 512, "flight-recorder trace ring capacity")
 	traceKeepSlowest := flag.Int("trace-keep-slowest", 8, "K slowest queries retained per window by the flight recorder")
-	queryLogPath := flag.String("query-log", "",
-		"append one JSON line per /query to this file (workload capture for benchrunner -exp replay; empty = off)")
-	queryLogMaxBytes := flag.Int64("query-log-max-bytes", 64<<20,
-		"rotate the query log once it reaches this size (one .1 predecessor is kept)")
 	shadowSample := flag.Float64("costmodel-shadow", 0,
 		"probability of re-evaluating a routed query at the runner-up layer to measure cost-model misroutes (0 = off)")
 	shardServe := flag.String("shard-serve", "",
@@ -137,7 +133,7 @@ func main() {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(reg)
 
-	ds, err := presetByName(*preset)
+	ds, err := datagen.Preset(*preset)
 	if err != nil {
 		fatal(logger, "bad preset", err)
 	}
@@ -186,18 +182,6 @@ func main() {
 	if sw == 0 {
 		sw = -1 // Options: 0 means default, negative sheds immediately
 	}
-	var qlog *obs.QueryLog
-	if *queryLogPath != "" {
-		qlog, err = obs.OpenQueryLog(obs.QueryLogOptions{
-			Path:     *queryLogPath,
-			MaxBytes: *queryLogMaxBytes,
-		})
-		if err != nil {
-			fatal(logger, "opening query log", err)
-		}
-		defer qlog.Close()
-		logger.Info("query log enabled", "file", *queryLogPath, "max_bytes", *queryLogMaxBytes)
-	}
 	srv := server.New(idx, ds.Ont, server.Options{
 		DMax:         *dmax,
 		Metrics:      reg,
@@ -213,7 +197,6 @@ func main() {
 			StoreSize:   *traceStoreSize,
 			KeepSlowest: *traceKeepSlowest,
 		},
-		QueryLog:     qlog,
 		ShadowSample: *shadowSample,
 		AdminToken:   *adminToken,
 		BlockSize:    *shardBlockSize,
@@ -593,29 +576,4 @@ func parseLevel(s string) slog.Level {
 func fatal(logger *slog.Logger, msg string, err error) {
 	logger.Error(msg, "err", err)
 	os.Exit(1)
-}
-
-func presetByName(name string) (*datagen.Dataset, error) {
-	switch name {
-	case "demo":
-		return datagen.Generate(datagen.Options{
-			Name: "demo", Entities: 1500, Terms: 120, LeafTypes: 8, Seed: 4242,
-		}), nil
-	case "yago-s":
-		return datagen.YagoSmall(), nil
-	case "dbpedia-s":
-		return datagen.DbpediaSmall(), nil
-	case "imdb-s":
-		return datagen.ImdbSmall(), nil
-	case "synt-10k":
-		return datagen.Synthetic(10000, 8101), nil
-	case "synt-20k":
-		return datagen.Synthetic(20000, 8102), nil
-	case "synt-40k":
-		return datagen.Synthetic(40000, 8103), nil
-	case "synt-80k":
-		return datagen.Synthetic(80000, 8104), nil
-	default:
-		return nil, fmt.Errorf("unknown preset %q", name)
-	}
 }

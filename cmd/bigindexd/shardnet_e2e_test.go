@@ -12,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"bigindex/internal/datagen"
 )
 
 // freePort reserves an ephemeral localhost port and releases it for the
@@ -137,7 +139,7 @@ func TestShardProcessKillE2E(t *testing.T) {
 	base := "http://" + httpAddr
 	waitReady(t, base, 60*time.Second)
 
-	ds, err := presetByName("demo")
+	ds, err := datagen.Preset("demo")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Package bench is the experiment harness: one runner per table and figure
 // of the paper's evaluation (Sec. 6), each printing the same rows/series the
-// paper reports, plus the offline workload replay. cmd/benchrunner exposes
-// them on the command line. Serving performance is not measured here; that
-// is benchmark/.
+// paper reports. cmd/benchrunner exposes them on the command line. Serving
+// performance is not measured here; that is benchmark/.
 //
 // The datasets are the scaled stand-ins of internal/datagen (see DESIGN.md
 // for the substitution table); parameters follow the paper where they apply
@@ -62,7 +61,7 @@ func GetFixture(name string) (*Fixture, error) {
 	if f, ok := fixtureCache[name]; ok {
 		return f, nil
 	}
-	ds, err := datasetByName(name)
+	ds, err := datagen.Preset(name)
 	if err != nil {
 		return nil, err
 	}
@@ -93,33 +92,6 @@ func GetFixture(name string) (*Fixture, error) {
 	}
 	fixtureCache[f.DS.Name] = f
 	return f, nil
-}
-
-func datasetByName(name string) (*datagen.Dataset, error) {
-	switch name {
-	case "demo":
-		// bigindexd's default preset, mirrored here so a workload captured
-		// from a stock daemon replays against the same graph.
-		return datagen.Generate(datagen.Options{
-			Name: "demo", Entities: 1500, Terms: 120, LeafTypes: 8, Seed: 4242,
-		}), nil
-	case "yago-s":
-		return datagen.YagoSmall(), nil
-	case "dbpedia-s":
-		return datagen.DbpediaSmall(), nil
-	case "imdb-s":
-		return datagen.ImdbSmall(), nil
-	case "synt-10k":
-		return datagen.Synthetic(10000, 8101), nil
-	case "synt-20k":
-		return datagen.Synthetic(20000, 8102), nil
-	case "synt-40k":
-		return datagen.Synthetic(40000, 8103), nil
-	case "synt-80k":
-		return datagen.Synthetic(80000, 8104), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown dataset %q", name)
-	}
 }
 
 // RealNames lists the real-dataset stand-ins; SynthNames the scaling series.

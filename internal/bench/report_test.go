@@ -119,15 +119,7 @@ type sentinelError struct{}
 
 func (*sentinelError) Error() string { return "sentinel" }
 
-func TestDatasetByName(t *testing.T) {
-	for _, name := range append(append([]string{}, RealNames...), SynthNames...) {
-		if _, err := datasetByName(name); err != nil {
-			t.Errorf("datasetByName(%q): %v", name, err)
-		}
-	}
-	if _, err := datasetByName("nope"); err == nil {
-		t.Error("unknown dataset accepted")
-	}
+func TestExperimentRegistry(t *testing.T) {
 	if len(Experiments) != len(ExperimentOrder) {
 		t.Errorf("Experiments has %d entries, order lists %d", len(Experiments), len(ExperimentOrder))
 	}

@@ -98,6 +98,25 @@ func TestPresetsDistinct(t *testing.T) {
 	}
 }
 
+// Every preset name builds the dataset of that name; an unknown name is
+// an error, not a default.
+func TestPreset(t *testing.T) {
+	for _, name := range []string{"demo", "yago-s", "dbpedia-s", "imdb-s", "synt-10k", "synt-20k", "synt-40k", "synt-80k"} {
+		ds, err := Preset(name)
+		if err != nil {
+			t.Fatalf("Preset(%q): %v", name, err)
+		}
+		if ds.Name != name || ds.Graph.NumVertices() == 0 {
+			t.Fatalf("Preset(%q) built %q with %d vertices", name, ds.Name, ds.Graph.NumVertices())
+		}
+	}
+	for _, name := range []string{"", "nope", "synt-5k"} {
+		if _, err := Preset(name); err == nil {
+			t.Errorf("Preset(%q) accepted an unknown name", name)
+		}
+	}
+}
+
 func TestSyntheticSeries(t *testing.T) {
 	series := SyntheticSeries()
 	if len(series) != 4 {

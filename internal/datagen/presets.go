@@ -1,5 +1,7 @@
 package datagen
 
+import "fmt"
+
 // Presets mirror Table 2 of the paper at laptop scale (roughly 1:130 for
 // the real datasets). What matters for the experiments is the *shape*:
 // DBpedia-like graphs are denser and compress worse (the paper's layer-1
@@ -7,6 +9,35 @@ package datagen
 // breaks r-clique's neighbor index; the synt-* series scales |V| with a
 // fixed 2-3x edge ratio and a much smaller ontology (5K types in the
 // paper).
+
+// Preset returns the named dataset: demo, yago-s, dbpedia-s, imdb-s, or
+// one of synt-10k…synt-80k. It is the one name→dataset table; the CLI, the
+// daemon and the experiment harness all resolve -preset names through it.
+func Preset(name string) (*Dataset, error) {
+	switch name {
+	case "demo":
+		// A small preset for smoke tests and quick exploration.
+		return Generate(Options{
+			Name: "demo", Entities: 1500, Terms: 120, LeafTypes: 8, Seed: 4242,
+		}), nil
+	case "yago-s":
+		return YagoSmall(), nil
+	case "dbpedia-s":
+		return DbpediaSmall(), nil
+	case "imdb-s":
+		return ImdbSmall(), nil
+	case "synt-10k":
+		return Synthetic(10000, 8101), nil
+	case "synt-20k":
+		return Synthetic(20000, 8102), nil
+	case "synt-40k":
+		return Synthetic(40000, 8103), nil
+	case "synt-80k":
+		return Synthetic(80000, 8104), nil
+	default:
+		return nil, fmt.Errorf("datagen: unknown preset %q", name)
+	}
+}
 
 // YagoSmall is the YAGO3 stand-in: sparse (|E|/|V| ≈ 2), deep taxonomy,
 // strongly skewed vocabulary, so one generalization round compresses hard.

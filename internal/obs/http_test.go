@@ -68,7 +68,7 @@ func TestInstrumentMetricsAndLog(t *testing.T) {
 	}
 }
 
-func TestInstrumentSlowQueryLog(t *testing.T) {
+func TestInstrumentLogsSlowRequest(t *testing.T) {
 	reg := NewRegistry()
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))

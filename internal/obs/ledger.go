@@ -13,9 +13,10 @@ import (
 // deeper layer is clamped into the last slot rather than dropped.
 const MaxLedgerLayers = 16
 
-// MaxLedgerShards bounds the per-shard-worker work array. Shard worker
-// pools are sized by GOMAXPROCS; work from a worker id beyond the bound
-// is clamped into the last slot rather than dropped.
+// MaxLedgerShards bounds the per-shard-worker work array. The shard
+// coordinator's worker pool is its fan-out (the server's Options.Shards);
+// work from a worker id beyond the bound is clamped into the last slot
+// rather than dropped.
 const MaxLedgerShards = 32
 
 // Ledger is the per-query resource ledger: deterministic work counters
@@ -57,9 +58,9 @@ type Ledger struct {
 	snap *LedgerSnapshot // set once by Snapshot; later calls reuse it
 }
 
-// LedgerSnapshot is the finalized ledger, attached to trace records and
-// query-log entries. LayerWork is indexed by layer (0 = data graph) and
-// trimmed to the highest layer that saw work.
+// LedgerSnapshot is the finalized ledger, attached to trace records.
+// LayerWork is indexed by layer (0 = data graph) and trimmed to the
+// highest layer that saw work.
 type LedgerSnapshot struct {
 	CPUUS        int64   `json:"cpu_us,omitempty"`
 	AllocBytes   int64   `json:"alloc_bytes,omitempty"`

@@ -3,12 +3,9 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"bigindex/internal/obs"
 )
 
 // The calibration endpoint is gated like every other /debug surface and
@@ -29,8 +26,11 @@ func TestCostmodelGating(t *testing.T) {
 	}
 }
 
-// Routed queries must populate the calibration window; the report carries
-// the configured β and one row per (algo, layer) observed.
+// Routed queries of every algorithm must populate the calibration window;
+// the report carries the configured β and one row per (algo, layer)
+// observed. Each algorithm runs the same query, so each routes to one
+// layer and owns exactly one row. rclique runs under the evaluator options
+// it serves with (K = MaxK, EarlyK), which no other algorithm uses.
 func TestCostmodelCalibration(t *testing.T) {
 	s, ds := robustServer(t, Options{Debug: DebugOptions{Endpoints: true, Sample: 1}})
 	kw := popularTerm(ds)
@@ -48,46 +48,67 @@ func TestCostmodelCalibration(t *testing.T) {
 
 	// Routed (non-direct) evaluations feed the window; the cache is
 	// bypassed so every request is a fresh sample.
-	for i := 0; i < 4; i++ {
-		rec, _ := get(t, s, "/query?q="+kw+"&algo=blinks&k=5&nocache=1")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("query %d: %d", i, rec.Code)
+	algos := []string{"blinks", "bkws", "bidir", "rclique"}
+	const perAlgo = 4
+	for _, algo := range algos {
+		for i := 0; i < perAlgo; i++ {
+			rec, _ := get(t, s, "/query?q="+kw+"&algo="+algo+"&k=5&nocache=1")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s query %d: %d", algo, i, rec.Code)
+			}
+		}
+		// Direct evaluations must NOT feed it — the router made no choice.
+		if rec, _ := get(t, s, "/query?q="+kw+"&algo="+algo+"&k=5&direct=1&nocache=1"); rec.Code != http.StatusOK {
+			t.Fatalf("%s direct query: %d", algo, rec.Code)
 		}
 	}
-	// Direct evaluations must NOT feed it — the router made no choice.
-	if rec, _ := get(t, s, "/query?q="+kw+"&algo=blinks&k=5&direct=1&nocache=1"); rec.Code != http.StatusOK {
-		t.Fatalf("direct query: %d", rec.Code)
+	ev, err := s.evaluator(s.st(), "rclique")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt := ev.Options(); opt.K != s.opt.MaxK || !opt.EarlyK {
+		t.Fatalf("rclique evaluator options K=%d EarlyK=%v, want K=%d EarlyK=true", opt.K, opt.EarlyK, s.opt.MaxK)
 	}
 
 	rec, body = get(t, s, "/debug/costmodel")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("costmodel = %d", rec.Code)
 	}
-	if body["window"] != float64(4) || body["total_samples"] != float64(4) {
-		t.Fatalf("window after 4 routed + 1 direct queries: %v", body)
+	want := float64(len(algos) * perAlgo)
+	if body["window"] != want || body["total_samples"] != want {
+		t.Fatalf("window after %v routed + %d direct queries: %v", want, len(algos), body)
 	}
 	layers, _ := body["layers"].([]interface{})
-	if len(layers) == 0 {
-		t.Fatalf("no calibration rows: %v", body)
+	rows := map[string]int{}
+	for _, l := range layers {
+		row := l.(map[string]interface{})
+		algo, _ := row["algo"].(string)
+		rows[algo]++
+		if n, _ := row["count"].(float64); n != perAlgo {
+			t.Fatalf("row count: %v", row)
+		}
+		if r, _ := row["mean_ratio"].(float64); r <= 0 {
+			t.Fatalf("mean predicted/observed ratio must be positive: %v", row)
+		}
 	}
-	row := layers[0].(map[string]interface{})
-	if row["algo"] != "blinks" {
-		t.Fatalf("row: %v", row)
+	if len(layers) != len(algos) {
+		t.Fatalf("%d calibration rows, want one per algorithm: %v", len(layers), layers)
 	}
-	if n, _ := row["count"].(float64); n != 4 {
-		t.Fatalf("row count: %v", row)
-	}
-	if r, _ := row["mean_ratio"].(float64); r <= 0 {
-		t.Fatalf("mean predicted/observed ratio must be positive: %v", row)
+	for _, algo := range algos {
+		if rows[algo] != 1 {
+			t.Fatalf("algorithm %s has %d calibration rows, want 1: %v", algo, rows[algo], layers)
+		}
 	}
 
-	// The exported histogram observed the same four ratios.
+	// The exported histogram observed the same ratios.
 	mrec, _ := get(t, s, "/metrics")
 	if mrec.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", mrec.Code)
 	}
-	if !strings.Contains(mrec.Body.String(), `bigindex_costmodel_error_count{algo="blinks"`) {
-		t.Fatalf("calibration histogram missing from /metrics:\n%s", mrec.Body.String())
+	for _, algo := range algos {
+		if !strings.Contains(mrec.Body.String(), `bigindex_costmodel_error_count{algo="`+algo+`"`) {
+			t.Fatalf("%s calibration histogram missing from /metrics:\n%s", algo, mrec.Body.String())
+		}
 	}
 }
 
@@ -188,57 +209,5 @@ func TestDebugTraceCarriesCost(t *testing.T) {
 	_, byID := get(t, s, "/debug/traces/"+id)
 	if c, _ := byID["cost"].(map[string]interface{}); c == nil || c["work_units"] != cost["work_units"] {
 		t.Fatalf("by-ID cost mismatch: %v vs %v", byID["cost"], cost)
-	}
-}
-
-// The opt-in query log captures one entry per /query with the resolved
-// keyword names and the cost snapshot — the input the replay harness needs.
-func TestQueryLogCapture(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "qlog.jsonl")
-	ql, err := obs.OpenQueryLog(obs.QueryLogOptions{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ds := robustServer(t, Options{QueryLog: ql})
-	kw := popularTerm(ds)
-
-	if rec, _ := get(t, s, "/query?q="+kw+"&algo=blinks&k=5"); rec.Code != http.StatusOK {
-		t.Fatal("routed query failed")
-	}
-	if rec, _ := get(t, s, "/query?q="+kw+"&algo=blinks&k=5"); rec.Code != http.StatusOK {
-		t.Fatal("repeat query failed")
-	}
-	if rec, _ := get(t, s, "/query?q="+kw+"&algo=bkws&k=3&direct=1"); rec.Code != http.StatusOK {
-		t.Fatal("direct query failed")
-	}
-	if err := ql.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	entries, skipped, err := obs.ReadQueryLogFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 || len(entries) != 3 {
-		t.Fatalf("captured %d entries (%d skipped)", len(entries), skipped)
-	}
-	e := entries[0]
-	if e.Algo != "blinks" || e.K != 5 || e.Outcome != "ok" || e.Direct || e.Cached {
-		t.Fatalf("first entry: %+v", e)
-	}
-	if len(e.Keywords) == 0 || e.Keywords[0] != kw {
-		t.Fatalf("keywords not captured by name: %+v", e.Keywords)
-	}
-	if e.Cost == nil || e.Cost.WorkUnits <= 0 {
-		t.Fatalf("first entry cost: %+v", e.Cost)
-	}
-	if e.DurUS < 0 {
-		t.Fatalf("duration: %+v", e)
-	}
-	if !entries[1].Cached {
-		t.Fatalf("repeat entry not marked cached: %+v", entries[1])
-	}
-	if !entries[2].Direct || entries[2].Algo != "bkws" {
-		t.Fatalf("direct entry: %+v", entries[2])
 	}
 }

@@ -265,6 +265,9 @@ func TestMalformedParams(t *testing.T) {
 		"/query?q=" + kw + "&timeout=-5s",
 		"/query?q=" + kw + "&timeout=0s",
 		"/complete?prefix=term&limit=abc",
+		"/complete?prefix=term&limit=0",
+		"/complete?prefix=term&limit=-3",
+		"/complete?prefix=term&limit=1000",
 	}
 	for _, path := range bad {
 		rec, body := get(t, s, path)
@@ -281,6 +284,8 @@ func TestMalformedParams(t *testing.T) {
 		"/query?q=" + kw + "&k=100",
 		"/query?q=" + kw + "&layer=0",
 		"/complete?prefix=term",
+		"/complete?prefix=term&limit=1",
+		"/complete?prefix=term&limit=100",
 	} {
 		rec, _ := get(t, s, path)
 		if rec.Code != http.StatusOK {

@@ -10,7 +10,7 @@
 //	GET /explain?q=kw1,kw2&algo=blinks
 //	    the evaluation plan only (cost model output, no search).
 //	GET /complete?prefix=har&limit=10
-//	    keyword autocompletion over the label vocabulary.
+//	    keyword autocompletion over the label vocabulary (limit 1..100).
 //	GET /stats
 //	    graph + index statistics.
 //	GET /metrics
@@ -122,10 +122,6 @@ type Options struct {
 	// decided per query at query end); the endpoints exposing it are
 	// default-off.
 	Debug DebugOptions
-	// QueryLog, when non-nil, receives one JSONL entry per /query request
-	// (workload capture; bigindexd's -query-log flag feeds benchrunner's
-	// replay mode). The server appends but never closes it.
-	QueryLog *obs.QueryLog
 	// ShadowSample is the probability that a routed query is re-evaluated
 	// in the background at the runner-up layer so the cost-model misroute
 	// counter reflects measurement, not just the fitted model. At most one
@@ -949,18 +945,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Per-query resource ledger: the search algorithms, specialization, and
 	// generation all find it through the context and charge their work to
-	// it; the snapshot rides on the retained trace and the query log, and
-	// feeds the Formula 4 calibration audit.
+	// it; the snapshot rides on the retained trace and feeds the Formula 4
+	// calibration audit.
 	led := obs.NewLedger()
 	ctx = obs.ContextWithLedger(ctx, led)
-	// Per-query shard RPC attempt log: the client records every attempt by
-	// peer address; the query-log entry persists the counts, so a degraded
-	// capture shows which peer burned the retries.
-	var callLog *shardrpc.CallLog
-	if s.opt.ShardClient != nil {
-		callLog = shardrpc.NewCallLog()
-		ctx = shardrpc.ContextWithCallLog(ctx, callLog)
-	}
 
 	algo := orDefault(algoName, "blinks")
 	direct := r.URL.Query().Get("direct") != ""
@@ -985,32 +973,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tr := obs.SpanFromContext(ctx).Trace()
 	qRaw := r.URL.Query().Get("q")
 	cost := led.Snapshot()
-	// logQuery appends one workload-capture line when the query log is on;
-	// the captured keywords are the canonical resolved names, so replay
-	// resolves them back to the same labels.
-	logQuery := func(outcome string, layer int, cached bool) {
-		if s.opt.QueryLog == nil {
-			return
-		}
-		dict := st.idx.Data().Dict()
-		kws := make([]string, 0, len(q))
-		for _, l := range q {
-			kws = append(kws, dict.Name(l))
-		}
-		s.opt.QueryLog.Append(obs.QueryLogEntry{
-			TS:           time.Now().UTC(),
-			Keywords:     kws,
-			Algo:         algo,
-			K:            k,
-			Layer:        layer,
-			Direct:       direct,
-			Cached:       cached,
-			Outcome:      outcome,
-			DurUS:        elapsed.Microseconds(),
-			Cost:         cost,
-			PeerAttempts: callLog.Snapshot(),
-		})
-	}
 	degradedReason := cr.degraded
 	if err != nil {
 		switch {
@@ -1024,12 +986,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// the abort for the cancellation counter and close out.
 			s.cancelled.With("client").Inc()
 			s.recorder.FinishCost(tr, algo, qRaw, "cancelled", elapsed, cost)
-			logQuery("cancelled", cr.layer, false)
 			httpError(w, statusClientClosedRequest, fmt.Errorf("client closed request"))
 			return
 		default:
 			s.recorder.FinishCost(tr, algo, qRaw, "error", elapsed, cost)
-			logQuery("error", cr.layer, false)
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -1059,10 +1019,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.degraded.Inc()
 		obs.AddLogAttrs(ctx, slog.Bool("degraded", true))
 		s.recorder.FinishCost(tr, algo, qRaw, "degraded", elapsed, cost)
-		logQuery("degraded", cr.layer, false)
 	} else {
 		s.recorder.FinishCost(tr, algo, qRaw, "ok", elapsed, cost)
-		logQuery("ok", cr.layer, outcome == qcache.Hit)
 	}
 	ms := cr.matches
 	// Exemplar: the latency bucket remembers this query's trace ID, so a
@@ -1172,8 +1130,9 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if limit <= 0 || limit > 100 {
-		limit = 10
+	if limit < 1 || limit > 100 {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("parameter limit=%d out of range (1..100)", limit))
+		return
 	}
 	st := s.st()
 	dict := st.idx.Data().Dict()

@@ -481,70 +481,6 @@ func (e *PeerFailure) Unwrap() error { return e.Err }
 // type dependency on this package.
 func (e *PeerFailure) FailedPeers() []string { return e.Peers }
 
-// CallLog counts shard RPC attempts by peer address for one query. The
-// server installs one in the query context; the client records every
-// attempt (including fired hedges) into it; the query log persists the
-// snapshot. All methods are nil-safe, so the client records
-// unconditionally.
-type CallLog struct {
-	mu       sync.Mutex
-	attempts map[string]int64
-}
-
-// NewCallLog returns an empty per-query attempt log.
-func NewCallLog() *CallLog { return &CallLog{} }
-
-// Record counts one attempt against addr.
-func (cl *CallLog) Record(addr string) {
-	if cl == nil {
-		return
-	}
-	cl.mu.Lock()
-	if cl.attempts == nil {
-		cl.attempts = make(map[string]int64)
-	}
-	cl.attempts[addr]++
-	cl.mu.Unlock()
-}
-
-// Snapshot returns the per-peer attempt counts (nil when empty or on a
-// nil log).
-func (cl *CallLog) Snapshot() map[string]int64 {
-	if cl == nil {
-		return nil
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if len(cl.attempts) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(cl.attempts))
-	for k, v := range cl.attempts {
-		out[k] = v
-	}
-	return out
-}
-
-type callLogCtxKey struct{}
-
-// ContextWithCallLog installs a per-query attempt log into the context.
-func ContextWithCallLog(ctx context.Context, cl *CallLog) context.Context {
-	if cl == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, callLogCtxKey{}, cl)
-}
-
-// CallLogFromContext returns the context's attempt log, or nil (a valid
-// no-op receiver).
-func CallLogFromContext(ctx context.Context) *CallLog {
-	if ctx == nil {
-		return nil
-	}
-	cl, _ := ctx.Value(callLogCtxKey{}).(*CallLog)
-	return cl
-}
-
 // callMeta reports how a successful call was served: the answering peer
 // and how many attempts (first try included) the call burned — span
 // attributes for the stitched trace.
@@ -579,7 +515,6 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 	}
 	bo := retry.New(c.opt.Backoff)
 	start := int(c.rr.Add(1))
-	cl := CallLogFromContext(ctx)
 	var lastErr error
 	var tried []string
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -603,7 +538,6 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 		if attempt > 0 && c.opt.Metrics != nil {
 			c.opt.Metrics.Retries.Inc()
 		}
-		cl.Record(p.addr)
 		tried = appendPeerOnce(tried, p.addr)
 		// Measured after the pick, which may have waited on a probe. An
 		// admitted peer is always attempted, even with the budget gone: it
@@ -612,7 +546,7 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 		// The attempt span exists so /debug/active's current path names the
 		// peer a blocked query is waiting on ("…>rpc:expand>peer:<addr>").
 		attemptSpan := obs.SpanFromContext(ctx).StartChild("peer:" + p.addr)
-		res := c.oneAttempt(ctx, p, replicas, op, mt, payload, wantType, slice, attempt == 0, tel, cl)
+		res := c.oneAttempt(ctx, p, replicas, op, mt, payload, wantType, slice, attempt == 0, tel)
 		attemptSpan.End()
 		if res.err == nil {
 			meta.peer = res.peer.addr
@@ -721,7 +655,7 @@ func attemptSlice(remaining time.Duration, attemptsLeft int, floor time.Duration
 // is slower than the p99-derived delay, a second replica gets the same
 // pure request and the first answer wins. The loser's goroutine settles
 // its own bookkeeping whenever it finishes.
-func (c *Client) oneAttempt(ctx context.Context, p *peer, replicas []*peer, op string, mt byte, payload []byte, wantType byte, timeout time.Duration, allowHedge bool, tel *Telemetry, cl *CallLog) attemptResult {
+func (c *Client) oneAttempt(ctx context.Context, p *peer, replicas []*peer, op string, mt byte, payload []byte, wantType byte, timeout time.Duration, allowHedge bool, tel *Telemetry) attemptResult {
 	primary := c.attemptAsync(p, op, mt, payload, wantType, timeout, tel)
 	var hedge *peer
 	if allowHedge && c.opt.Hedge {
@@ -752,7 +686,6 @@ func (c *Client) oneAttempt(ctx context.Context, p *peer, replicas []*peer, op s
 		return attemptResult{err: ctx.Err()}
 	case <-timer.C:
 	}
-	cl.Record(hedge.addr)
 	second := c.attemptAsync(hedge, op, mt, payload, wantType, timeout, tel)
 	var firstErr attemptResult
 	for i := 0; i < 2; i++ {

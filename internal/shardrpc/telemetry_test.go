@@ -391,10 +391,10 @@ func TestStatsAndFleetSnapshot(t *testing.T) {
 	}
 }
 
-// TestCallLogRecordsPeerAttempts routes calls through a context call log
-// with one dead and one live replica: the log must show attempts against
-// both, with the dead peer charged at least one.
-func TestCallLogRecordsPeerAttempts(t *testing.T) {
+// TestAttemptSpansNamePeers routes traced calls over one dead and one live
+// replica: the trace must hold a peer:<addr> attempt span for each, so a
+// retained trace says which peer used up a query's attempts.
+func TestAttemptSpansNamePeers(t *testing.T) {
 	g := testGraph(36, 60)
 	plan := testPlan(t, g, 16)
 	_, live := startServer(t, plan, ServerOptions{})
@@ -409,20 +409,18 @@ func TestCallLogRecordsPeerAttempts(t *testing.T) {
 	defer c.Close()
 	bnd := c.For(plan)
 
-	cl := NewCallLog()
-	ctx := ContextWithCallLog(context.Background(), cl)
+	ctx, tr, _ := tracedCtx()
 	for i := 0; i < 6; i++ {
 		req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
 		if _, err := bnd.Expand(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := cl.Snapshot()
-	if snap[live] == 0 {
-		t.Fatalf("live peer unrecorded: %v", snap)
-	}
-	if snap[deadAddr] == 0 {
-		t.Fatalf("dead peer attempts unrecorded: %v", snap)
+	root := tr.Snapshot()
+	for _, addr := range []string{live, deadAddr} {
+		if findSpan(root, "peer:"+addr) == nil {
+			t.Errorf("no peer:%s attempt span in trace %+v", addr, root)
+		}
 	}
 }
 

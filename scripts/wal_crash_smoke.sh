@@ -6,7 +6,7 @@
 # byte-identical query answer. Check that /admin/reload is gone and that
 # SIGHUP changes nothing. Then prove the write path survived recovery
 # (another batch + a manual compaction). CI runs this next to
-# replay_smoke.sh; it is also handy locally:
+# shardnet_chaos_smoke.sh; it is also handy locally:
 #
 #   scripts/wal_crash_smoke.sh
 set -euo pipefail

@@ -160,7 +160,8 @@ func NewBKWS(dmax int) Algorithm { return bkws.New(dmax) }
 // exploration.
 func NewBidir(dmax int) Algorithm { return bidir.New(dmax) }
 
-// NewBlinks returns a Blinks instance (bi-level partition index).
+// NewBlinks returns a Blinks instance (ranked distinct-root search; no
+// per-graph index).
 func NewBlinks(opt BlinksOptions) Algorithm { return blinks.New(opt) }
 
 // NewRClique returns an r-clique instance.

@@ -47,7 +47,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	q := []bigindex.Label{dict.Lookup("alice"), dict.Lookup("globex")}
 	for _, algo := range []bigindex.Algorithm{
 		bigindex.NewBKWS(3),
-		bigindex.NewBlinks(bigindex.BlinksOptions{DMax: 3, BlockSize: 2}),
+		bigindex.NewBlinks(bigindex.BlinksOptions{DMax: 3}),
 	} {
 		ev := bigindex.NewEvaluator(idx, algo, bigindex.DefaultEvalOptions())
 		direct, err := ev.Direct(q, 0)

@@ -83,7 +83,7 @@ func loadPreset(name string) (*datagen.Dataset, error) {
 func newAlgo(name string, dmax int) (search.Algorithm, error) {
 	switch name {
 	case "blinks", "":
-		return blinks.New(blinks.Options{DMax: dmax, BlockSize: 200}), nil
+		return blinks.New(blinks.Options{DMax: dmax}), nil
 	case "bkws":
 		return bkws.New(dmax), nil
 	case "rclique":

@@ -48,7 +48,7 @@ func main() {
 		fmt.Printf("  layer %d: size %-6d (ratio %.3f)\n", l.Layer, l.Size, l.Ratio)
 	}
 
-	algo := bigindex.NewBlinks(bigindex.BlinksOptions{DMax: 4, BlockSize: 200})
+	algo := bigindex.NewBlinks(bigindex.BlinksOptions{DMax: 4})
 	ev := bigindex.NewEvaluator(idx, algo, bigindex.DefaultEvalOptions())
 
 	fmt.Println("\nQ1-Q8 workload, Blinks with and without BiG-index:")

@@ -28,8 +28,6 @@ const (
 	DMax = 4
 	// RClique is the r-clique pairwise bound (paper: 4).
 	RClique = 3
-	// BlockSize is the Blinks partition block size (paper: METIS, avg 1000).
-	BlockSize = 200
 	// Beta is the query-generalization weight (paper settles on 0.5).
 	Beta = 0.5
 	// SampleCount is the per-layer estimator sample count used when
@@ -102,7 +100,7 @@ var (
 
 // NewBlinks returns the Blinks instance used across experiments.
 func NewBlinks() search.Algorithm {
-	return blinks.New(blinks.Options{DMax: DMax, BlockSize: BlockSize})
+	return blinks.New(blinks.Options{DMax: DMax})
 }
 
 // BlinksEvalOptions returns the evaluator options used for Blinks on a

@@ -164,7 +164,7 @@ func TestEquivalenceTheorem(t *testing.T) {
 	algos := []search.Algorithm{
 		bkws.New(3),
 		bidir.New(3),
-		blinks.New(blinks.Options{DMax: 3, BlockSize: 16}),
+		blinks.New(blinks.Options{DMax: 3}),
 		rclique.New(2),
 	}
 	for _, algo := range algos {
@@ -253,7 +253,7 @@ func TestTopKEquivalence(t *testing.T) {
 	algos := []search.Algorithm{
 		bkws.New(3),
 		bidir.New(3),
-		blinks.New(blinks.Options{DMax: 3, BlockSize: 16}),
+		blinks.New(blinks.Options{DMax: 3}),
 	}
 	for _, seed := range []int64{105, 106, 107} {
 		ds := smallDataset(seed)

@@ -19,7 +19,7 @@ import (
 func TestEvalCtxSpanTree(t *testing.T) {
 	ds := smallDataset(301)
 	idx := buildIndex(t, ds)
-	ev := NewEvaluator(idx, blinks.New(blinks.Options{DMax: 3, BlockSize: 64}), DefaultEvalOptions())
+	ev := NewEvaluator(idx, blinks.New(blinks.Options{DMax: 3}), DefaultEvalOptions())
 
 	rng := rand.New(rand.NewSource(7))
 	q := pickQuery(rng, ds, 2, 3)
@@ -85,7 +85,7 @@ func TestEvalCtxSpanTree(t *testing.T) {
 func TestEvalWithoutContextStillTimes(t *testing.T) {
 	ds := smallDataset(302)
 	idx := buildIndex(t, ds)
-	ev := NewEvaluator(idx, blinks.New(blinks.Options{DMax: 3, BlockSize: 64}), DefaultEvalOptions())
+	ev := NewEvaluator(idx, blinks.New(blinks.Options{DMax: 3}), DefaultEvalOptions())
 	rng := rand.New(rand.NewSource(9))
 	q := pickQuery(rng, ds, 2, 3)
 	if q == nil {
@@ -156,7 +156,7 @@ func TestBreakdownPaperPhaseCounters(t *testing.T) {
 	if idx.NumLayers() < 2 {
 		t.Skip("single-layer index")
 	}
-	ev := NewEvaluator(idx, blinks.New(blinks.Options{DMax: 3, BlockSize: 64}), DefaultEvalOptions())
+	ev := NewEvaluator(idx, blinks.New(blinks.Options{DMax: 3}), DefaultEvalOptions())
 	rng := rand.New(rand.NewSource(11))
 
 	var bd *Breakdown

@@ -67,7 +67,7 @@ func TestProp53RankPreservation(t *testing.T) {
 	ds := smallDataset(502)
 	idx := buildIndex(t, ds)
 	rng := rand.New(rand.NewSource(3))
-	algo := blinks.New(blinks.Options{DMax: 3, BlockSize: 16})
+	algo := blinks.New(blinks.Options{DMax: 3})
 	ev := NewEvaluator(idx, algo, DefaultEvalOptions())
 	for trial := 0; trial < 10; trial++ {
 		q := pickQuery(rng, ds, 2, 3)

@@ -1,10 +1,9 @@
-// Package partition divides a graph into connected blocks of bounded size.
-// Blinks' bi-level index (Sec. 5.3 of the paper; He et al., SIGMOD'07)
-// partitions the data graph into blocks, keeps intra-block distance
-// information, and stitches blocks together through *portal* vertices. The
+// Package partition divides a graph into connected blocks of bounded size,
+// the decomposition of Blinks' bi-level index (Sec. 5.3 of the paper; He et
+// al., SIGMOD'07): blocks stitched together through *portal* vertices. The
 // paper used METIS; this package is the from-scratch substitute: a
 // BFS-grown partitioner that produces balanced blocks with a modest edge
-// cut, which is all the bi-level index needs.
+// cut. internal/shard plans its blocks with it.
 package partition
 
 import (

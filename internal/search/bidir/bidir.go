@@ -101,56 +101,46 @@ func (p *prepared) SearchCtx(ctx context.Context, q []graph.Label, k int) ([]sea
 
 	// Backward activation phase: level-order BFS from the selective
 	// keyword's posting list; candidates surface in increasing distance.
-	seeds := p.g.VerticesWithLabel(q[sel])
-	dist := make(map[graph.V]int, len(seeds)*2)
-	level := make([]graph.V, 0, len(seeds))
-	for _, s := range seeds {
-		dist[s] = 0
-		level = append(level, s)
+	// Distances live in a stamped row of a pooled scratch, whose visited
+	// row also serves the forward probes.
+	s := search.GetScratch(p.g.NumVertices(), 1)
+	defer search.PutScratch(s)
+	f := s.Frontier(0)
+	for _, v := range p.g.VerticesWithLabel(q[sel]) {
+		s.Reach(0, v, 0)
+		f.Cur = append(f.Cur, v)
 	}
 
 	var matches []search.Match
-	verify := func(r graph.V, dSel int) {
+	verify := func(r graph.V) {
 		verifiedN++
 		// Forward phase: exact minimum distances to every keyword. The
-		// selective keyword's distance is recomputed too — the forward
-		// minimum can only match dSel (backward BFS already gave the min).
-		dists, nodes, ok := search.MinDistToLabels(p.g, r, q, p.dmax)
-		if !ok {
-			return
+		// selective keyword's distance is recomputed too; the forward
+		// minimum can only equal the backward one.
+		if m, ok := s.RootMatch(p.g, r, q, p.dmax); ok {
+			matches = append(matches, m)
 		}
-		sum := 0
-		for _, d := range dists {
-			sum += d
-		}
-		matches = append(matches, search.Match{
-			Root:  r,
-			Nodes: nodes,
-			Dists: dists,
-			Score: float64(sum),
-		})
-		_ = dSel
 	}
 
 activation:
-	for d := 0; len(level) > 0; d++ {
-		if len(level) > frontierPeak {
-			frontierPeak = len(level)
+	for ; len(f.Cur) > 0; f.Advance() {
+		d := f.Level
+		if len(f.Cur) > frontierPeak {
+			frontierPeak = len(f.Cur)
 		}
-		for _, v := range level {
+		for _, v := range f.Cur {
 			if cancel.Cancelled() {
 				break activation
 			}
-			verify(v, d)
+			verify(v)
 		}
 		if k > 0 && len(matches) >= k {
 			// Any future candidate has backward distance >= d+1 to the
 			// selective keyword, hence score >= d+1. Strictly better, not
 			// equal: a future root scoring exactly d+1 could displace the
 			// k-th answer in the (score, Key) tie-break order, so only a
-			// strictly better k-th closes the search — making the top-k
-			// exactly the exhaustive prefix, which the sharded path
-			// (internal/shard) relies on for byte-identical answers.
+			// strictly better k-th closes the search, making the top-k
+			// exactly the exhaustive prefix.
 			search.SortMatches(matches)
 			if matches[k-1].Score < float64(d+1) {
 				earlyStop = true
@@ -160,19 +150,16 @@ activation:
 		if d == p.dmax {
 			break
 		}
-		var next []graph.V
-		for _, v := range level {
+		for _, v := range f.Cur {
 			if cancel.Cancelled() {
 				break activation
 			}
 			for _, u := range p.g.In(v) {
-				if _, ok := dist[u]; !ok {
-					dist[u] = d + 1
-					next = append(next, u)
+				if s.Reach(0, u, d+1) {
+					f.Next = append(f.Next, u)
 				}
 			}
 		}
-		level = next
 	}
 
 	if sp != nil {

@@ -68,14 +68,6 @@ type prepared struct {
 	dmax int
 }
 
-// frontier is one keyword's backward expansion state.
-type frontier struct {
-	kw    int
-	level int
-	cur   []graph.V       // vertices at distance `level`
-	dist  map[graph.V]int // v -> dist(v ->* keyword vertex)
-}
-
 // Search implements search.Prepared.
 func (p *prepared) Search(q []graph.Label, k int) ([]search.Match, error) {
 	return p.SearchCtx(context.Background(), q, k)
@@ -84,9 +76,20 @@ func (p *prepared) Search(q []graph.Label, k int) ([]search.Match, error) {
 // SearchCtx implements search.Prepared with cooperative cancellation: every
 // frontier expansion is a (throttled) checkpoint, and on cancellation the
 // roots discovered so far are returned with the context's error.
+//
+// Each keyword's backward distances live in a stamped row of a pooled
+// search.Scratch, and the scratch's root counter marks a vertex as an
+// answer root when the last keyword reaches it. Witness nodes are
+// presentational (Match.Key ignores them), so they are found only for the
+// matches returned.
 func (p *prepared) SearchCtx(ctx context.Context, q []graph.Label, k int) ([]search.Match, error) {
 	if len(q) == 0 {
 		return nil, fmt.Errorf("bkws: empty query")
+	}
+	for _, l := range q {
+		if p.g.LabelCount(l) == 0 {
+			return nil, nil // a keyword with no occurrences has no answers
+		}
 	}
 	cancel := search.NewCanceller(ctx)
 	sp := obs.SpanFromContext(ctx)
@@ -94,51 +97,30 @@ func (p *prepared) SearchCtx(ctx context.Context, q []graph.Label, k int) ([]sea
 	expansions := 0
 	frontierPeak := 0
 	earlyStop := false
-	fronts := make([]*frontier, len(q))
-	for i, l := range q {
-		seeds := p.g.VerticesWithLabel(l)
-		if len(seeds) == 0 {
-			return nil, nil // a keyword with no occurrences has no answers
+	s := search.GetScratch(p.g.NumVertices(), len(q))
+	defer search.PutScratch(s)
+
+	var matches []search.Match
+	// reach records v at distance d from keyword kw and emits v once every
+	// keyword has reached it.
+	reach := func(kw int, v graph.V, d int) bool {
+		if !s.Reach(kw, v, d) {
+			return false
 		}
-		f := &frontier{kw: i, dist: make(map[graph.V]int, len(seeds)*2)}
-		for _, s := range seeds {
-			f.dist[s] = 0
-			f.cur = append(f.cur, s)
+		if s.CountRoot(v) == len(q) {
+			dists := s.Dists(v, len(q))
+			matches = append(matches, search.Match{Root: v, Dists: dists, Score: search.SumDistances(dists)})
+		}
+		return true
+	}
+	fronts := make([]*search.Frontier, len(q))
+	for i, l := range q {
+		f := s.Frontier(i)
+		for _, v := range p.g.VerticesWithLabel(l) {
+			reach(i, v, 0)
+			f.Cur = append(f.Cur, v)
 		}
 		fronts[i] = f
-	}
-
-	found := make(map[graph.V]bool)
-	var matches []search.Match
-
-	tryRoot := func(v graph.V) {
-		if found[v] {
-			return
-		}
-		dists := make([]int, len(q))
-		sum := 0
-		for _, f := range fronts {
-			d, ok := f.dist[v]
-			if !ok {
-				return
-			}
-			dists[f.kw] = d
-			sum += d
-		}
-		found[v] = true
-		matches = append(matches, search.Match{
-			Root:  v,
-			Nodes: search.WitnessNodes(p.g, v, q, dists),
-			Dists: dists,
-			Score: float64(sum),
-		})
-	}
-
-	// Seed roots: keyword vertices themselves may already be roots.
-	for _, f := range fronts {
-		for _, v := range f.cur {
-			tryRoot(v)
-		}
 	}
 
 expand:
@@ -147,21 +129,21 @@ expand:
 			break
 		}
 		// Pick the live frontier with the fewest vertices (paper's rule).
-		var best *frontier
+		kw := -1
 		live := 0
-		for _, f := range fronts {
-			live += len(f.cur)
-			if f.level >= p.dmax || len(f.cur) == 0 {
+		for i, f := range fronts {
+			live += len(f.Cur)
+			if f.Level >= p.dmax || len(f.Cur) == 0 {
 				continue
 			}
-			if best == nil || len(f.cur) < len(best.cur) {
-				best = f
+			if kw == -1 || len(f.Cur) < len(fronts[kw].Cur) {
+				kw = i
 			}
 		}
 		if live > frontierPeak {
 			frontierPeak = live
 		}
-		if best == nil {
+		if kw == -1 {
 			break
 		}
 		if k > 0 && len(matches) >= k {
@@ -170,41 +152,35 @@ expand:
 			// least the smallest live frontier level + 1.
 			lb := -1
 			for _, f := range fronts {
-				if f.level < p.dmax && len(f.cur) > 0 && (lb == -1 || f.level+1 < lb) {
-					lb = f.level + 1
+				if f.Level < p.dmax && len(f.Cur) > 0 && (lb == -1 || f.Level+1 < lb) {
+					lb = f.Level + 1
 				}
 			}
 			search.SortMatches(matches)
 			// Strictly better, not equal: an undiscovered root scoring
 			// exactly lb could still displace the current k-th answer in
 			// the (score, Key) tie-break order. With the strict bound the
-			// returned top-k is exactly the exhaustive answer's prefix —
-			// the invariant the sharded path (internal/shard) relies on to
-			// stay byte-identical at every worker count.
+			// returned top-k is exactly the exhaustive answer's prefix, so
+			// the order in which roots are found never shows.
 			if lb >= 0 && matches[min(k, len(matches))-1].Score < float64(lb) {
 				earlyStop = true
 				break
 			}
 		}
 
-		var next []graph.V
-		for _, v := range best.cur {
+		best := fronts[kw]
+		for _, v := range best.Cur {
 			if cancel.Cancelled() {
 				break expand
 			}
 			expansions++
 			for _, u := range p.g.In(v) {
-				if _, ok := best.dist[u]; !ok {
-					best.dist[u] = best.level + 1
-					next = append(next, u)
+				if reach(kw, u, best.Level+1) {
+					best.Next = append(best.Next, u)
 				}
 			}
 		}
-		best.level++
-		best.cur = next
-		for _, u := range next {
-			tryRoot(u)
-		}
+		best.Advance()
 	}
 
 	if sp != nil {
@@ -215,7 +191,9 @@ expand:
 	led.AddExpanded(int64(expansions))
 	led.NoteFrontier(int64(frontierPeak))
 	search.SortMatches(matches)
-	return search.Truncate(matches, k), cancel.Err()
+	matches = search.Truncate(matches, k)
+	s.Witness(p.g, q, matches)
+	return matches, cancel.Err()
 }
 
 // NewGeneration implements search.Algorithm; see generation.go (shared

@@ -33,8 +33,7 @@ func matchKeys(ms []search.Match) map[string]float64 {
 }
 
 // TestAgreesWithBkws: Blinks implements the same distinct-root semantics as
-// bkws, so exhaustive answer sets must be identical regardless of how the
-// graph is partitioned.
+// bkws, so exhaustive answer sets must be identical.
 func TestAgreesWithBkws(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := bkws.New(3)
@@ -52,25 +51,22 @@ func TestAgreesWithBkws(t *testing.T) {
 		}
 		want, _ := bp.Search(q, 0)
 
-		for _, blockSize := range []int{1, 3, 8, 1000} {
-			algo := New(Options{DMax: 3, BlockSize: blockSize})
-			p, err := algo.Prepare(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.Search(q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gm, wm := matchKeys(got), matchKeys(want)
-			if len(gm) != len(wm) {
-				t.Fatalf("trial %d block %d: %d matches, bkws %d\nq=%v edges=%v",
-					trial, blockSize, len(gm), len(wm), q, g.Edges())
-			}
-			for k, s := range wm {
-				if gs, ok := gm[k]; !ok || gs != s {
-					t.Fatalf("trial %d block %d: key %s got %v want %v", trial, blockSize, k, gs, s)
-				}
+		p, err := New(Options{DMax: 3}).Prepare(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Search(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm, wm := matchKeys(got), matchKeys(want)
+		if len(gm) != len(wm) {
+			t.Fatalf("trial %d: %d matches, bkws %d\nq=%v edges=%v",
+				trial, len(gm), len(wm), q, g.Edges())
+		}
+		for k, s := range wm {
+			if gs, ok := gm[k]; !ok || gs != s {
+				t.Fatalf("trial %d: key %s got %v want %v", trial, k, gs, s)
 			}
 		}
 	}
@@ -88,54 +84,36 @@ func TestTopKIsExhaustivePrefix(t *testing.T) {
 		for i := range q {
 			q[i] = graph.Label(1 + rng.Intn(g.Dict().Len()))
 		}
-		for _, blockSize := range []int{1, 5, 1000} {
-			p, err := New(Options{DMax: 1 + rng.Intn(4), BlockSize: blockSize}).Prepare(g)
-			if err != nil {
-				t.Fatal(err)
+		p, err := New(Options{DMax: 1 + rng.Intn(4)}).Prepare(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, _ := p.Search(q, 0)
+		for _, k := range []int{1, 3, 7} {
+			topk, _ := p.Search(q, k)
+			want := search.Truncate(all, k)
+			if len(topk) != len(want) {
+				t.Fatalf("trial %d top-%d returned %d of %d", trial, k, len(topk), len(all))
 			}
-			all, _ := p.Search(q, 0)
-			for _, k := range []int{1, 3, 7} {
-				topk, _ := p.Search(q, k)
-				want := search.Truncate(all, k)
-				if len(topk) != len(want) {
-					t.Fatalf("trial %d block %d top-%d returned %d of %d", trial, blockSize, k, len(topk), len(all))
-				}
-				for i := range want {
-					if topk[i].Key() != want[i].Key() {
-						t.Fatalf("trial %d block %d top-%d rank %d: %s (score %v), want %s (score %v)",
-							trial, blockSize, k, i, topk[i].Key(), topk[i].Score, want[i].Key(), want[i].Score)
-					}
+			for i := range want {
+				if topk[i].Key() != want[i].Key() {
+					t.Fatalf("trial %d top-%d rank %d: %s (score %v), want %s (score %v)",
+						trial, k, i, topk[i].Key(), topk[i].Score, want[i].Key(), want[i].Score)
 				}
 			}
 		}
 	}
 }
 
-func TestStatsAndEmptyGraph(t *testing.T) {
+func TestEmptyGraphRejected(t *testing.T) {
 	if _, err := New(Options{DMax: 3}).Prepare(graph.NewBuilder(nil).Build()); err == nil {
 		t.Fatal("empty graph should be rejected")
-	}
-	g := randomGraph(rand.New(rand.NewSource(2)), 30, 60, 3)
-	algo := New(Options{DMax: 3, BlockSize: 8})
-	p, err := algo.Prepare(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := Stats(p)
-	if !ok {
-		t.Fatal("Stats should recognize its own Prepared")
-	}
-	if st.Blocks < 30/8 {
-		t.Fatalf("too few blocks: %+v", st)
-	}
-	if st.TableRows == 0 {
-		t.Fatal("intra-block tables empty")
 	}
 }
 
 func TestMissingKeywordAndEmptyQuery(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 10, 20, 2)
-	algo := New(Options{DMax: 3, BlockSize: 4})
+	algo := New(Options{DMax: 3})
 	p, _ := algo.Prepare(g)
 	if _, err := p.Search(nil, 0); err == nil {
 		t.Fatal("empty query should error")

@@ -15,7 +15,7 @@ import (
 func TestSearchCtxCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	g := randomGraph(rng, 40, 120, 3)
-	p, err := New(Options{DMax: 3, BlockSize: 8}).Prepare(g)
+	p, err := New(Options{DMax: 3}).Prepare(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSearchCtxCancelled(t *testing.T) {
 func TestSearchCtxBackgroundMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	g := randomGraph(rng, 30, 90, 3)
-	p, err := New(Options{DMax: 3, BlockSize: 8}).Prepare(g)
+	p, err := New(Options{DMax: 3}).Prepare(g)
 	if err != nil {
 		t.Fatal(err)
 	}

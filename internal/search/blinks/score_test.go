@@ -27,8 +27,8 @@ func TestCustomScore(t *testing.T) {
 		g := randomGraph(rng, n, rng.Intn(4*n), 3)
 		q := []graph.Label{1, 2}
 
-		def := New(Options{DMax: 3, BlockSize: 8})
-		custom := New(Options{DMax: 3, BlockSize: 8, Score: maxDist})
+		def := New(Options{DMax: 3})
+		custom := New(Options{DMax: 3, Score: maxDist})
 		pd, _ := def.Prepare(g)
 		pc, _ := custom.Prepare(g)
 		dms, _ := pd.Search(q, 0)

@@ -107,6 +107,8 @@ func (rg *RootedGeneration) Generate(rootCands []graph.V, cands [][]graph.V) []M
 // the current root and returns the verified (sound) matches so far.
 func (rg *RootedGeneration) GenerateCtx(ctx context.Context, rootCands []graph.V, cands [][]graph.V) []Match {
 	cancel := NewCanceller(ctx)
+	s := GetScratch(rg.g.NumVertices(), 0)
+	defer PutScratch(s)
 	var out []Match
 	for _, r := range rootCands {
 		if rg.opt.K > 0 && rg.count >= rg.opt.K {
@@ -120,7 +122,7 @@ func (rg *RootedGeneration) GenerateCtx(ctx context.Context, rootCands []graph.V
 			continue
 		}
 		rg.emitted[r] = true
-		m, ok := rg.verify(r)
+		m, ok := rg.verify(s, r)
 		if ok {
 			out = append(out, m)
 			rg.count++
@@ -129,7 +131,7 @@ func (rg *RootedGeneration) GenerateCtx(ctx context.Context, rootCands []graph.V
 	return out
 }
 
-func (rg *RootedGeneration) verify(r graph.V) (Match, bool) {
+func (rg *RootedGeneration) verify(s *Scratch, r graph.V) (Match, bool) {
 	rg.verified++
 	useMaps := rg.opt.PathBased && (rg.kwDist != nil || rg.verified > rg.pathThreshold)
 	if useMaps && rg.kwDist == nil {
@@ -154,8 +156,8 @@ func (rg *RootedGeneration) verify(r graph.V) (Match, bool) {
 			// occurrence, usually within a hop or two — cheaper than
 			// materializing its near-global distance map.
 			rg.stats.VertexChecks++
-			d = rg.minDistToLabel(r, rg.q[i])
-			if d >= 0 {
+			if ds, _, ok := s.MinDistToLabels(rg.g, r, rg.q[i:i+1], rg.dmax); ok {
+				d = ds[0]
 				rg.stats.VertexQualified++
 			}
 		}
@@ -166,7 +168,7 @@ func (rg *RootedGeneration) verify(r graph.V) (Match, bool) {
 	}
 	return Match{
 		Root:  r,
-		Nodes: WitnessNodes(rg.g, r, rg.q, dists),
+		Nodes: s.WitnessNodes(rg.g, r, rg.q, dists),
 		Dists: dists,
 		Score: rg.score(dists),
 	}, true
@@ -184,74 +186,12 @@ func (rg *RootedGeneration) mapWorthwhile(i int) bool {
 	return rg.g.LabelCount(rg.q[i])*24 <= n
 }
 
-// minDistToLabel is the vertex-at-a-time check: a bounded level-order BFS
-// from r that stops at the first level containing label l. Returns -1 if l
-// is not reachable within d_max.
-func (rg *RootedGeneration) minDistToLabel(r graph.V, l graph.Label) int {
-	if rg.g.Label(r) == l {
-		return 0
-	}
-	seen := map[graph.V]bool{r: true}
-	level := []graph.V{r}
-	for d := 0; d < rg.dmax; d++ {
-		var next []graph.V
-		for _, v := range level {
-			for _, w := range rg.g.Out(v) {
-				if !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		for _, w := range next {
-			if rg.g.Label(w) == l {
-				return d + 1
-			}
-		}
-		level = next
-	}
-	return -1
-}
-
 // WitnessNodes picks, for each keyword, the smallest-ID vertex of that
 // label at the given minimum distance from root, via one level-order BFS.
 // The deterministic tie-break keeps matches comparable across evaluation
 // strategies.
 func WitnessNodes(g *graph.Graph, root graph.V, q []graph.Label, dists []int) []graph.V {
-	maxD := 0
-	for _, d := range dists {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	nodes := make([]graph.V, len(q))
-	have := make([]bool, len(q))
-	seen := map[graph.V]bool{root: true}
-	level := []graph.V{root}
-	for d := 0; d <= maxD; d++ {
-		for _, v := range level {
-			for i, l := range q {
-				if dists[i] == d && g.Label(v) == l {
-					if !have[i] || v < nodes[i] {
-						nodes[i] = v
-						have[i] = true
-					}
-				}
-			}
-		}
-		if d == maxD {
-			break
-		}
-		var next []graph.V
-		for _, v := range level {
-			for _, w := range g.Out(v) {
-				if !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		level = next
-	}
-	return nodes
+	s := GetScratch(g.NumVertices(), 0)
+	defer PutScratch(s)
+	return s.WitnessNodes(g, root, q, dists)
 }

@@ -13,10 +13,10 @@
 package search
 
 import (
+	"bytes"
 	"context"
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"bigindex/internal/graph"
 )
@@ -44,19 +44,26 @@ type Match struct {
 // which concrete nearest node witnesses a distance is presentational.
 // Node-set semantics (Dists == nil, e.g. r-clique) identify an answer by its
 // matched nodes.
-func (m Match) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "r%d|", m.Root)
+func (m Match) Key() string { return string(m.appendKey(make([]byte, 0, 32))) }
+
+// appendKey appends Key's bytes to b: "r<root>|" then "<d>," per distance,
+// or "<node>," per node when Dists is nil.
+func (m Match) appendKey(b []byte) []byte {
+	b = append(b, 'r')
+	b = strconv.AppendUint(b, uint64(m.Root), 10)
+	b = append(b, '|')
 	if m.Dists != nil {
 		for _, d := range m.Dists {
-			fmt.Fprintf(&b, "%d,", d)
+			b = strconv.AppendInt(b, int64(d), 10)
+			b = append(b, ',')
 		}
-		return b.String()
+		return b
 	}
 	for _, n := range m.Nodes {
-		fmt.Fprintf(&b, "%d,", n)
+		b = strconv.AppendUint(b, uint64(n), 10)
+		b = append(b, ',')
 	}
-	return b.String()
+	return b
 }
 
 // Subgraph materializes the match as an answer subgraph of g by connecting
@@ -114,8 +121,8 @@ type Algorithm interface {
 	// Name identifies the algorithm in reports ("bkws", "blinks", "rclique").
 	Name() string
 
-	// Prepare builds whatever per-graph index the algorithm needs (Blinks'
-	// bi-level index, r-clique's neighbor index, nothing for bkws) and
+	// Prepare builds whatever per-graph index the algorithm needs
+	// (r-clique's neighbor index; nothing for bkws, bidir and Blinks) and
 	// returns a handle for querying. Prepare time is index-construction
 	// time, not query time.
 	Prepare(g *graph.Graph) (Prepared, error)
@@ -204,18 +211,36 @@ type Rootless interface {
 }
 
 // SortMatches orders matches by ascending score, breaking ties by Key so
-// results are deterministic.
+// results are deterministic. Each Key is built once per sort, into one
+// shared buffer.
 func SortMatches(ms []Match) {
-	slices.SortFunc(ms, func(a, b Match) int {
+	if len(ms) < 2 {
+		return
+	}
+	type keyed struct {
+		m      Match
+		lo, hi int // the match's Key is keys[lo:hi]
+	}
+	ks := make([]keyed, len(ms))
+	var keys []byte
+	for i, m := range ms {
+		lo := len(keys)
+		keys = m.appendKey(keys)
+		ks[i] = keyed{m, lo, len(keys)}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
 		switch {
-		case a.Score < b.Score:
+		case a.m.Score < b.m.Score:
 			return -1
-		case a.Score > b.Score:
+		case a.m.Score > b.m.Score:
 			return 1
 		default:
-			return strings.Compare(a.Key(), b.Key())
+			return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi])
 		}
 	})
+	for i := range ks {
+		ms[i] = ks[i].m
+	}
 }
 
 // Truncate returns the first k matches (k <= 0 returns ms unchanged).

@@ -1,6 +1,10 @@
 package search
 
-import "bigindex/internal/graph"
+import (
+	"slices"
+
+	"bigindex/internal/graph"
+)
 
 // MultiSourceDists runs one breadth-first traversal from all sources at once
 // and returns vertex -> hop distance to the nearest source, bounded by limit
@@ -112,75 +116,10 @@ func MultiSourceUndirectedDists(g *graph.Graph, sources []graph.V, limit int) ma
 // The deterministic smallest-ID tie-break is what makes direct evaluation
 // and index-backed regeneration produce byte-identical matches.
 func MinDistToLabels(g *graph.Graph, root graph.V, labels []graph.Label, limit int) (dists []int, nodes []graph.V, ok bool) {
-	want := make(map[graph.Label][]int) // label -> indices in labels
-	for i, l := range labels {
-		want[l] = append(want[l], i)
-	}
-	dists = make([]int, len(labels))
-	nodes = make([]graph.V, len(labels))
-	for i := range dists {
-		dists[i] = -1
-	}
-	remaining := 0
-	for range want {
-		remaining++
-	}
-
-	record := func(v graph.V, d int) {
-		idxs, isWanted := want[g.Label(v)]
-		if !isWanted {
-			return
-		}
-		first := dists[idxs[0]] == -1
-		for _, i := range idxs {
-			if dists[i] == -1 {
-				dists[i] = d
-				nodes[i] = v
-			} else if dists[i] == d && v < nodes[i] {
-				nodes[i] = v
-			}
-		}
-		if first {
-			remaining--
-		}
-	}
-
-	// Level-order BFS so all vertices at the minimal distance are examined
-	// before stopping (needed for the smallest-ID tie-break).
-	seen := map[graph.V]bool{root: true}
-	level := []graph.V{root}
-	d := 0
-	record(root, 0)
-	for len(level) > 0 {
-		if remaining == 0 {
-			// Finish only after fully processing the level where the last
-			// label appeared; the loop structure already guarantees that.
-			break
-		}
-		if limit >= 0 && d == limit {
-			break
-		}
-		var next []graph.V
-		for _, v := range level {
-			for _, w := range g.Out(v) {
-				if !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		d++
-		for _, w := range next {
-			record(w, d)
-		}
-		level = next
-	}
-	for _, dd := range dists {
-		if dd == -1 {
-			return dists, nodes, false
-		}
-	}
-	return dists, nodes, true
+	s := GetScratch(g.NumVertices(), 0)
+	defer PutScratch(s)
+	dists, nodes, ok = s.MinDistToLabels(g, root, labels, limit)
+	return slices.Clone(dists), slices.Clone(nodes), ok
 }
 
 // ShortestPath returns one shortest path from u to v (inclusive) in

@@ -1,7 +1,10 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -216,5 +219,79 @@ func TestMatchSubgraph(t *testing.T) {
 	}
 	if sub.Root != 0 {
 		t.Fatal("root lost")
+	}
+}
+
+// TestMatchKeyGolden pins Key's exact bytes: answer dedup, cache digests
+// and the benchmark oracle all compare them.
+func TestMatchKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		m    Match
+		want string
+	}{
+		{Match{Root: 0, Dists: []int{}}, "r0|"},
+		{Match{Root: 7, Dists: []int{0, 3, 12}}, "r7|0,3,12,"},
+		{Match{Root: 4294967295, Dists: []int{-1, 1 << 40}}, "r4294967295|-1,1099511627776,"},
+		{Match{Root: 12, Nodes: []graph.V{5, 0, 123456}}, "r12|5,0,123456,"},
+		{Match{Root: 3, Nodes: []graph.V{9}, Dists: []int{2}}, "r3|2,"},
+		{Match{Root: 3}, "r3|"},
+	} {
+		if got := c.m.Key(); got != c.want {
+			t.Errorf("Key(%+v) = %q, want %q", c.m, got, c.want)
+		}
+	}
+}
+
+// TestSortMatchesMatchesFmtComparator: SortMatches orders exactly as the
+// comparator that built both keys with fmt on every tied comparison, on
+// random matches with many score ties.
+func TestSortMatchesMatchesFmtComparator(t *testing.T) {
+	fmtKey := func(m Match) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "r%d|", m.Root)
+		if m.Dists != nil {
+			for _, d := range m.Dists {
+				fmt.Fprintf(&b, "%d,", d)
+			}
+			return b.String()
+		}
+		for _, n := range m.Nodes {
+			fmt.Fprintf(&b, "%d,", n)
+		}
+		return b.String()
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		ms := make([]Match, rng.Intn(80))
+		for i := range ms {
+			m := Match{Root: graph.V(rng.Intn(120)), Score: float64(rng.Intn(4))}
+			if rng.Intn(2) == 0 {
+				for range 1 + rng.Intn(3) {
+					m.Dists = append(m.Dists, rng.Intn(12))
+				}
+			} else {
+				for range 1 + rng.Intn(3) {
+					m.Nodes = append(m.Nodes, graph.V(rng.Intn(1000)))
+				}
+			}
+			ms[i] = m
+		}
+		want := slices.Clone(ms)
+		slices.SortFunc(want, func(a, b Match) int {
+			switch {
+			case a.Score < b.Score:
+				return -1
+			case a.Score > b.Score:
+				return 1
+			default:
+				return strings.Compare(fmtKey(a), fmtKey(b))
+			}
+		})
+		SortMatches(ms)
+		for i := range want {
+			if fmtKey(ms[i]) != fmtKey(want[i]) || ms[i].Score != want[i].Score {
+				t.Fatalf("trial %d rank %d: %s, want %s", trial, i, fmtKey(ms[i]), fmtKey(want[i]))
+			}
+		}
 	}
 }

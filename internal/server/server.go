@@ -81,7 +81,8 @@ type Options struct {
 	// DMax is the distance bound used by rooted algorithms (r-clique uses
 	// DMax-1 as its pairwise bound).
 	DMax int
-	// BlockSize is Blinks' partition block size.
+	// BlockSize is the target block size of the shard plan that splits the
+	// data graph among shardrpc peers (with ShardClient).
 	BlockSize int
 	// MaxK bounds the top-k a client may request (0 = 100): /query
 	// answers a k outside 1..MaxK with 400, and Warm rejects the line.
@@ -488,7 +489,7 @@ func (s *Server) algorithm(st *indexState, name string) (search.Algorithm, error
 	}
 	switch name {
 	case "", "blinks":
-		return blinks.New(blinks.Options{DMax: s.opt.DMax, BlockSize: s.opt.BlockSize}), nil
+		return blinks.New(blinks.Options{DMax: s.opt.DMax}), nil
 	case "bkws":
 		return s.onFleet(st, bkws.New(s.opt.DMax), bkws.NewSharded), nil
 	case "bidir":

@@ -130,25 +130,16 @@ func (l *Local) Expand(ctx context.Context, req *ExpandRequest) (*ExpandResponse
 func (l *Local) Verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, error) {
 	resp := &VerifyResponse{}
 	cancel := search.NewCanceller(ctx)
+	s := search.GetScratch(l.plan.g.NumVertices(), 0)
+	defer search.PutScratch(s)
 	for _, r := range req.Roots {
 		if cancel.Cancelled() {
 			break
 		}
 		resp.Verified++
-		dists, nodes, ok := search.MinDistToLabels(l.plan.g, r, req.Labels, req.DMax)
-		if !ok {
-			continue
+		if m, ok := s.RootMatch(l.plan.g, r, req.Labels, req.DMax); ok {
+			resp.Matches = append(resp.Matches, m)
 		}
-		sum := 0
-		for _, d := range dists {
-			sum += d
-		}
-		resp.Matches = append(resp.Matches, search.Match{
-			Root:  r,
-			Nodes: nodes,
-			Dists: dists,
-			Score: float64(sum),
-		})
 	}
 	return resp, nil
 }

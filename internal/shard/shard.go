@@ -44,7 +44,7 @@ import (
 )
 
 // DefaultBlockSize is the partition target block size when Options leaves
-// it zero — the same default Blinks uses, so one partition can back both.
+// it zero.
 const DefaultBlockSize = 200
 
 // Options configures sharded execution.

@@ -154,7 +154,11 @@ func loadFile(path string, ont *ontology.Ontology, accept func(Meta) error) (*co
 		return nil, Meta{}, err
 	}
 	defer f.Close()
-	return read(bufio.NewReader(f), ont, accept)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	return read(bufio.NewReader(f), ont, accept, st.Size())
 }
 
 // IsNotExist reports whether err is the "no snapshot file" case of

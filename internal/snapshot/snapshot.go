@@ -245,17 +245,18 @@ func Write(w io.Writer, idx *core.Index, meta Meta) error {
 // be positioned at the start of the snapshot and is consumed exactly to
 // its end: leftover bytes after the trailer are corruption, not slack.
 func Read(r io.Reader, ont *ontology.Ontology) (*core.Index, Meta, error) {
-	return read(r, ont, nil)
+	return read(r, ont, nil, -1)
 }
 
 // read is Read with a source check: accept, when non-nil, judges the
 // stored metadata as soon as its section is verified, so a snapshot of
 // another graph is refused as such (ErrSourceMismatch) before its
 // configurations are validated against an ontology they were never
-// meant for.
-func read(r io.Reader, ont *ontology.Ontology, accept func(Meta) error) (*core.Index, Meta, error) {
+// meant for. size is the snapshot's length in bytes when known (a file),
+// -1 otherwise.
+func read(r io.Reader, ont *ontology.Ontology, accept func(Meta) error, size int64) (*core.Index, Meta, error) {
 	fileCRC := crc32.NewIEEE()
-	tr := io.TeeReader(r, fileCRC)
+	tr := &stream{r: io.TeeReader(r, fileCRC), left: size}
 
 	fail := func(err error) (*core.Index, Meta, error) { return nil, Meta{}, err }
 
@@ -380,7 +381,7 @@ func read(r io.Reader, ont *ontology.Ontology, accept func(Meta) error) (*core.I
 // (graph.ReadBodyBytes): restore time is dominated by graph decoding, so
 // the payload is materialized once and parsed without per-word reader
 // calls. prefix tags errors with the layer being decoded.
-func readBodySection(tr io.Reader, dict *graph.Dict, prefix string) (*graph.Graph, error) {
+func readBodySection(tr *stream, dict *graph.Dict, prefix string) (*graph.Graph, error) {
 	sec, err := beginSection(tr, kindBody, "graph", maxSectionLen)
 	if err != nil {
 		return nil, err
@@ -402,7 +403,7 @@ func readBodySection(tr io.Reader, dict *graph.Dict, prefix string) (*graph.Grap
 // readConfigSection decodes one Cⁱ. The section length must be exactly
 // 4 + 8·count, so a hostile count cannot request allocation beyond what
 // the payload actually carries.
-func readConfigSection(tr io.Reader, dict *graph.Dict) (*generalize.Config, error) {
+func readConfigSection(tr *stream, dict *graph.Dict) (*generalize.Config, error) {
 	sec, err := beginSection(tr, kindConfig, "config", 4+8*maxConfigRules)
 	if err != nil {
 		return nil, err
@@ -450,7 +451,7 @@ func readConfigSection(tr io.Reader, dict *graph.Dict) (*generalize.Config, erro
 // supernode reference must be in range, and members land in each Down row
 // in ascending order — matching bisim.Compute exactly, so a restored index
 // enumerates answers in the same order a rebuilt one would.
-func readUpSection(tr io.Reader, below, here int) ([]graph.V, [][]graph.V, error) {
+func readUpSection(tr *stream, below, here int) ([]graph.V, [][]graph.V, error) {
 	sec, err := beginSection(tr, kindUp, "up", 4+4*uint64(below))
 	if err != nil {
 		return nil, nil, err
@@ -499,6 +500,22 @@ func readUpSection(tr io.Reader, below, here int) ([]graph.V, [][]graph.V, error
 	return up, down, nil
 }
 
+// stream is the snapshot's byte stream, teed into the whole-file checksum.
+// When the snapshot's size is known it also counts the bytes not yet read,
+// which bounds what any section can still hold.
+type stream struct {
+	r    io.Reader
+	left int64 // bytes not yet read; -1 when the size is unknown
+}
+
+func (s *stream) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if s.left >= 0 {
+		s.left -= int64(n)
+	}
+	return n, err
+}
+
 // sectionReader streams one section's payload while hashing it, bounded by
 // the declared length. finish verifies the payload was consumed exactly
 // and that the stored per-section checksum matches.
@@ -515,12 +532,13 @@ type sectionReader struct {
 	tee    io.Reader     // lr teed into crc
 	br     *bufio.Reader // lazily wraps tee so CRC updates see big chunks
 	crc    hash.Hash32   // payload-only hash
-	src    io.Reader     // the file-level stream, for the section checksum
+	src    *stream       // the file-level stream, for the section checksum
+	room   int64         // bytes left in the file after the header; -1 if unknown
 }
 
 // beginSection consumes a section header from src, enforcing the expected
 // kind and a length cap.
-func beginSection(src io.Reader, wantKind byte, name string, maxLen uint64) (*sectionReader, error) {
+func beginSection(src *stream, wantKind byte, name string, maxLen uint64) (*sectionReader, error) {
 	kind := make([]byte, 1)
 	if _, err := io.ReadFull(src, kind); err != nil {
 		return nil, corruptf(name, "reading section kind: %v", err)
@@ -541,6 +559,7 @@ func beginSection(src io.Reader, wantKind byte, name string, maxLen uint64) (*se
 		lr:     &io.LimitedReader{R: src, N: int64(length)},
 		crc:    crc32.NewIEEE(),
 		src:    src,
+		room:   src.left,
 	}
 	s.tee = io.TeeReader(s.lr, s.crc)
 	return s, nil
@@ -555,34 +574,53 @@ func (s *sectionReader) Read(p []byte) (int, error) {
 
 // payload reads the rest of the section into memory (for parsers with a
 // byte fast path); bytes already consumed through Read are not replayed.
-// Growth follows the bytes actually read, so a hostile length prefix
-// cannot force a large allocation; only lengths small enough to be
-// plausible are pre-reserved.
+// The declared length is allocated in one step when it is small or when
+// the file is known to still hold that many bytes. Otherwise growth
+// follows the bytes actually read, so a hostile length prefix cannot force
+// a large allocation.
 func (s *sectionReader) payload() ([]byte, error) {
-	want := s.lr.N
-	var buf bytes.Buffer
-	if s.br != nil { // drain anything a prior streaming Read buffered
-		want += int64(s.br.Buffered())
-	}
-	if want <= 1<<20 {
-		buf.Grow(int(want))
-	}
+	var head []byte // what a prior streaming Read buffered comes first
 	if s.br != nil {
-		if n := s.br.Buffered(); n > 0 {
-			b, _ := s.br.Peek(n)
-			buf.Write(b)
-			if _, err := s.br.Discard(n); err != nil {
-				return nil, corruptf(s.name, "draining payload: %v", err)
-			}
+		head, _ = s.br.Peek(s.br.Buffered())
+	}
+	want := int64(len(head)) + s.lr.N
+	var data []byte
+	if want <= 1<<20 || (s.room >= 0 && want <= s.room) {
+		data = make([]byte, want)
+		n := copy(data, head)
+		if err := s.drain(len(head)); err != nil {
+			return nil, err
 		}
+		m, err := io.ReadFull(s.tee, data[n:])
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, corruptf(s.name, "reading payload: %v", err)
+		}
+		data = data[:n+m]
+	} else {
+		buf := bytes.NewBuffer(append([]byte(nil), head...))
+		if err := s.drain(len(head)); err != nil {
+			return nil, err
+		}
+		if _, err := buf.ReadFrom(s.tee); err != nil {
+			return nil, corruptf(s.name, "reading payload: %v", err)
+		}
+		data = buf.Bytes()
 	}
-	if _, err := buf.ReadFrom(s.tee); err != nil {
-		return nil, corruptf(s.name, "reading payload: %v", err)
+	if int64(len(data)) != want {
+		return nil, corruptf(s.name, "payload truncated at %d of %d bytes", len(data), want)
 	}
-	if int64(buf.Len()) != want {
-		return nil, corruptf(s.name, "payload truncated at %d of %d bytes", buf.Len(), want)
+	return data, nil
+}
+
+// drain discards n bytes the buffered reader holds.
+func (s *sectionReader) drain(n int) error {
+	if n == 0 {
+		return nil
 	}
-	return buf.Bytes(), nil
+	if _, err := s.br.Discard(n); err != nil {
+		return corruptf(s.name, "draining payload: %v", err)
+	}
+	return nil
 }
 
 func (s *sectionReader) finish() error {

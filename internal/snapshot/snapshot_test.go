@@ -2,10 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -434,5 +436,40 @@ func TestLoadFileWithBase(t *testing.T) {
 	// replayed onto an unrelated graph's snapshot.
 	if _, _, err := LoadFileWithBase(path, ds.Ont, base^0xffff); err == nil || !errors.Is(err, ErrSourceMismatch) {
 		t.Fatalf("unrelated base accepted: %v", err)
+	}
+}
+
+// A body section whose length prefix claims more bytes than the file still
+// holds is refused as corrupt, and LoadFile does not reserve the claimed
+// length first: the one-step reservation is only for lengths the file can
+// cover.
+func TestLoadFileOverlongSectionAllocatesNothingBig(t *testing.T) {
+	ds, idx := buildFixture(t)
+	data := encode(t, idx)
+	// header (magic, version), then meta and dict sections, each
+	// kind u8 | len u64 | payload | crc u32; the body's length follows.
+	off := 8
+	for range 2 {
+		off += 1 + 8 + int(binary.LittleEndian.Uint64(data[off+1:])) + 4
+	}
+	if data[off] != kindBody {
+		t.Fatalf("expected the body section at offset %d, found kind %d", off, data[off])
+	}
+	const claimed = 1 << 30
+	bad := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(bad[off+1:], claimed)
+	path := filepath.Join(t.TempDir(), "overlong.bigs")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := LoadFile(path, ds.Ont)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("overlong section: got %v, want ErrBadSnapshot", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > claimed/16 {
+		t.Fatalf("loading allocated %d bytes for a %d-byte file", grew, len(bad))
 	}
 }

@@ -80,30 +80,6 @@ func (g *Graph) Dist(u, v V, limit int, d Dir) int {
 	return found
 }
 
-// DistancesFrom computes hop distances from src to every vertex within limit
-// hops in direction d. The result maps vertex -> distance; vertices outside
-// the bound are absent. This is the bounded single-source BFS that the
-// r-clique neighbor index and the Blinks keyword-node lists are built from.
-func (g *Graph) DistancesFrom(src V, limit int, d Dir) map[V]int {
-	dist := map[V]int{src: 0}
-	queue := []V{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		dv := dist[v]
-		if limit >= 0 && dv == limit {
-			continue
-		}
-		for _, w := range g.neighbors(v, d) {
-			if _, ok := dist[w]; !ok {
-				dist[w] = dv + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
 // Reach reports whether v is reachable from u in direction d within limit
 // hops (limit < 0 means unbounded). reach(u, v, G) of Prop 5.1.
 func (g *Graph) Reach(u, v V, limit int, d Dir) bool {

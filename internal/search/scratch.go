@@ -148,19 +148,26 @@ func (s *Scratch) Dists(v graph.V, n int) []int {
 	return out
 }
 
-// beginProbe starts a forward probe with no vertex visited.
-func (s *Scratch) beginProbe(root graph.V) {
+// NewVisit starts a new visited set on the probe row: every vertex reads
+// unvisited. Forward probes start one each; callers outside the package
+// use it to deduplicate vertex lists without a map.
+func (s *Scratch) NewVisit() {
 	s.probe++
 	if s.probe == 0 {
 		clear(s.seen)
 		s.probe = 1
 	}
+}
+
+// beginProbe starts a forward probe with only root visited.
+func (s *Scratch) beginProbe(root graph.V) {
+	s.NewVisit()
 	s.seen[root] = s.probe
 }
 
-// visit marks v visited by the current probe and reports whether it was
-// new.
-func (s *Scratch) visit(v graph.V) bool {
+// Visit marks v visited in the current visited set and reports whether it
+// was new.
+func (s *Scratch) Visit(v graph.V) bool {
 	if s.seen[v] == s.probe {
 		return false
 	}
@@ -173,7 +180,7 @@ func (s *Scratch) expand(g *graph.Graph, level, next []graph.V) []graph.V {
 	next = next[:0]
 	for _, v := range level {
 		for _, w := range g.Out(v) {
-			if s.visit(w) {
+			if s.Visit(w) {
 				next = append(next, w)
 			}
 		}

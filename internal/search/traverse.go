@@ -74,39 +74,6 @@ func UndirectedDists(g *graph.Graph, src graph.V, limit int) map[graph.V]int {
 	return dist
 }
 
-// MultiSourceUndirectedDists is UndirectedDists from a source set.
-func MultiSourceUndirectedDists(g *graph.Graph, sources []graph.V, limit int) map[graph.V]int {
-	dist := make(map[graph.V]int, len(sources)*4)
-	queue := make([]graph.V, 0, len(sources))
-	for _, s := range sources {
-		if _, ok := dist[s]; !ok {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		dv := dist[v]
-		if limit >= 0 && dv == limit {
-			continue
-		}
-		relax := func(w graph.V) {
-			if _, ok := dist[w]; !ok {
-				dist[w] = dv + 1
-				queue = append(queue, w)
-			}
-		}
-		for _, w := range g.Out(v) {
-			relax(w)
-		}
-		for _, w := range g.In(v) {
-			relax(w)
-		}
-	}
-	return dist
-}
-
 // MinDistToLabels performs one bounded forward BFS from root and returns,
 // for each of the requested labels, the minimum hop distance and the
 // smallest-ID vertex realizing it. ok is false if some label is unreachable

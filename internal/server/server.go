@@ -135,7 +135,8 @@ type Options struct {
 	AdminToken string
 	// ShardClient, when non-nil, runs bkws and bidir searches on the data
 	// graph through a fleet of shardrpc peers (bigindexd's -shard-peers):
-	// the shard.Coordinator expands layer 0 block by block on the peers.
+	// the shard.Coordinator expands layer 0 on the peers round by round,
+	// one Expand frame per replica set per round.
 	// Every other search runs the sequential algorithm in process: summary
 	// layers, and a data graph the peers do not serve (a mutation swap
 	// changed its digest). When every replica of a block is unreachable
@@ -143,9 +144,10 @@ type Options struct {
 	// returns degraded with a coverage annotation; such results are never
 	// cached.
 	ShardClient *shardrpc.Client
-	// Shards is the coordinator's fan-out over ShardClient: how many
-	// per-(keyword × block) expansions it keeps in flight at once. It is
-	// read only when ShardClient is set; values below 1 mean 1.
+	// Shards is the coordinator's worker count over ShardClient: how many
+	// bidir verification chunks and answer witnesses it works on at once
+	// (a round's expansion is one call whatever the count). It is read
+	// only when ShardClient is set; values below 1 mean 1.
 	Shards int
 }
 

@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"bigindex/internal/graph"
 	"bigindex/internal/obs"
@@ -34,19 +37,37 @@ func NewCoordinator(plan *Plan, exec *Executor, srv ShardServer, met *Metrics) *
 	return &Coordinator{plan: plan, exec: exec, srv: srv, met: met}
 }
 
+// arrival is one settlement candidate for the next level: vertex v of
+// block, reached by expansion keyword kw.
+type arrival struct {
+	kw, block int32
+	v         graph.V
+}
+
+// roundBufs are the coordinator's per-round buffers, pooled across
+// queries. They only grow, and nothing in them is sized by the plan's
+// block count: a round touches only the slots its candidates name.
+type roundBufs struct {
+	arrive []arrival     // pending candidates, in arrival order until settled
+	front  []graph.V     // this round's frontiers, concatenated in slot order
+	slots  []ExpandSlot  // this round's slots; Frontier views into front
+	req    ExpandRequest // the round's one request
+}
+
+var roundPool = sync.Pool{New: func() any { return new(roundBufs) }}
+
 // fleet is the coordinator-side state of one query's expansion rounds,
 // shared by the bkws and bidir drivers.
 type fleet struct {
 	c  *Coordinator
 	nk int // expansion keywords (1 for bidir)
-	nb int
-	// mirror holds the settled-distance rows — the only copy anywhere:
-	// shards are stateless, so the mirror is the authority that makes
-	// duplicated or retried responses harmless (re-reported vertices are
-	// already settled and ignored).
-	mirror [][]int32
-	counts [][]uint8   // per-block per-member settled-keyword counts (bkws)
-	arrive [][]graph.V // settlement candidates for the next level, per (kw, block) slot
+	// s is the mirror: keyword kw's settled distance at v is s.Dist(kw, v),
+	// the only copy anywhere. Shards are stateless, so the mirror is the
+	// authority that makes duplicated or retried responses harmless
+	// (re-reported vertices are already settled and ignored). bkws counts
+	// roots on the same scratch.
+	s *search.Scratch
+	b *roundBufs
 
 	// kwPos maps an expansion-keyword index to its query position (bkws:
 	// identity; bidir: the selective keyword), for coverage attribution.
@@ -57,10 +78,10 @@ type fleet struct {
 	// settling what the current round already produced (still exact — see
 	// the soundness note on runRound) and stops expanding.
 	lost       bool
-	lostByKw   []map[int]bool
+	lostByKw   []map[int]bool // allocated on the first loss
 	unverified int
 	// failedPeers unions the peer addresses the transport blamed for the
-	// losses above (see peersOf).
+	// losses above (see losePeers).
 	failedPeers map[string]bool
 
 	workerWork   []int64
@@ -72,96 +93,79 @@ type fleet struct {
 }
 
 func (c *Coordinator) newFleet(nk int, kwPos []int, nkQ int) *fleet {
-	nb := c.plan.NumBlocks()
 	return &fleet{
-		c: c, nk: nk, nb: nb,
-		mirror:     make([][]int32, nk*nb),
-		arrive:     make([][]graph.V, nk*nb),
+		c: c, nk: nk,
+		s:          search.GetScratch(c.plan.g.NumVertices(), nk),
+		b:          roundPool.Get().(*roundBufs),
 		kwPos:      kwPos,
 		nkQ:        nkQ,
-		lostByKw:   make([]map[int]bool, nk),
 		workerWork: make([]int64, c.exec.Workers()),
 	}
 }
 
-func (f *fleet) mirrorRow(kw, block int) []int32 {
-	slot := kw*f.nb + block
-	if f.mirror[slot] == nil {
-		row := make([]int32, len(f.c.plan.blocks[block].members))
-		for i := range row {
-			row[i] = -1
-		}
-		f.mirror[slot] = row
-	}
-	return f.mirror[slot]
+// release returns the fleet's scratch and buffers to their pools. A
+// query that stopped early leaves candidates pending; the rest of the
+// buffers are reset by the next settleArrivals.
+func (f *fleet) release() {
+	search.PutScratch(f.s)
+	f.b.arrive = f.b.arrive[:0]
+	roundPool.Put(f.b)
+	f.s, f.b = nil, nil
 }
 
-func (f *fleet) seed(kw int, byBlock map[int][]graph.V) {
-	for b, seeds := range byBlock {
-		f.arrive[kw*f.nb+b] = seeds
+// seed queues every vertex labelled l as a level-0 candidate of keyword
+// kw. Posting lists are ascending, so each slot's seeds are too.
+func (f *fleet) seed(kw int, l graph.Label) {
+	blockOf := f.c.plan.part.BlockOf
+	for _, v := range f.c.plan.g.VerticesWithLabel(l) {
+		f.b.arrive = append(f.b.arrive, arrival{kw: int32(kw), block: int32(blockOf[v]), v: v})
 	}
 }
 
-// settleArrivals consumes every slot's pending candidates, settles the
-// not-yet-seen ones at lvl in the mirror (calling settle for each), and
-// returns the per-slot frontiers plus the total newly settled. Slots are
-// visited in order and candidates in arrival order, so settlement order
-// is deterministic (the final (score, Key) sort makes output order
-// independent of it anyway).
-func (f *fleet) settleArrivals(lvl int32, settle func(kw, block int, v graph.V)) (frontiers [][]graph.V, total int) {
-	frontiers = make([][]graph.V, f.nk*f.nb)
-	for slot := range f.arrive {
-		cand := f.arrive[slot]
-		if len(cand) == 0 {
-			continue
+// settleArrivals consumes the pending candidates, settles the not-yet-seen
+// ones at lvl in the mirror (calling settle, when non-nil, for each), and
+// lays the newly settled out as this round's slots. It returns how many
+// settled. The stable sort groups candidates by (keyword, block) slot and
+// keeps arrival order within a slot, so settlement order is deterministic
+// (the final (score, Key) sort makes output order independent of it
+// anyway).
+func (f *fleet) settleArrivals(lvl int32, settle func(v graph.V)) int {
+	b := f.b
+	slices.SortStableFunc(b.arrive, func(x, y arrival) int {
+		if x.kw != y.kw {
+			return cmp.Compare(x.kw, y.kw)
 		}
-		f.arrive[slot] = nil
-		kw, block := slot/f.nb, slot%f.nb
-		row := f.mirrorRow(kw, block)
-		var fr []graph.V
-		for _, v := range cand {
-			p := f.c.plan.pos[v]
-			if row[p] != -1 {
+		return cmp.Compare(x.block, y.block)
+	})
+	b.front, b.slots = b.front[:0], b.slots[:0]
+	for i := 0; i < len(b.arrive); {
+		kw, block := b.arrive[i].kw, b.arrive[i].block
+		start := len(b.front)
+		for ; i < len(b.arrive) && b.arrive[i].kw == kw && b.arrive[i].block == block; i++ {
+			v := b.arrive[i].v
+			if !f.s.Reach(int(kw), v, int(lvl)) {
 				continue
 			}
-			row[p] = lvl
-			settle(kw, block, v)
-			fr = append(fr, v)
+			if settle != nil {
+				settle(v)
+			}
+			b.front = append(b.front, v)
 		}
-		if len(fr) > 0 {
-			frontiers[slot] = fr
-			total += len(fr)
+		if end := len(b.front); end > start {
+			// A later append may move front; this view keeps the values
+			// already written, which never change.
+			b.slots = append(b.slots, ExpandSlot{Kw: int(kw), Block: int(block), Frontier: b.front[start:end:end]})
 		}
 	}
-	return frontiers, total
+	b.arrive = b.arrive[:0]
+	return len(b.front)
 }
 
-// buildRequests turns the non-empty frontiers into one round's requests,
-// in slot order (determinism of dispatch order is not needed for
-// correctness — responses are merged set-wise — but it keeps traces
-// readable).
-func (f *fleet) buildRequests(lvl int32, frontiers [][]graph.V) []*ExpandRequest {
-	var reqs []*ExpandRequest
-	for slot, fr := range frontiers {
-		if len(fr) == 0 {
-			continue
-		}
-		reqs = append(reqs, &ExpandRequest{
-			Kw:       slot / f.nb,
-			Block:    slot % f.nb,
-			Level:    lvl,
-			Frontier: fr,
-		})
-	}
-	return reqs
-}
-
-// runRound dispatches one round across the executor and returns the
-// responses (nil entries mark failed slots). Per-worker expansion tallies
-// land in workerWork[worker] — each worker writes only its own slot, so
-// no lock.
+// runRound sends the round's slots as one Expand call and absorbs the
+// answers, returning the vertices expanded. The transport may split the
+// call across peers; either way a slot comes back answered or lost.
 //
-// A slot error while the query's own context is still live is a terminal
+// A lost slot while the query's own context is still live is a terminal
 // shard failure (the client has already exhausted retries, failover, and
 // budget): the (keyword, block) slot is recorded as lost and the fleet
 // stops expanding after this round. Soundness of what remains: every
@@ -172,48 +176,53 @@ func (f *fleet) buildRequests(lvl int32, frontiers [][]graph.V) []*ExpandRequest
 // therefore safe; expanding past them is not, because a level+2
 // settlement could silently inflate a distance whose true shortest path
 // crossed the lost block. Stop, do not guess.
-func (f *fleet) runRound(ctx context.Context, reqs []*ExpandRequest) []*ExpandResponse {
+func (f *fleet) runRound(ctx context.Context, lvl int32) (expanded int) {
+	b := f.b
 	f.rounds++
-	f.tasks += len(reqs)
+	f.tasks += len(b.slots)
 	// The round span groups this round's RPC spans in the stitched trace
 	// and — because it rides the dispatch context — puts the round index
 	// into /debug/active's current path while the query is blocked here.
 	roundSpan := obs.SpanFromContext(ctx).StartChild("shard-round-" + strconv.Itoa(f.rounds-1))
 	rctx := ctx
 	if roundSpan != nil {
-		roundSpan.SetAttr("round", f.rounds-1).SetAttr("tasks", len(reqs))
+		roundSpan.SetAttr("round", f.rounds-1).SetAttr("tasks", len(b.slots))
 		rctx = obs.ContextWithSpan(ctx, roundSpan)
 	}
-	resps := make([]*ExpandResponse, len(reqs))
-	errs := make([]error, len(reqs))
-	f.c.exec.Map(len(reqs), func(i, worker int) {
-		resp, err := f.c.srv.Expand(rctx, reqs[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		resps[i] = resp
-		f.workerWork[worker] += int64(resp.Expanded)
-	})
+	b.req = ExpandRequest{Level: lvl, Slots: b.slots}
+	resp, err := f.c.srv.Expand(rctx, &b.req)
 	roundSpan.End()
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if ctx.Err() != nil {
-			// The query's own deadline/cancel caused this; the loop head
-			// degrades with the context cause, not with coverage loss.
-			continue
-		}
-		f.lose(reqs[i].Kw, reqs[i].Block, err)
+	if err == nil && len(resp.Slots) != len(b.slots) {
+		err = fmt.Errorf("shard: round answered %d of %d slots", len(resp.Slots), len(b.slots))
 	}
-	return resps
+	for i, sl := range b.slots {
+		slotErr := err
+		if err == nil {
+			slotErr = resp.Slots[i].Err
+		}
+		if slotErr != nil {
+			// A failure the query's own deadline/cancel caused degrades at
+			// the loop head with the context cause, not as coverage loss.
+			if ctx.Err() == nil {
+				f.lose(sl.Kw, sl.Block, slotErr)
+			}
+			continue
+		}
+		r := &resp.Slots[i]
+		expanded += r.Expanded
+		f.absorb(sl.Kw, sl.Block, r)
+	}
+	f.workerWork[0] += int64(expanded)
+	return expanded
 }
 
 // lose marks a (keyword, block) slot terminally failed, attributing the
 // loss to the peers the transport blamed.
 func (f *fleet) lose(kw, block int, err error) {
 	f.lost = true
+	if f.lostByKw == nil {
+		f.lostByKw = make([]map[int]bool, f.nk)
+	}
 	if f.lostByKw[kw] == nil {
 		f.lostByKw[kw] = map[int]bool{}
 	}
@@ -239,29 +248,23 @@ func (f *fleet) losePeers(err error) {
 	}
 }
 
-// absorb queues a response's settlement candidates: in-block neighbors
-// for the same slot, portal crossings for the owning blocks. Candidates
-// the coordinator already saw settle are dropped here (an optimization —
+// absorb queues a slot's settlement candidates: in-block neighbors for
+// the same slot, portal crossings for the owning blocks. Candidates the
+// mirror already holds are dropped here (an optimization —
 // settleArrivals re-checks the mirror, which is what makes duplicate
 // responses harmless).
-func (f *fleet) absorb(resp *ExpandResponse) {
-	slot := resp.Kw*f.nb + resp.Block
-	if row := f.mirror[slot]; row != nil {
-		for _, v := range resp.Local {
-			if row[f.c.plan.pos[v]] != -1 {
-				continue
-			}
-			f.arrive[slot] = append(f.arrive[slot], v)
-		}
-	} else {
-		f.arrive[slot] = append(f.arrive[slot], resp.Local...)
-	}
-	for _, msg := range resp.Outbox {
-		tslot := resp.Kw*f.nb + int(msg.Block)
-		if row := f.mirror[tslot]; row != nil && row[f.c.plan.pos[msg.V]] != -1 {
+func (f *fleet) absorb(kw, block int, r *SlotResult) {
+	for _, v := range r.Local {
+		if _, ok := f.s.Dist(kw, v); ok {
 			continue
 		}
-		f.arrive[tslot] = append(f.arrive[tslot], msg.V)
+		f.b.arrive = append(f.b.arrive, arrival{kw: int32(kw), block: int32(block), v: v})
+	}
+	for _, msg := range r.Outbox {
+		if _, ok := f.s.Dist(kw, msg.V); ok {
+			continue
+		}
+		f.b.arrive = append(f.b.arrive, arrival{kw: int32(kw), block: msg.Block, v: msg.V})
 		f.portal++
 	}
 }
@@ -281,7 +284,7 @@ func (f *fleet) finish(ctx context.Context, algo string, roots int, earlyStop bo
 		for kw, lost := range f.lostByKw {
 			for b := range lost {
 				lostBlocks[b] = true
-				cov.lose(f.kwPos[kw], b, f.nkQ, f.nb)
+				cov.lose(f.kwPos[kw], b, f.nkQ, f.c.plan.NumBlocks())
 			}
 		}
 		cov.loseRoots(f.unverified)
@@ -289,7 +292,7 @@ func (f *fleet) finish(ctx context.Context, algo string, roots int, earlyStop bo
 	}
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		sp.SetAttr("shard_workers", f.c.exec.Workers()).
-			SetAttr("shard_blocks", f.nb).
+			SetAttr("shard_blocks", f.c.plan.NumBlocks()).
 			SetAttr("shard_rounds", f.rounds).
 			SetAttr("shard_tasks", f.tasks).
 			SetAttr("shard_portal_msgs", f.portal).
@@ -322,10 +325,8 @@ func (c *Coordinator) SearchBKWS(ctx context.Context, q []graph.Label, k, dmax i
 	if len(q) == 0 {
 		return nil, fmt.Errorf("bkws: empty query")
 	}
-	seeds := make([]map[int][]graph.V, len(q))
-	for i, l := range q {
-		seeds[i] = c.plan.seedsByBlock(l)
-		if seeds[i] == nil {
+	for _, l := range q {
+		if c.plan.g.LabelCount(l) == 0 {
 			return nil, nil // a keyword with no occurrences has no answers
 		}
 	}
@@ -335,33 +336,20 @@ func (c *Coordinator) SearchBKWS(ctx context.Context, q []graph.Label, k, dmax i
 		kwPos[i] = i
 	}
 	f := c.newFleet(nk, kwPos, nk)
-	for i := range q {
-		f.seed(i, seeds[i])
+	defer f.release()
+	for i, l := range q {
+		f.seed(i, l)
 	}
 
 	var matches []search.Match
 	// settle completes the root once every keyword has settled it (the
-	// mirror write happened in settleArrivals). counts is bounded by
-	// len(q) per member, so uint8 is ample (queries are a handful of
-	// keywords).
-	f.counts = make([][]uint8, f.nb)
-	settle := func(kw, block int, v graph.V) {
-		p := c.plan.pos[v]
-		if f.counts[block] == nil {
-			f.counts[block] = make([]uint8, len(c.plan.blocks[block].members))
-		}
-		f.counts[block][p]++
-		if int(f.counts[block][p]) != nk {
+	// mirror write happened in settleArrivals).
+	settle := func(v graph.V) {
+		if f.s.CountRoot(v) != nk {
 			return
 		}
-		dists := make([]int, nk)
-		sum := 0
-		for kw2 := 0; kw2 < nk; kw2++ {
-			d := int(f.mirror[kw2*f.nb+block][p])
-			dists[kw2] = d
-			sum += d
-		}
-		matches = append(matches, search.Match{Root: v, Dists: dists, Score: float64(sum)})
+		dists := f.s.Dists(v, nk)
+		matches = append(matches, search.Match{Root: v, Dists: dists, Score: search.SumDistances(dists)})
 	}
 
 	var err error
@@ -371,7 +359,7 @@ func (c *Coordinator) SearchBKWS(ctx context.Context, q []graph.Label, k, dmax i
 			err = context.Cause(ctx)
 			break
 		}
-		frontiers, total := f.settleArrivals(lvl, settle)
+		total := f.settleArrivals(lvl, settle)
 		if total == 0 {
 			break
 		}
@@ -395,13 +383,7 @@ func (c *Coordinator) SearchBKWS(ctx context.Context, q []graph.Label, k, dmax i
 		if int(lvl) == dmax || f.lost {
 			break
 		}
-		for _, resp := range f.runRound(ctx, f.buildRequests(lvl, frontiers)) {
-			if resp == nil {
-				continue
-			}
-			f.expanded += resp.Expanded
-			f.absorb(resp)
-		}
+		f.expanded += f.runRound(ctx, lvl)
 	}
 
 	search.SortMatches(matches)
@@ -436,7 +418,8 @@ func (c *Coordinator) SearchBidir(ctx context.Context, q []graph.Label, k, dmax 
 		}
 	}
 	f := c.newFleet(1, []int{sel}, len(q))
-	f.seed(0, c.plan.seedsByBlock(q[sel]))
+	defer f.release()
+	f.seed(0, q[sel])
 
 	var matches []search.Match
 	verified := 0
@@ -447,10 +430,7 @@ func (c *Coordinator) SearchBidir(ctx context.Context, q []graph.Label, k, dmax 
 			err = context.Cause(ctx)
 			break
 		}
-		var cands []graph.V
-		frontiers, total := f.settleArrivals(lvl, func(_, _ int, v graph.V) {
-			cands = append(cands, v)
-		})
+		total := f.settleArrivals(lvl, nil)
 		if total == 0 {
 			break
 		}
@@ -458,8 +438,9 @@ func (c *Coordinator) SearchBidir(ctx context.Context, q []graph.Label, k, dmax 
 			f.frontierPeak = total
 		}
 		// Forward verification dominates bidir's cost and is independent
-		// per candidate: chunk this level's activations across the pool.
-		for _, resp := range f.verifyChunks(ctx, q, dmax, cands) {
+		// per candidate: chunk this level's activations (the round's
+		// frontier) across the pool.
+		for _, resp := range f.verifyChunks(ctx, q, dmax, f.b.front) {
 			if resp == nil {
 				continue
 			}
@@ -480,12 +461,7 @@ func (c *Coordinator) SearchBidir(ctx context.Context, q []graph.Label, k, dmax 
 		if int(lvl) == dmax || f.lost {
 			break
 		}
-		for _, resp := range f.runRound(ctx, f.buildRequests(lvl, frontiers)) {
-			if resp == nil {
-				continue
-			}
-			f.absorb(resp)
-		}
+		f.runRound(ctx, lvl)
 	}
 
 	f.expanded += verified // bidir's ledger unit is verification attempts

@@ -15,30 +15,40 @@ import (
 	"bigindex/internal/shard"
 )
 
-// faulty wraps a ShardServer and terminally fails chosen calls — the
-// in-process stand-in for "every replica of that block is unreachable
-// past budget" (the shardrpc client surfaces exactly this shape).
+// faulty wraps a ShardServer and terminally fails chosen slots or calls —
+// the in-process stand-in for "every replica of that block is unreachable
+// past budget" (the shardrpc client surfaces exactly this shape: the
+// failed peer group's slots come back with SlotResult.Err, the rest
+// served).
 type faulty struct {
 	inner        shard.ShardServer
-	failBlock    int  // Expand requests for this block fail (-1: never)
+	failBlock    int  // Expand slots for this block fail (-1: never)
 	failVerify   bool // all Verify requests fail
 	dupResponses bool // serve Expand twice and concatenate the responses
 }
 
 func (f *faulty) Expand(ctx context.Context, req *shard.ExpandRequest) (*shard.ExpandResponse, error) {
-	if req.Block == f.failBlock {
-		return nil, errors.New("injected: block unreachable")
-	}
 	resp, err := f.inner.Expand(ctx, req)
-	if err != nil || !f.dupResponses {
-		return resp, err
+	if err != nil {
+		return nil, err
+	}
+	for i, sl := range req.Slots {
+		if sl.Block == f.failBlock {
+			resp.Slots[i] = shard.SlotResult{Err: errors.New("injected: block unreachable")}
+		}
+	}
+	if !f.dupResponses {
+		return resp, nil
 	}
 	again, err := f.inner.Expand(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	resp.Local = append(resp.Local, again.Local...)
-	resp.Outbox = append(resp.Outbox, again.Outbox...)
+	for i := range resp.Slots {
+		r := &resp.Slots[i]
+		r.Local = append(r.Local, again.Slots[i].Local...)
+		r.Outbox = append(r.Outbox, again.Slots[i].Outbox...)
+	}
 	return resp, nil
 }
 

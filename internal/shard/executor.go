@@ -9,10 +9,11 @@ import (
 	"bigindex/internal/search"
 )
 
-// Executor is the bounded worker pool. Workers are spawned per Map call
-// and die with it: queries run for milliseconds while pools would need a
-// lifecycle (nothing closes a search.Prepared), and a goroutine spawn is
-// noise next to one expansion round. Worker 0 is the calling goroutine.
+// Executor is the bounded worker pool for verification chunks and witness
+// assembly. Workers are spawned per Map call and die with it: queries run
+// for milliseconds while pools would need a lifecycle (nothing closes a
+// search.Prepared), and a goroutine spawn is noise next to one chunk.
+// Worker 0 is the calling goroutine.
 type Executor struct {
 	workers int
 }
@@ -83,41 +84,60 @@ func NewLocal(plan *Plan) *Local {
 	return &Local{plan: plan}
 }
 
-// Expand implements ShardServer: scan the frontier's block-local
-// in-adjacency, reporting in-block neighbors (deduplicated within this
-// response — the coordinator's mirror handles cross-round duplicates) and
-// portal crossings. On cancellation the loop drains early: everything
-// already scanned is still reported, the rest of the frontier is simply
-// abandoned — sound, incomplete, like every degraded path.
+// Expand implements ShardServer: serve every slot of the round in turn,
+// scanning its frontier's block-local in-adjacency and reporting in-block
+// neighbors and portal crossings, each deduplicated within the slot (the
+// coordinator's mirror handles cross-round duplicates). All slots' results
+// share two backing arrays sized up front from the CSR offsets, so a round
+// costs the same few allocations however many slots it carries. On
+// cancellation the loop drains early: everything already scanned is still
+// reported, the rest of the round is simply abandoned — sound,
+// incomplete, like every degraded path.
 func (l *Local) Expand(ctx context.Context, req *ExpandRequest) (*ExpandResponse, error) {
-	bi := &l.plan.blocks[req.Block]
-	resp := &ExpandResponse{Kw: req.Kw, Block: req.Block}
+	p := l.plan
+	nLocal, nOut := 0, 0
+	for _, sl := range req.Slots {
+		bi := &p.blocks[sl.Block]
+		for _, v := range sl.Frontier {
+			i := p.pos[v]
+			nLocal += int(bi.localOff[i+1] - bi.localOff[i])
+			nOut += int(bi.remoteOff[i+1] - bi.remoteOff[i])
+		}
+	}
+	resp := &ExpandResponse{Slots: make([]SlotResult, len(req.Slots))}
+	locals := make([]graph.V, 0, nLocal)
+	outs := make([]PortalMsg, 0, nOut)
 
 	cancel := search.NewCanceller(ctx)
-	seen := make([]bool, len(bi.members))
-	var remoteSeen map[graph.V]bool
-	for _, v := range req.Frontier {
-		if cancel.Cancelled() {
-			break
-		}
-		resp.Expanded++
-		p := l.plan.pos[v]
-		for _, u := range bi.localAdj[bi.localOff[p]:bi.localOff[p+1]] {
-			up := l.plan.pos[u]
-			if !seen[up] {
-				seen[up] = true
-				resp.Local = append(resp.Local, u)
+	s := search.GetScratch(p.g.NumVertices(), 0)
+	defer search.PutScratch(s)
+	for k, sl := range req.Slots {
+		bi := &p.blocks[sl.Block]
+		r := &resp.Slots[k]
+		l0, o0 := len(locals), len(outs)
+		s.NewVisit()
+		for _, v := range sl.Frontier {
+			if cancel.Cancelled() {
+				break
+			}
+			r.Expanded++
+			i := p.pos[v]
+			for _, u := range bi.localAdj[bi.localOff[i]:bi.localOff[i+1]] {
+				if s.Visit(u) {
+					locals = append(locals, u)
+				}
+			}
+			for _, msg := range bi.remoteAdj[bi.remoteOff[i]:bi.remoteOff[i+1]] {
+				if s.Visit(msg.V) {
+					outs = append(outs, msg)
+				}
 			}
 		}
-		remote := bi.remoteAdj[bi.remoteOff[p]:bi.remoteOff[p+1]]
-		if len(remote) > 0 && remoteSeen == nil {
-			remoteSeen = make(map[graph.V]bool, len(remote)*2)
+		if len(locals) > l0 {
+			r.Local = locals[l0:len(locals):len(locals)]
 		}
-		for _, msg := range remote {
-			if !remoteSeen[msg.V] {
-				remoteSeen[msg.V] = true
-				resp.Outbox = append(resp.Outbox, msg)
-			}
+		if len(outs) > o0 {
+			r.Outbox = outs[o0:len(outs):len(outs)]
 		}
 	}
 	return resp, nil

@@ -111,22 +111,6 @@ func (p *Plan) AdjacencyOf() (local [][]graph.V, remote [][]PortalMsg) {
 	return local, remote
 }
 
-// seedsByBlock buckets a label's posting list by owning block. Posting
-// lists are ascending and block member lists are ascending, so the bucket
-// contents are ascending too — deterministic seed injection order.
-func (p *Plan) seedsByBlock(l graph.Label) map[int][]graph.V {
-	seeds := p.g.VerticesWithLabel(l)
-	if len(seeds) == 0 {
-		return nil
-	}
-	by := make(map[int][]graph.V)
-	for _, s := range seeds {
-		b := p.part.BlockOf[s]
-		by[b] = append(by[b], s)
-	}
-	return by
-}
-
 // PlanCache builds and caches one Plan per graph identity. Graphs are
 // immutable (a mutation batch swaps in a new *graph.Graph), so the
 // pointer is a sound cache key and a cached plan can never go stale —

@@ -10,16 +10,17 @@
 //     in CSR form plus portal adjacency annotated with the owning block)
 //     from a partition.Partitioning.
 //   - Executor is a bounded worker pool; each unit of work is one
-//     per-(keyword × block) expansion round or one verification chunk.
-//   - Coordinator runs the level-synchronous scatter-gather: it routes
-//     portal-crossing frontier messages to the owning block between
-//     rounds, merges newly settled vertices into the per-root Σdist
-//     bookkeeping, and early-stops the whole fleet once no undiscovered
-//     root can beat the current k-th answer.
+//     verification chunk or one answer's witness assembly.
+//   - Coordinator runs the level-synchronous scatter-gather: one Expand
+//     call per round carries every (keyword × block) slot with new
+//     settlements; between rounds it routes portal-crossing frontier
+//     messages to the owning block, merges newly settled vertices into
+//     the per-root Σdist bookkeeping, and early-stops the whole fleet once
+//     no undiscovered root can beat the current k-th answer.
 //
 // The Coordinator talks to shards exclusively through the request/response
 // structs below (ShardServer), and the protocol is stateless by design:
-// an ExpandRequest carries the exact frontier to expand, and the shard
+// an ExpandRequest carries one round's exact frontiers, and the shard
 // answers from the immutable plan alone — no per-query state lives on the
 // shard side. Statelessness is what makes the network boundary
 // (internal/shardrpc) survivable: a round request is a pure function of
@@ -49,9 +50,9 @@ const DefaultBlockSize = 200
 
 // Options configures sharded execution.
 type Options struct {
-	// Workers is the executor pool size — the number of per-(keyword ×
-	// block) expansions in flight at once. Values below 1 mean 1 (the
-	// sharded protocol still runs, on a single worker).
+	// Workers is the executor pool size — the number of verification
+	// chunks and witness assemblies in flight at once. A round's expansion
+	// is one Expand call whatever the pool size. Values below 1 mean 1.
 	Workers int
 	// BlockSize is the partition target block size (0 = DefaultBlockSize).
 	BlockSize int
@@ -78,23 +79,27 @@ func (o Options) blockSize() int {
 	return o.BlockSize
 }
 
-// ExpandRequest asks the shard owning Block to expand one frontier of
-// keyword Kw's backward expansion one hop along block-local in-edges.
+// ExpandRequest is one level-synchronous round's expansion work for one
+// shard server: every (keyword, block) slot that settled new vertices at
+// distance Level, each to be expanded one hop along block-local in-edges.
 //
-// Frontier lists the block's vertices the coordinator settled at distance
-// Level this round — the complete input; the shard holds no memory of
-// earlier rounds. The response reports every in-block in-neighbor reached
-// (Local) and every crossing out of the block (Outbox); the coordinator
-// alone decides which of those are new settlements. Because the request
-// carries its whole input and the plan is immutable, Expand is idempotent
-// and replica-agnostic: the same request sent twice, to two replicas, or
-// to a replica that never saw rounds 0..Level-1 returns the same answer.
+// Each slot's Frontier is the complete input — the shard holds no memory
+// of earlier rounds. Because the request carries its whole input and the
+// plan is immutable, Expand is idempotent and replica-agnostic: the same
+// request sent twice, to two replicas, or to a replica that never saw
+// rounds 0..Level-1 returns the same answer. A transport may therefore
+// split a round's slots across peers and send each share separately.
 type ExpandRequest struct {
-	Kw    int
-	Block int
 	Level int32
-	// Frontier is non-empty: slots with nothing newly settled get no
-	// request at all.
+	Slots []ExpandSlot
+}
+
+// ExpandSlot is one (keyword, block) share of a round. Frontier lists the
+// vertices of Block that keyword Kw settled at the round's Level; it is
+// non-empty, since slots with nothing newly settled are not sent.
+type ExpandSlot struct {
+	Kw       int
+	Block    int
 	Frontier []graph.V
 }
 
@@ -106,20 +111,28 @@ type PortalMsg struct {
 	Block int32
 }
 
-// ExpandResponse reports one round's outcome: the frontier's in-block
-// in-neighbors (Local, deduplicated within the response — settlement
-// candidates at Level+1 in the same block) and the portal crossings
-// (Outbox). The shard cannot know which candidates the coordinator
-// already settled in earlier rounds; the coordinator's mirror filters
-// duplicates, which is what keeps the protocol stateless.
+// ExpandResponse answers an ExpandRequest slot by slot: Slots[i] is the
+// outcome of the request's Slots[i].
 type ExpandResponse struct {
-	Kw     int
-	Block  int
+	Slots []SlotResult
+}
+
+// SlotResult is one slot's outcome: the frontier's in-block in-neighbors
+// (Local, deduplicated within the slot — settlement candidates at Level+1
+// in the same block) and the portal crossings (Outbox). The shard cannot
+// know which candidates the coordinator already settled in earlier
+// rounds; the coordinator's mirror filters duplicates, which is what keeps
+// the protocol stateless.
+type SlotResult struct {
 	Local  []graph.V
 	Outbox []PortalMsg
 	// Expanded counts frontier vertices whose adjacency was scanned (the
 	// ledger's vertices-expanded unit).
 	Expanded int
+	// Err marks a slot the transport could not serve: it split the round,
+	// and every replica of this slot's share failed past budget. The other
+	// slots are valid. Shards never set it, and it does not cross the wire.
+	Err error
 }
 
 // VerifyRequest asks a shard to verify candidate roots by forward
@@ -143,10 +156,12 @@ type VerifyResponse struct {
 // ShardServer is the coordinator-facing boundary. Both calls are pure
 // functions of the immutable plan and the request. An error means the
 // shard could not serve the request at all (network failure, every
-// replica down, mismatched graph); a served-but-cancelled request returns
-// a partial response and no error. The in-process Local never fails; the
-// shardrpc client surfaces terminal transport failures here, and the
-// coordinator turns them into coverage loss, never into wrong answers.
+// replica down, mismatched graph); an Expand that was served only in part
+// answers the lost slots with SlotResult.Err instead. A served-but-
+// cancelled request returns a partial response and no error. The
+// in-process Local never fails; the shardrpc client surfaces terminal
+// transport failures here, and the coordinator turns them into coverage
+// loss, never into wrong answers.
 type ShardServer interface {
 	Expand(ctx context.Context, req *ExpandRequest) (*ExpandResponse, error)
 	Verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, error)
@@ -156,7 +171,7 @@ type ShardServer interface {
 // evaluator of a server.
 type Metrics struct {
 	Queries *obs.CounterVec // sharded searches by algo
-	Tasks   *obs.Counter    // per-(keyword × block) expansion rounds dispatched
+	Tasks   *obs.Counter    // (keyword × block) expansion slots and verify chunks dispatched
 	Portal  *obs.Counter    // portal-crossing frontier messages routed
 	Rounds  *obs.Histogram  // level-synchronous rounds per sharded search
 	Lost    *obs.Counter    // (keyword × block) slots abandoned to shard failure
@@ -168,7 +183,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Queries: reg.CounterVec("bigindex_shard_queries_total",
 			"Sharded searches by algorithm.", "algo"),
 		Tasks: reg.Counter("bigindex_shard_tasks_total",
-			"Per-(keyword x block) expansion tasks dispatched to shard workers."),
+			"Expansion slots (keyword x block) and verification chunks dispatched to shards."),
 		Portal: reg.Counter("bigindex_shard_portal_messages_total",
 			"Portal-crossing frontier messages routed between blocks."),
 		Rounds: reg.Histogram("bigindex_shard_rounds",

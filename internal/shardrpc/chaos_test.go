@@ -279,32 +279,31 @@ func TestChaosTotalLossDegradesInTime(t *testing.T) {
 	assertSound(t, "total-loss", got, truth)
 }
 
-// killAfterN wraps a bound ShardServer and fires kill exactly once after
-// n successful Expand responses — killing the server process mid-round,
-// between one block's response and the next dispatch.
-type killAfterN struct {
+// killAtRound wraps a bound ShardServer and fires kill exactly once, as
+// the nth Expand call (round n-1) is dispatched — killing the server
+// process mid-query, with that round's frame on its way and every earlier
+// round's answer already settled.
+type killAtRound struct {
 	inner shard.ShardServer
 	kill  func()
 	n     int32
 	seen  atomic.Int32
-	fired atomic.Bool
 }
 
-func (k *killAfterN) Expand(ctx context.Context, req *shard.ExpandRequest) (*shard.ExpandResponse, error) {
-	resp, err := k.inner.Expand(ctx, req)
-	if err == nil && k.seen.Add(1) >= k.n && k.fired.CompareAndSwap(false, true) {
+func (k *killAtRound) Expand(ctx context.Context, req *shard.ExpandRequest) (*shard.ExpandResponse, error) {
+	if k.seen.Add(1) == k.n {
 		k.kill()
 	}
-	return resp, err
+	return k.inner.Expand(ctx, req)
 }
 
-func (k *killAfterN) Verify(ctx context.Context, req *shard.VerifyRequest) (*shard.VerifyResponse, error) {
+func (k *killAtRound) Verify(ctx context.Context, req *shard.VerifyRequest) (*shard.VerifyResponse, error) {
 	return k.inner.Verify(ctx, req)
 }
 
 // TestMidRoundKillFailsOverToReplica kills replica A (abruptly, linger
-// zero) right after an early Expand lands, with replica B alive: the
-// query must still be byte-identical with full coverage.
+// zero) as the first round is dispatched, with replica B alive: the query
+// must still be byte-identical with full coverage.
 func TestMidRoundKillFailsOverToReplica(t *testing.T) {
 	g := testGraph(23, 120)
 	q := g.DistinctLabels()[:2]
@@ -320,7 +319,7 @@ func TestMidRoundKillFailsOverToReplica(t *testing.T) {
 	defer c.Close()
 
 	got, cov, err := runQuery(t, g, q, func(p *shard.Plan) shard.ShardServer {
-		return &killAfterN{inner: c.For(p), kill: srvA.Kill, n: 2}
+		return &killAtRound{inner: c.For(p), kill: srvA.Kill, n: 1}
 	}, 8*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +355,7 @@ func TestMidRoundKillDegradesThenRecovers(t *testing.T) {
 	const deadline = 4 * time.Second
 	start := time.Now()
 	got, cov, err := runQuery(t, g, q, func(p *shard.Plan) shard.ShardServer {
-		return &killAfterN{inner: c.For(p), kill: srv.Kill, n: 2}
+		return &killAtRound{inner: c.For(p), kill: srv.Kill, n: 1}
 	}, deadline)
 	elapsed := time.Since(start)
 	if err != nil {

@@ -3,12 +3,14 @@ package shardrpc
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,9 +103,6 @@ type ClientOptions struct {
 	// HedgeDelay overrides the p99-derived hedge delay (0: derive).
 	HedgeDelay time.Duration
 
-	// MaxIdleConns caps pooled connections per peer.
-	MaxIdleConns int
-
 	// TelemetrySample is the head-sampling probability for distributed
 	// tracing: a query whose trace hashes under it carries a telemetry
 	// header on every shard RPC (to peers that negotiated capTelemetry),
@@ -139,6 +138,7 @@ type Client struct {
 	peers []*peer
 	rr    atomic.Uint64 // round-robin cursor, decorrelates replica choice
 	lat   latWindow
+	bo    *retry.Backoff // shared by every call; safe for concurrent use
 	// knownBlocks is the block count learned from hellos, for
 	// CoverageFloor before any plan is bound.
 	knownBlocks atomic.Int64
@@ -171,9 +171,6 @@ func NewClient(opt ClientOptions) *Client {
 	if opt.BreakerCooldown <= 0 {
 		opt.BreakerCooldown = defaultBreakCooldown
 	}
-	if opt.MaxIdleConns <= 0 {
-		opt.MaxIdleConns = 2
-	}
 	if opt.BlockSize <= 0 {
 		opt.BlockSize = shard.DefaultBlockSize
 	}
@@ -185,7 +182,7 @@ func NewClient(opt ClientOptions) *Client {
 	if opt.Logger == nil {
 		opt.Logger = obs.DiscardLogger()
 	}
-	c := &Client{opt: opt}
+	c := &Client{opt: opt, bo: retry.New(opt.Backoff)}
 	for _, p := range opt.Peers {
 		c.peers = append(c.peers, &peer{
 			addr: p.Addr,
@@ -280,10 +277,13 @@ func (c *Client) getConn(p *peer, timeout time.Duration) (*pconn, error) {
 	return &pconn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), nextID: 1}, nil
 }
 
+// putConn pools a healthy connection for the next call to p. Every one is
+// kept, so a peer's pool settles at the peak number of concurrent calls
+// to it and steady load dials nothing.
 func (c *Client) putConn(p *peer, pc *pconn) {
 	pc.conn.SetDeadline(time.Time{})
 	p.mu.Lock()
-	if !c.closed.Load() && len(p.idle) < c.opt.MaxIdleConns {
+	if !c.closed.Load() {
 		p.idle = append(p.idle, pc)
 		p.mu.Unlock()
 		return
@@ -441,18 +441,6 @@ func (c *Client) settle(p *peer, op string, err error, elapsed time.Duration, te
 
 // --- call: retry, failover, hedging, budget ---
 
-// replicasFor lists the peers serving block (block < 0: every peer — used
-// for Verify, which any replica of the full graph can answer).
-func (c *Client) replicasFor(block int) []*peer {
-	out := make([]*peer, 0, len(c.peers))
-	for _, p := range c.peers {
-		if block < 0 || p.spec.Covers(block) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // terminal reports errors that retrying cannot fix anywhere: the request
 // itself is wrong.
 func terminal(err error) bool {
@@ -460,18 +448,22 @@ func terminal(err error) bool {
 	return errors.As(err, &re) && re.Code == ErrCodeBadRequest
 }
 
-// PeerFailure is the typed failure of an exhausted call: which block and
-// which peer addresses were attempted before the call gave up. The
-// coordinator unwraps it to attribute coverage loss (and the degraded
-// metric) to the peers that actually failed.
+// PeerFailure is the typed failure of an exhausted call: which blocks the
+// call carried (none for Verify, which names no block) and which peer
+// addresses were attempted before it gave up. The coordinator unwraps it
+// to attribute coverage loss (and the degraded metric) to the peers that
+// actually failed.
 type PeerFailure struct {
-	Block int
-	Peers []string // unique, in first-attempt order
-	Err   error
+	Blocks []int    // ascending, unique
+	Peers  []string // unique, in first-attempt order
+	Err    error
 }
 
 func (e *PeerFailure) Error() string {
-	return fmt.Sprintf("shardrpc: block %d unavailable after retries against %v: %v", e.Block, e.Peers, e.Err)
+	if len(e.Blocks) == 0 {
+		return fmt.Sprintf("shardrpc: call unavailable after retries against %v: %v", e.Peers, e.Err)
+	}
+	return fmt.Sprintf("shardrpc: blocks %v unavailable after retries against %v: %v", e.Blocks, e.Peers, e.Err)
 }
 
 func (e *PeerFailure) Unwrap() error { return e.Err }
@@ -490,17 +482,14 @@ type callMeta struct {
 	hedged   bool
 }
 
-// call runs one idempotent exchange against block's replicas until it
-// succeeds, the budget runs out, or every attempt is spent. The caller's
-// remaining context budget is carved evenly across the attempts still
-// available, floored at MinAttemptTimeout — so one black-holed replica
-// cannot eat the whole deadline that failover needed.
-func (c *Client) call(ctx context.Context, op string, block int, mt byte, payload []byte, wantType byte, tel *Telemetry) ([]byte, callMeta, error) {
+// call runs one idempotent exchange against replicas until it succeeds,
+// the budget runs out, or every attempt is spent. The caller's remaining
+// context budget is carved evenly across the attempts still available,
+// floored at MinAttemptTimeout — so one black-holed replica cannot eat
+// the whole deadline that failover needed. An exhausted call fails with a
+// *PeerFailure naming the peers it tried.
+func (c *Client) call(ctx context.Context, op string, replicas []*peer, mt byte, payload []byte, wantType byte, tel *Telemetry) ([]byte, callMeta, error) {
 	meta := callMeta{}
-	replicas := c.replicasFor(block)
-	if len(replicas) == 0 {
-		return nil, meta, fmt.Errorf("shardrpc: no peer serves block %d", block)
-	}
 	maxAttempts := c.opt.MaxAttempts
 	if n := 2 * len(replicas); maxAttempts < n {
 		maxAttempts = n
@@ -513,7 +502,6 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 	if d, ok := ctx.Deadline(); ok && d.Before(budgetEnd) {
 		budgetEnd = d
 	}
-	bo := retry.New(c.opt.Backoff)
 	start := int(c.rr.Add(1))
 	var lastErr error
 	var tried []string
@@ -529,7 +517,7 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 			if err := ctx.Err(); err != nil {
 				return nil, meta, err
 			}
-			lastErr = fmt.Errorf("shardrpc: all %d replicas of block %d have open breakers", len(replicas), block)
+			lastErr = fmt.Errorf("shardrpc: all %d replicas have open breakers", len(replicas))
 			for _, r := range replicas {
 				tried = appendPeerOnce(tried, r.addr)
 			}
@@ -567,7 +555,7 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 		// Backoff before the next attempt — full jitter, skipped when the
 		// sleep would outlive the budget anyway.
 		if attempt+1 < maxAttempts {
-			d := bo.Delay(attempt)
+			d := c.bo.Delay(attempt)
 			if d >= time.Until(budgetEnd) {
 				continue // next loop iteration will see remaining <= 0 or try a last cheap attempt
 			}
@@ -586,15 +574,15 @@ func (c *Client) call(ctx context.Context, op string, block int, mt byte, payloa
 			lastErr = fmt.Errorf("shardrpc: call budget exhausted")
 		}
 	}
-	return nil, meta, &PeerFailure{Block: block, Peers: tried, Err: lastErr}
+	return nil, meta, &PeerFailure{Peers: tried, Err: lastErr}
 }
 
 // pickReplica returns the first replica, in rotation order from first,
 // whose breaker admits a request. When every breaker refuses but one has
 // its half-open probe in flight, a concurrent call is already testing
-// that peer — the coordinator fans a round out as one call per slot, so
-// after a peer recovers one slot gets the probe and its siblings arrive
-// while it is out. The probe's outcome decides whether the block is
+// that peer — concurrent queries, and a round's verify chunks, all reach
+// a recovering peer at once, so one call gets the probe and its siblings
+// arrive while it is out. The probe's outcome decides whether the block is
 // reachable, so the siblings wait for it, until budgetEnd, rather than
 // report a block lost that is one round trip from healthy. Nil means no
 // replica can be tried within the budget.
@@ -791,7 +779,9 @@ func (c *Client) helloPeer(p *peer) (HelloInfo, error) {
 }
 
 // ServesPlan reports whether this fleet can serve the plan: at least one
-// reachable peer advertises the same digest, block count, and block size.
+// reachable peer advertises the same digest, block count, and block size,
+// and negotiated capBatch (a peer that cannot take a batched Expand
+// cannot expand at all).
 // When no peer is reachable at all it reports true — optimistically, so a
 // transient full outage degrades queries (with coverage annotations)
 // instead of silently reverting to a mode the operator didn't configure;
@@ -806,7 +796,8 @@ func (c *Client) ServesPlan(plan *shard.Plan) bool {
 			continue
 		}
 		reachable++
-		if info.Digest == digest && info.Blocks == nb && info.BlockSize == c.opt.BlockSize {
+		if info.Digest == digest && info.Blocks == nb && info.BlockSize == c.opt.BlockSize &&
+			p.caps.Load()&capBatch != 0 {
 			matched++
 		}
 	}
@@ -817,35 +808,134 @@ func (c *Client) ServesPlan(plan *shard.Plan) bool {
 }
 
 // For binds the client to a plan, yielding the shard.ShardServer the
-// coordinator dispatches rounds through.
+// coordinator dispatches rounds through. Binding groups the plan's blocks
+// by replica set once, so a round splits into one frame per set.
 func (c *Client) For(plan *shard.Plan) shard.ShardServer {
-	c.knownBlocks.Store(int64(plan.NumBlocks()))
-	return &bound{c: c, digest: plan.Graph().Digest(), nb: plan.NumBlocks()}
+	nb := plan.NumBlocks()
+	c.knownBlocks.Store(int64(nb))
+	b := &bound{c: c, digest: plan.Graph().Digest(), setOf: make([]int32, nb)}
+	ids := map[string]int32{}
+	var key []byte
+	for blk := range b.setOf {
+		var set []*peer
+		key = key[:0]
+		for i, p := range c.peers {
+			if p.spec.Covers(blk) {
+				set = append(set, p)
+				key = binary.AppendUvarint(key, uint64(i))
+			}
+		}
+		if len(set) == 0 {
+			b.setOf[blk] = -1
+			continue
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(b.sets))
+			ids[string(key)] = id
+			b.sets = append(b.sets, set)
+		}
+		b.setOf[blk] = id
+	}
+	return b
 }
 
 type bound struct {
 	c      *Client
 	digest uint64
-	nb     int
+	setOf  []int32   // block -> index into sets (-1: no peer serves it)
+	sets   [][]*peer // the distinct replica sets, in first-block order
 }
 
+// Expand implements shard.ShardServer: the round's slots are split by
+// replica set and each share goes out as one frame — concurrently, each
+// through call's retry, failover, hedging and breakers. A share whose
+// call fails terminally loses exactly its slots (SlotResult.Err, a
+// *PeerFailure naming the share's blocks and the peers tried); the other
+// shares' slots are served as usual.
 func (b *bound) Expand(ctx context.Context, req *shard.ExpandRequest) (*shard.ExpandResponse, error) {
+	resp := &shard.ExpandResponse{Slots: make([]shard.SlotResult, len(req.Slots))}
+	shares := make([][]int, len(b.sets))
+	var orphans []int
+	for i, sl := range req.Slots {
+		if sl.Block < 0 || sl.Block >= len(b.setOf) || b.setOf[sl.Block] < 0 {
+			orphans = append(orphans, i)
+			continue
+		}
+		set := b.setOf[sl.Block]
+		shares[set] = append(shares[set], i)
+	}
+	if len(orphans) > 0 {
+		err := fmt.Errorf("shardrpc: no peer serves blocks %v", blocksOf(req, orphans))
+		for _, i := range orphans {
+			resp.Slots[i].Err = err
+		}
+	}
 	tel := b.c.telemetryFor(ctx)
+	var wg sync.WaitGroup
+	for set, idx := range shares {
+		if len(idx) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				b.expandShare(ctx, tel, req, idx, b.sets[set], resp)
+			}()
+		}
+	}
+	wg.Wait()
+	return resp, nil
+}
+
+// expandShare sends the slots at idx of req to one replica set and writes
+// their results (or their loss) into resp at the same indices.
+func (b *bound) expandShare(ctx context.Context, tel *Telemetry, req *shard.ExpandRequest, idx []int, replicas []*peer, resp *shard.ExpandResponse) {
+	share := req
+	if len(idx) < len(req.Slots) {
+		share = &shard.ExpandRequest{Level: req.Level, Slots: make([]shard.ExpandSlot, len(idx))}
+		for j, i := range idx {
+			share.Slots[j] = req.Slots[i]
+		}
+	}
 	rpcSpan := obs.SpanFromContext(ctx).StartChild("rpc:expand")
 	if rpcSpan != nil {
 		ctx = obs.ContextWithSpan(ctx, rpcSpan)
+		rpcSpan.SetAttr("level", req.Level).SetAttr("slots", len(idx))
 	}
-	payload, meta, err := b.c.call(ctx, "expand", req.Block, msgExpand, encodeExpand(b.digest, req), msgExpandOK, tel)
-	if err != nil {
+	payload, meta, err := b.c.call(ctx, "expand", replicas, msgExpand, encodeExpand(b.digest, share), msgExpandOK, tel)
+	var got *shard.ExpandResponse
+	if err == nil {
+		var summary []byte
+		got, summary, err = decodeExpandOKFull(payload)
+		if err == nil && len(got.Slots) != len(idx) {
+			err = fmt.Errorf("shardrpc: peer %s answered %d of %d slots", meta.peer, len(got.Slots), len(idx))
+		}
+		b.finishRPC(ctx, rpcSpan, meta, summary)
+	} else {
 		rpcSpan.SetAttr("error", err.Error()).End()
-		return nil, err
 	}
-	resp, summary, derr := decodeExpandOKFull(payload)
-	b.finishRPC(ctx, rpcSpan, req.Block, meta, summary)
-	if derr != nil {
-		return nil, derr
+	if err != nil {
+		var pf *PeerFailure
+		if errors.As(err, &pf) {
+			pf.Blocks = blocksOf(req, idx)
+		}
+		for _, i := range idx {
+			resp.Slots[i].Err = err
+		}
+		return
 	}
-	return resp, nil
+	for j, i := range idx {
+		resp.Slots[i] = got.Slots[j]
+	}
+}
+
+// blocksOf lists the distinct blocks of req's slots at idx, ascending.
+func blocksOf(req *shard.ExpandRequest, idx []int) []int {
+	out := make([]int, 0, len(idx))
+	for _, i := range idx {
+		out = append(out, req.Slots[i].Block)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func (b *bound) Verify(ctx context.Context, req *shard.VerifyRequest) (*shard.VerifyResponse, error) {
@@ -854,13 +944,14 @@ func (b *bound) Verify(ctx context.Context, req *shard.VerifyRequest) (*shard.Ve
 	if rpcSpan != nil {
 		ctx = obs.ContextWithSpan(ctx, rpcSpan)
 	}
-	payload, meta, err := b.c.call(ctx, "verify", -1, msgVerify, encodeVerify(b.digest, req), msgVerifyOK, tel)
+	// Verification reads only the graph, so every peer is a replica.
+	payload, meta, err := b.c.call(ctx, "verify", b.c.peers, msgVerify, encodeVerify(b.digest, req), msgVerifyOK, tel)
 	if err != nil {
 		rpcSpan.SetAttr("error", err.Error()).End()
 		return nil, err
 	}
 	resp, summary, derr := decodeVerifyOKFull(payload)
-	b.finishRPC(ctx, rpcSpan, -1, meta, summary)
+	b.finishRPC(ctx, rpcSpan, meta, summary)
 	if derr != nil {
 		return nil, derr
 	}
@@ -872,12 +963,9 @@ func (b *bound) Verify(ctx context.Context, req *shard.VerifyRequest) (*shard.Ve
 // tree under it and folds the remote ledger into the query's ledger. A
 // malformed summary is dropped silently — stitching is best-effort and
 // must never affect the answer.
-func (b *bound) finishRPC(ctx context.Context, rpcSpan *obs.Span, block int, meta callMeta, summary []byte) {
+func (b *bound) finishRPC(ctx context.Context, rpcSpan *obs.Span, meta callMeta, summary []byte) {
 	if rpcSpan != nil {
 		rpcSpan.SetAttr("peer", meta.peer)
-		if block >= 0 {
-			rpcSpan.SetAttr("block", block)
-		}
 		if meta.attempts > 1 {
 			rpcSpan.SetAttr("attempts", meta.attempts)
 		}

@@ -2,6 +2,7 @@ package shardrpc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -112,9 +113,10 @@ func TestAttemptSlice(t *testing.T) {
 	}
 }
 
-// TestClientMatchesLocal runs real Expand/Verify calls over TCP and
-// checks the responses equal the in-process shard.Local's, for a
-// replicated pair and a modulo block split.
+// TestClientMatchesLocal runs a real batched Expand — every block, two
+// keywords — and a Verify over TCP against a modulo block split, and
+// checks the responses equal the in-process shard.Local's: the client
+// splits the round between the peers and reassembles it in slot order.
 func TestClientMatchesLocal(t *testing.T) {
 	g := testGraph(1, 80)
 	plan := testPlan(t, g, 16)
@@ -141,32 +143,55 @@ func TestClientMatchesLocal(t *testing.T) {
 
 	ctx := context.Background()
 	labels := g.DistinctLabels()
-	for b := 0; b < nb; b++ {
-		req := &shard.ExpandRequest{Kw: 0, Block: b, Level: 0, Frontier: seedFrontier(plan, labels[0], b)}
-		want, err := local.Expand(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := srv.Expand(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("block %d: got %+v want %+v", b, got, want)
+	req := &shard.ExpandRequest{Level: 1}
+	for kw := 0; kw < 2; kw++ {
+		for b := 0; b < nb; b++ {
+			req.Slots = append(req.Slots, shard.ExpandSlot{Kw: kw, Block: b, Frontier: seedFrontier(plan, labels[kw], b)})
 		}
 	}
-	vreq := &shard.VerifyRequest{Labels: labels[:2], DMax: 3, Roots: []graph.V{0, 1, 2, 3, 4}}
-	want, err := local.Verify(ctx, vreq)
+	want, err := local.Expand(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.Verify(ctx, vreq)
-	if err != nil {
+	got, err := srv.Expand(ctx, req)
+	if err := expandErr(got, err); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("verify: got %+v want %+v", got, want)
+		t.Fatalf("batched expand: got %+v want %+v", got, want)
 	}
+	vreq := &shard.VerifyRequest{Labels: labels[:2], DMax: 3, Roots: []graph.V{0, 1, 2, 3, 4}}
+	vwant, err := local.Verify(ctx, vreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vgot, err := srv.Verify(ctx, vreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(vgot, vwant) {
+		t.Fatalf("verify: got %+v want %+v", vgot, vwant)
+	}
+}
+
+// slotReq is a one-slot round: keyword 0 expanding block b's vertices
+// labelled l.
+func slotReq(plan *shard.Plan, l graph.Label, b int) *shard.ExpandRequest {
+	return &shard.ExpandRequest{Slots: []shard.ExpandSlot{{Block: b, Frontier: seedFrontier(plan, l, b)}}}
+}
+
+// expandErr is the first failure an Expand reports, for the whole call or
+// for one of its slots.
+func expandErr(resp *shard.ExpandResponse, err error) error {
+	if err != nil {
+		return err
+	}
+	for _, r := range resp.Slots {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	return nil
 }
 
 // seedFrontier gives a deterministic nonempty-ish frontier for block b.
@@ -206,8 +231,8 @@ func TestClientFailoverToReplica(t *testing.T) {
 	defer c.Close()
 	srv := c.For(plan)
 	for i := 0; i < 6; i++ {
-		req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
-		if _, err := srv.Expand(context.Background(), req); err != nil {
+		req := slotReq(plan, g.DistinctLabels()[0], 0)
+		if err := expandErr(srv.Expand(context.Background(), req)); err != nil {
 			t.Fatalf("call %d failed despite a live replica: %v", i, err)
 		}
 	}
@@ -249,10 +274,10 @@ func TestClientBreakerOpensAndRecovers(t *testing.T) {
 	})
 	defer c.Close()
 	bnd := c.For(plan)
-	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
+	req := slotReq(plan, g.DistinctLabels()[0], 0)
 
 	for i := 0; i < 4 && c.peers[0].breaker.State() != retry.Open; i++ {
-		if _, err := bnd.Expand(context.Background(), req); err == nil {
+		if err := expandErr(bnd.Expand(context.Background(), req)); err == nil {
 			t.Fatal("dead network call should fail")
 		}
 	}
@@ -268,7 +293,7 @@ func TestClientBreakerOpensAndRecovers(t *testing.T) {
 
 	deadFlag.Store(false)
 	time.Sleep(35 * time.Millisecond) // past the cooldown
-	if _, err := bnd.Expand(context.Background(), req); err != nil {
+	if err := expandErr(bnd.Expand(context.Background(), req)); err != nil {
 		t.Fatalf("half-open probe should succeed: %v", err)
 	}
 	if got := c.peers[0].breaker.State(); got != retry.Closed {
@@ -318,7 +343,7 @@ func TestClientNoHangPastDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = bnd.Expand(ctx, &shard.ExpandRequest{Kw: 0, Block: 0, Frontier: []graph.V{0}})
+	err = expandErr(bnd.Expand(ctx, &shard.ExpandRequest{Slots: []shard.ExpandSlot{{Block: 0, Frontier: []graph.V{0}}}}))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("black-holed call should fail")
@@ -375,9 +400,9 @@ func TestStaleReplicaFailsOver(t *testing.T) {
 	bnd := c.For(planNew)
 	local := shard.NewLocal(planNew)
 	for i := 0; i < 6; i++ { // rotation guarantees some calls start at the stale peer
-		req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(planNew, gNew.DistinctLabels()[0], 0)}
+		req := slotReq(planNew, gNew.DistinctLabels()[0], 0)
 		got, err := bnd.Expand(context.Background(), req)
-		if err != nil {
+		if err := expandErr(got, err); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 		want, _ := local.Expand(context.Background(), req)
@@ -412,12 +437,12 @@ func TestHedgingWinsOnSlowReplica(t *testing.T) {
 	})
 	defer c.Close()
 	bnd := c.For(plan)
-	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
+	req := slotReq(plan, g.DistinctLabels()[0], 0)
 	local := shard.NewLocal(plan)
 	want, _ := local.Expand(context.Background(), req)
 	for i := 0; i < 6; i++ {
 		got, err := bnd.Expand(context.Background(), req)
-		if err != nil {
+		if err := expandErr(got, err); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -448,13 +473,13 @@ func TestUnsentHedgeLeavesProbeSlot(t *testing.T) {
 	})
 	defer c.Close()
 	bnd := c.For(plan)
-	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
+	req := slotReq(plan, g.DistinctLabels()[0], 0)
 
 	recovering := c.peers[1].breaker
 	recovering.Failure()
 	time.Sleep(5 * time.Millisecond) // past the cooldown: probeable
 	c.rr.Store(1)                    // next call starts its rotation at peers[0]
-	if _, err := bnd.Expand(context.Background(), req); err != nil {
+	if err := expandErr(bnd.Expand(context.Background(), req)); err != nil {
 		t.Fatal(err)
 	}
 	if st := recovering.State(); st != retry.Open {
@@ -488,4 +513,40 @@ type slowConn struct {
 func (c *slowConn) Write(p []byte) (int, error) {
 	time.Sleep(c.delay)
 	return c.Conn.Write(p)
+}
+
+// TestServerRefusesForeignSlots: a slot naming a block the server does not
+// serve, a block out of range, or a frontier vertex outside its block (or
+// outside the graph) is refused as a bad request, never expanded — the
+// block's sub-index has no row for such a vertex.
+func TestServerRefusesForeignSlots(t *testing.T) {
+	g := testGraph(12, 60)
+	plan := testPlan(t, g, 16)
+	srv := NewServer(plan, ServerOptions{Blocks: []int{0}})
+	blockOf := plan.Partitioning().BlockOf
+	var inOther graph.V
+	for v, b := range blockOf {
+		if b != 0 {
+			inOther = graph.V(v)
+			break
+		}
+	}
+	good := seedFrontier(plan, g.DistinctLabels()[0], 0)
+	for name, sl := range map[string]shard.ExpandSlot{
+		"unserved block":          {Block: 1, Frontier: nil},
+		"block out of range":      {Block: plan.NumBlocks(), Frontier: nil},
+		"vertex of another block": {Block: 0, Frontier: append(append([]graph.V{}, good...), inOther)},
+		"vertex outside graph":    {Block: 0, Frontier: []graph.V{graph.V(g.NumVertices())}},
+	} {
+		req := &shard.ExpandRequest{Slots: []shard.ExpandSlot{{Block: 0, Frontier: good}, sl}}
+		mt, out := srv.handle(frame{msgType: msgExpand, reqID: 1, payload: encodeExpand(plan.Graph().Digest(), req)})
+		var re *RemoteError
+		if mt != msgErr || !errors.As(decodeErr(out), &re) || re.Code != ErrCodeBadRequest {
+			t.Fatalf("%s: answered type %d, want a bad-request error", name, mt)
+		}
+	}
+	req := &shard.ExpandRequest{Slots: []shard.ExpandSlot{{Block: 0, Frontier: good}}}
+	if mt, _ := srv.handle(frame{msgType: msgExpand, reqID: 2, payload: encodeExpand(plan.Graph().Digest(), req)}); mt != msgExpandOK {
+		t.Fatalf("well-formed slot answered type %d", mt)
+	}
 }

@@ -5,7 +5,7 @@
 // breakers. The protocol inherits the shard package's statelessness —
 // every request is a pure function of the immutable plan — which is what
 // makes every resilience trick sound: a retried, duplicated, or hedged
-// request returns the same answer from any replica (DESIGN.md §9.5).
+// request returns the same answer from any replica (DESIGN.md §9.4).
 //
 // Wire format (all integers little-endian):
 //
@@ -15,8 +15,10 @@
 // reqIDs increase per connection; a response frame whose reqID is below
 // the one awaited is a duplicate (injected or retransmitted) and is
 // discarded, one above is a desync and kills the connection. The CRC
-// rejects corrupted frames before any payload is interpreted. Expand and
-// Verify requests carry the graph digest the caller planned against; a
+// rejects corrupted frames before any payload is interpreted. An Expand
+// request carries one round's (keyword, block) slots for the peer — one
+// frame per peer per round, however many blocks the round touches. Expand
+// and Verify requests carry the graph digest the caller planned against; a
 // peer serving different data answers errStale rather than a wrong
 // answer, so replicas can never silently mix graph versions.
 package shardrpc
@@ -36,18 +38,22 @@ import (
 // Message types. msgStats/msgStatsOK postdate the first protocol
 // release: a pre-capability peer's readFrame rejects them as unknown
 // types and kills the connection, so the client only ever sends msgStats
-// to a peer that advertised capStats in the hello exchange.
+// to a peer that advertised capStats in the hello exchange. Types 3 and 4
+// were the single-slot Expand exchange; the batched msgExpand replaced
+// them under new numbers, so a peer of either vintage rejects the other's
+// Expand instead of misreading it, and a server answers 3 with a
+// structured error.
 const (
 	msgHello     = 1
 	msgHelloOK   = 2
-	msgExpand    = 3
-	msgExpandOK  = 4
 	msgVerify    = 5
 	msgVerifyOK  = 6
 	msgErr       = 7
 	msgStats     = 8
 	msgStatsOK   = 9
-	msgTypeCount = 10
+	msgExpand    = 10
+	msgExpandOK  = 11
+	msgTypeCount = 12
 )
 
 // Capability bits, negotiated in the hello exchange. The client sends its
@@ -63,9 +69,12 @@ const (
 	capTelemetry = 1 << 0
 	// capStats: the peer answers the msgStats resource/health probe.
 	capStats = 1 << 1
+	// capBatch: the peer serves msgExpand, one round's slots per frame. A
+	// peer without it cannot expand at all, so it serves no plan.
+	capBatch = 1 << 2
 
 	// localCaps is everything this build supports.
-	localCaps = capTelemetry | capStats
+	localCaps = capTelemetry | capStats | capBatch
 )
 
 // Remote error codes.
@@ -267,27 +276,46 @@ func encodeHelloOK(info HelloInfo) []byte {
 	return e.b
 }
 
+// encodeExpand renders one round's share for a peer:
+//
+//	u64 digest | u32 level | u32 nslots | nslots × (u32 kw | u32 block | u32 n | n × u32 v)
 func encodeExpand(digest uint64, req *shard.ExpandRequest) []byte {
-	var e enc
+	size := 16
+	for _, sl := range req.Slots {
+		size += 12 + 4*len(sl.Frontier)
+	}
+	e := enc{b: make([]byte, 0, size)}
 	e.u64(digest)
-	e.u32(uint32(req.Kw))
-	e.u32(uint32(req.Block))
 	e.u32(uint32(req.Level))
-	e.vs(req.Frontier)
+	e.u32(uint32(len(req.Slots)))
+	for _, sl := range req.Slots {
+		e.u32(uint32(sl.Kw))
+		e.u32(uint32(sl.Block))
+		e.vs(sl.Frontier)
+	}
 	return e.b
 }
 
+// encodeExpandOK renders the slot results in request order:
+//
+//	u32 nslots | nslots × (u32 n | n × u32 local | u32 m | m × (u32 v | u32 block) | u32 expanded)
 func encodeExpandOK(resp *shard.ExpandResponse) []byte {
-	var e enc
-	e.u32(uint32(resp.Kw))
-	e.u32(uint32(resp.Block))
-	e.vs(resp.Local)
-	e.u32(uint32(len(resp.Outbox)))
-	for _, m := range resp.Outbox {
-		e.u32(uint32(m.V))
-		e.u32(uint32(m.Block))
+	size := 4
+	for i := range resp.Slots {
+		size += 12 + 4*len(resp.Slots[i].Local) + 8*len(resp.Slots[i].Outbox)
 	}
-	e.u32(uint32(resp.Expanded))
+	e := enc{b: make([]byte, 0, size)}
+	e.u32(uint32(len(resp.Slots)))
+	for i := range resp.Slots {
+		r := &resp.Slots[i]
+		e.vs(r.Local)
+		e.u32(uint32(len(r.Outbox)))
+		for _, m := range r.Outbox {
+			e.u32(uint32(m.V))
+			e.u32(uint32(m.Block))
+		}
+		e.u32(uint32(r.Expanded))
+	}
 	return e.b
 }
 
@@ -448,17 +476,22 @@ func decodeTelemetryTail(d *dec) *Telemetry {
 	return tel
 }
 
-// decodeExpandFull decodes an Expand request plus the optional telemetry
-// tail.
+// decodeExpandFull decodes a batched Expand request plus the optional
+// telemetry tail. Every slot takes at least 12 bytes, so a hostile slot
+// count fails the bound in dec.count before anything is allocated.
 func decodeExpandFull(p []byte) (digest uint64, req *shard.ExpandRequest, tel *Telemetry, err error) {
 	d := dec{b: p}
 	digest = d.u64()
-	req = &shard.ExpandRequest{
-		Kw:    int(d.u32()),
-		Block: int(d.u32()),
+	req = &shard.ExpandRequest{Level: int32(d.u32())}
+	if n := d.count(12); n > 0 {
+		req.Slots = make([]shard.ExpandSlot, n)
+		for i := range req.Slots {
+			sl := &req.Slots[i]
+			sl.Kw = int(d.u32())
+			sl.Block = int(d.u32())
+			sl.Frontier = d.vs()
+		}
 	}
-	req.Level = int32(d.u32())
-	req.Frontier = d.vs()
 	if err := d.done(); err != nil {
 		return 0, nil, nil, err
 	}
@@ -515,24 +548,23 @@ func decodeSummaryTail(d *dec) []byte {
 	return []byte(s)
 }
 
-// decodeExpandOKFull decodes an ExpandOK response plus the optional
-// summary tail.
+// decodeExpandOKFull decodes a batched ExpandOK response plus the
+// optional summary tail. Slots is never nil, like shard.Local's.
 func decodeExpandOKFull(p []byte) (*shard.ExpandResponse, []byte, error) {
 	d := dec{b: p}
-	resp := &shard.ExpandResponse{
-		Kw:    int(d.u32()),
-		Block: int(d.u32()),
-		Local: d.vs(),
-	}
-	n := d.count(8)
-	if n > 0 {
-		resp.Outbox = make([]shard.PortalMsg, n)
-		for i := range resp.Outbox {
-			resp.Outbox[i].V = graph.V(d.u32())
-			resp.Outbox[i].Block = int32(d.u32())
+	resp := &shard.ExpandResponse{Slots: make([]shard.SlotResult, d.count(12))}
+	for i := range resp.Slots {
+		r := &resp.Slots[i]
+		r.Local = d.vs()
+		if n := d.count(8); n > 0 {
+			r.Outbox = make([]shard.PortalMsg, n)
+			for j := range r.Outbox {
+				r.Outbox[j].V = graph.V(d.u32())
+				r.Outbox[j].Block = int32(d.u32())
+			}
 		}
+		r.Expanded = int(d.u32())
 	}
-	resp.Expanded = int(d.u32())
 	if err := d.done(); err != nil {
 		return nil, nil, err
 	}

@@ -84,8 +84,12 @@ func TestHelloCodec(t *testing.T) {
 
 func TestExpandCodec(t *testing.T) {
 	for _, req := range []*shard.ExpandRequest{
-		{Kw: 2, Block: 5, Level: 3, Frontier: []graph.V{1, 9, 200000}},
-		{Kw: 0, Block: 0, Level: 0, Frontier: nil},
+		{Level: 3, Slots: []shard.ExpandSlot{
+			{Kw: 2, Block: 5, Frontier: []graph.V{1, 9, 200000}},
+			{Kw: 0, Block: 1, Frontier: []graph.V{4}},
+		}},
+		{Level: 0, Slots: []shard.ExpandSlot{{Kw: 0, Block: 0, Frontier: nil}}},
+		{Level: 1},
 	} {
 		digest, got, tel, err := decodeExpandFull(encodeExpand(0x1234, req))
 		if err != nil {
@@ -99,8 +103,11 @@ func TestExpandCodec(t *testing.T) {
 
 func TestExpandOKCodec(t *testing.T) {
 	for _, resp := range []*shard.ExpandResponse{
-		{Kw: 1, Block: 2, Local: []graph.V{3, 4}, Outbox: []shard.PortalMsg{{V: 9, Block: 1}, {V: 10, Block: 0}}, Expanded: 7},
-		{Kw: 0, Block: 0, Local: nil, Outbox: nil, Expanded: 0},
+		{Slots: []shard.SlotResult{
+			{Local: []graph.V{3, 4}, Outbox: []shard.PortalMsg{{V: 9, Block: 1}, {V: 10, Block: 0}}, Expanded: 7},
+			{Local: nil, Outbox: nil, Expanded: 0},
+		}},
+		{Slots: []shard.SlotResult{}},
 	} {
 		got, summary, err := decodeExpandOKFull(encodeExpandOK(resp))
 		if err != nil {
@@ -150,20 +157,41 @@ func TestErrCodec(t *testing.T) {
 
 // TestDecoderRejectsHostileCounts pins the allocation guard: a length
 // prefix claiming far more elements than the payload holds must fail
-// cleanly instead of allocating gigabytes.
+// cleanly instead of allocating gigabytes — slot counts and the counts
+// inside a slot alike.
 func TestDecoderRejectsHostileCounts(t *testing.T) {
 	var e enc
-	e.u32(0x7FFFFFFF) // Local count way beyond the bytes that follow
+	e.u32(0x7FFFFFFF) // slot count way beyond the bytes that follow
 	e.u32(1)
-	hostile := append(encodeExpandOK(&shard.ExpandResponse{})[:8], e.b...)
-	if _, _, err := decodeExpandOKFull(hostile); err == nil {
+	if _, _, err := decodeExpandOKFull(e.b); err == nil {
+		t.Fatal("hostile response slot count accepted")
+	}
+	e = enc{}
+	e.u32(1)          // one slot...
+	e.u32(0x7FFFFFFF) // ...whose Local count is way beyond the bytes that follow
+	e.u32(1)
+	if _, _, err := decodeExpandOKFull(e.b); err == nil {
 		t.Fatal("hostile element count accepted")
 	}
+	e = enc{}
+	e.u64(1)          // digest
+	e.u32(0)          // level
+	e.u32(0x7FFFFFFF) // slot count
+	e.u32(1)
+	if _, _, _, err := decodeExpandFull(e.b); err == nil {
+		t.Fatal("hostile request slot count accepted")
+	}
 	// Truncated payloads across every codec.
-	full := encodeExpandOK(&shard.ExpandResponse{Local: []graph.V{1, 2, 3}, Expanded: 3})
+	full := encodeExpandOK(&shard.ExpandResponse{Slots: []shard.SlotResult{{Local: []graph.V{1, 2, 3}, Expanded: 3}}})
 	for cut := 1; cut < len(full); cut++ {
 		if _, _, err := decodeExpandOKFull(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+	req := encodeExpand(1, &shard.ExpandRequest{Slots: []shard.ExpandSlot{{Block: 2, Frontier: []graph.V{5, 6}}}})
+	for cut := 1; cut < len(req); cut++ {
+		if _, _, _, err := decodeExpandFull(req[:cut]); err == nil {
+			t.Fatalf("request truncation at %d accepted", cut)
 		}
 	}
 }

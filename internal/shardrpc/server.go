@@ -226,11 +226,8 @@ func (s *Server) handleMsg(fr frame) (byte, []byte) {
 			return msgErr, encodeErr(ErrCodeStale,
 				fmt.Sprintf("graph digest %016x, request planned against %016x", s.digest, digest))
 		}
-		if req.Block < 0 || req.Block >= s.plan.NumBlocks() {
-			return msgErr, encodeErr(ErrCodeBadRequest, fmt.Sprintf("block %d out of range", req.Block))
-		}
-		if s.serves != nil && !s.serves[req.Block] {
-			return msgErr, encodeErr(ErrCodeBadRequest, fmt.Sprintf("block %d not served here", req.Block))
+		if err := s.checkSlots(req); err != nil {
+			return msgErr, encodeErr(ErrCodeBadRequest, err.Error())
 		}
 		s.expands.Add(1)
 		ctx, sp, led := s.beginCall(tel, "remote:expand")
@@ -240,11 +237,18 @@ func (s *Server) handleMsg(fr frame) (byte, []byte) {
 		}
 		out := encodeExpandOK(resp)
 		if sp != nil {
-			sp.SetAttr("kw", req.Kw).SetAttr("block", req.Block).
-				SetAttr("level", req.Level).SetAttr("frontier", len(req.Frontier)).
-				SetAttr("local", len(resp.Local)).SetAttr("outbox", len(resp.Outbox)).
-				SetAttr("expanded", resp.Expanded)
-			led.AddExpanded(int64(resp.Expanded))
+			frontier, local, outbox, expanded := 0, 0, 0, 0
+			for i, sl := range req.Slots {
+				r := &resp.Slots[i]
+				frontier += len(sl.Frontier)
+				local += len(r.Local)
+				outbox += len(r.Outbox)
+				expanded += r.Expanded
+			}
+			sp.SetAttr("level", req.Level).SetAttr("slots", len(req.Slots)).
+				SetAttr("frontier", frontier).SetAttr("local", local).
+				SetAttr("outbox", outbox).SetAttr("expanded", expanded)
+			led.AddExpanded(int64(expanded))
 			out = appendSummary(out, s.endCall(sp, led))
 		}
 		return msgExpandOK, out
@@ -279,6 +283,27 @@ func (s *Server) handleMsg(fr frame) (byte, []byte) {
 	default:
 		return msgErr, encodeErr(ErrCodeBadRequest, fmt.Sprintf("unexpected message type %d", fr.msgType))
 	}
+}
+
+// checkSlots refuses a request this server must not expand: a slot whose
+// block is out of range or not served here, or whose frontier names a
+// vertex outside that block (the block's sub-index has no row for it).
+func (s *Server) checkSlots(req *shard.ExpandRequest) error {
+	blockOf := s.plan.Partitioning().BlockOf
+	for _, sl := range req.Slots {
+		if sl.Block < 0 || sl.Block >= s.plan.NumBlocks() {
+			return fmt.Errorf("block %d out of range", sl.Block)
+		}
+		if s.serves != nil && !s.serves[sl.Block] {
+			return fmt.Errorf("block %d not served here", sl.Block)
+		}
+		for _, v := range sl.Frontier {
+			if int(v) >= len(blockOf) || blockOf[v] != sl.Block {
+				return fmt.Errorf("vertex %d is not in block %d", v, sl.Block)
+			}
+		}
+	}
+	return nil
 }
 
 // RemoteSummary is the span/ledger report a shard server appends to a

@@ -3,6 +3,7 @@ package shardrpc
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -38,12 +39,13 @@ func findSpan(sj obs.SpanJSON, name string) *obs.SpanJSON {
 	return nil
 }
 
-// startLegacyPeer serves plan the way a pre-capability build did: the
-// hello answer has no capability tail, a telemetry tail on a request is
-// decoded but never acted on, responses carry no summary,
-// and a message type past msgErr kills the connection as the old
-// readFrame did. The production server speaks one vintage; this keeps the
-// client's tolerance of a caps==0 peer under test.
+// startLegacyPeer serves plan the way a pre-capability build did, as far
+// as today's client can still talk to it: the hello answer has no
+// capability tail, a telemetry tail on a Verify is decoded but never acted
+// on, responses carry no summary, and any other message type (the batched
+// Expand, Stats) kills the connection as the old readFrame did. The
+// production server speaks one vintage; this keeps the client's handling
+// of a caps==0 peer under test.
 func startLegacyPeer(t *testing.T, plan *shard.Plan) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -66,13 +68,6 @@ func startLegacyPeer(t *testing.T, plan *shard.Plan) string {
 			switch fr.msgType {
 			case msgHello:
 				mt, out = msgHelloOK, encodeHelloOK(hello)
-			case msgExpand:
-				_, req, _, err := decodeExpandFull(fr.payload)
-				if err != nil {
-					return
-				}
-				resp, _ := local.Expand(context.Background(), req)
-				mt, out = msgExpandOK, encodeExpandOK(resp)
 			case msgVerify:
 				_, req, _, err := decodeVerifyFull(fr.payload)
 				if err != nil {
@@ -80,7 +75,7 @@ func startLegacyPeer(t *testing.T, plan *shard.Plan) string {
 				}
 				resp, _ := local.Verify(context.Background(), req)
 				mt, out = msgVerifyOK, encodeVerifyOK(resp)
-			default: // msgStats and later: unknown to this vintage
+			default: // msgExpand, msgStats: unknown to this vintage
 				return
 			}
 			if writeFrame(w, mt, fr.reqID, out) != nil || w.Flush() != nil {
@@ -138,10 +133,10 @@ func TestTelemetryStitching(t *testing.T) {
 	bnd := c.For(plan)
 
 	ctx, tr, led := tracedCtx()
-	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
+	req := slotReq(plan, g.DistinctLabels()[0], 0)
 	want, _ := local.Expand(context.Background(), req)
 	got, err := bnd.Expand(ctx, req)
-	if err != nil {
+	if err := expandErr(got, err); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -165,8 +160,8 @@ func TestTelemetryStitching(t *testing.T) {
 	if rpc.Attrs["peer"] != addr {
 		t.Fatalf("rpc span peer attr = %v, want %s", rpc.Attrs["peer"], addr)
 	}
-	if rpc.Attrs["block"] != 0 {
-		t.Fatalf("rpc span block attr = %v, want 0", rpc.Attrs["block"])
+	if rpc.Attrs["slots"] != 1 {
+		t.Fatalf("rpc span slots attr = %v, want 1", rpc.Attrs["slots"])
 	}
 	remote := findSpan(snap, "remote:expand")
 	if remote == nil {
@@ -183,7 +178,7 @@ func TestTelemetryStitching(t *testing.T) {
 	if cost.RemoteCalls != 2 {
 		t.Fatalf("remote calls = %d, want 2", cost.RemoteCalls)
 	}
-	wantUnits := int64(want.Expanded + vwant.Verified)
+	wantUnits := int64(want.Slots[0].Expanded + vwant.Verified)
 	if cost.RemoteWorkUnits != wantUnits {
 		t.Fatalf("remote work units = %d, want %d", cost.RemoteWorkUnits, wantUnits)
 	}
@@ -191,56 +186,69 @@ func TestTelemetryStitching(t *testing.T) {
 
 // TestTelemetryByteIdenticalAcrossModes compares Expand/Verify responses
 // across telemetry off, telemetry on, and a mixed fleet where the peer is
-// a legacy build: the standing invariant is byte-identical answers.
+// a legacy build (Verify only: it cannot expand): the standing invariant
+// is byte-identical answers.
 func TestTelemetryByteIdenticalAcrossModes(t *testing.T) {
 	g := testGraph(32, 80)
 	plan := testPlan(t, g, 16)
 	_, modern := startServer(t, plan, ServerOptions{})
 	legacy := startLegacyPeer(t, plan)
 
-	type mode struct {
+	req := &shard.ExpandRequest{}
+	for b := 0; b < plan.NumBlocks(); b++ {
+		req.Slots = append(req.Slots, shard.ExpandSlot{Block: b, Frontier: seedFrontier(plan, g.DistinctLabels()[0], b)})
+	}
+	vreq := &shard.VerifyRequest{Labels: g.DistinctLabels()[:2], DMax: 3, Roots: []graph.V{0, 1, 2, 3}}
+	modes := []struct {
 		name   string
 		addr   string
 		sample float64
+		expand bool
+	}{
+		{"telemetry-off", modern, 0, true},
+		{"telemetry-on", modern, 1, true},
+		{"telemetry-on-legacy-peer", legacy, 1, false},
 	}
-	modes := []mode{
-		{"telemetry-off", modern, 0},
-		{"telemetry-on", modern, 1},
-		{"telemetry-on-legacy-peer", legacy, 1},
-	}
-	var baseline []*shard.ExpandResponse
+	var baseline *shard.ExpandResponse
+	var vbaseline *shard.VerifyResponse
 	for _, m := range modes {
 		c := NewClient(ClientOptions{Peers: mustPeers(t, m.addr), TelemetrySample: m.sample})
 		bnd := c.For(plan)
 		ctx, _, _ := tracedCtx()
-		var out []*shard.ExpandResponse
-		for b := 0; b < plan.NumBlocks(); b++ {
-			req := &shard.ExpandRequest{Kw: 0, Block: b, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], b)}
+		if m.expand {
 			resp, err := bnd.Expand(ctx, req)
-			if err != nil {
-				t.Fatalf("%s block %d: %v", m.name, b, err)
+			if err := expandErr(resp, err); err != nil {
+				t.Fatalf("%s expand: %v", m.name, err)
 			}
-			out = append(out, resp)
+			if baseline == nil {
+				baseline = resp
+			} else if !reflect.DeepEqual(resp, baseline) {
+				t.Fatalf("%s expand answers differ from telemetry-off baseline", m.name)
+			}
+		}
+		vresp, err := bnd.Verify(ctx, vreq)
+		if err != nil {
+			t.Fatalf("%s verify: %v", m.name, err)
 		}
 		c.Close()
-		if baseline == nil {
-			baseline = out
-			continue
-		}
-		if !reflect.DeepEqual(out, baseline) {
-			t.Fatalf("%s answers differ from telemetry-off baseline", m.name)
+		if vbaseline == nil {
+			vbaseline = vresp
+		} else if !reflect.DeepEqual(vresp, vbaseline) {
+			t.Fatalf("%s verify answers differ from telemetry-off baseline", m.name)
 		}
 	}
 }
 
-// TestOldClientNewServer speaks the pre-capability protocol over a raw
-// TCP connection — empty hello payload, no telemetry tails — and checks
-// the new server's ExpandOK payload is byte-identical to the base
-// encoding: no tail may appear unless the request carried telemetry.
+// TestOldClientNewServer speaks the pre-batching protocol over a raw TCP
+// connection — empty hello payload, a single-slot Expand under the retired
+// message type 3 — and checks the contract: the new server's HelloOK
+// base fields still decode with no capability negotiated, the retired
+// Expand is refused with a structured bad-request error rather than read
+// as something else, and the connection stays in sync. The other
+// direction is TestLegacyPeerServesNoPlan.
 func TestOldClientNewServer(t *testing.T) {
 	g := testGraph(33, 60)
 	plan := testPlan(t, g, 16)
-	local := shard.NewLocal(plan)
 	srv, addr := startServer(t, plan, ServerOptions{})
 
 	conn, err := net.Dial("tcp", addr)
@@ -279,16 +287,45 @@ func TestOldClientNewServer(t *testing.T) {
 		t.Fatalf("hello info %+v caps %#x, want %+v caps 0", info, caps, srv.Hello())
 	}
 
-	// Old-style expand: no telemetry tail. The response payload must be
-	// byte-for-byte the base encoding.
-	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
-	fr = roundTrip(msgExpand, 2, encodeExpand(plan.Graph().Digest(), req))
-	if fr.msgType != msgExpandOK {
-		t.Fatalf("expand answered with type %d", fr.msgType)
+	// Old-style expand: digest, kw, block, level, frontier under type 3.
+	var e enc
+	e.u64(plan.Graph().Digest())
+	e.u32(0)
+	e.u32(0)
+	e.u32(0)
+	e.vs(seedFrontier(plan, g.DistinctLabels()[0], 0))
+	fr = roundTrip(3, 2, e.b)
+	if fr.msgType != msgErr {
+		t.Fatalf("retired single-slot expand answered with type %d, want an error", fr.msgType)
 	}
-	want, _ := local.Expand(context.Background(), req)
-	if !reflect.DeepEqual(fr.payload, encodeExpandOK(want)) {
-		t.Fatalf("untraced response payload is not the base encoding (tail leaked to an old client)")
+	var re *RemoteError
+	if err := decodeErr(fr.payload); !errors.As(err, &re) || re.Code != ErrCodeBadRequest {
+		t.Fatalf("retired expand error = %v, want a bad-request RemoteError", err)
+	}
+	if fr := roundTrip(msgHello, 3, nil); fr.msgType != msgHelloOK || fr.reqID != 3 {
+		t.Fatalf("connection out of sync after the refusal: type %d reqID %d", fr.msgType, fr.reqID)
+	}
+}
+
+// TestLegacyPeerServesNoPlan: a fleet whose only peer predates batching
+// (no capBatch in its hello) does not serve the plan, so the HTTP server
+// evaluates sequentially, as for a stale digest; a batching peer beside it
+// restores the fleet.
+func TestLegacyPeerServesNoPlan(t *testing.T) {
+	g := testGraph(39, 60)
+	plan := testPlan(t, g, 16)
+	legacy := startLegacyPeer(t, plan)
+	_, modern := startServer(t, plan, ServerOptions{})
+
+	c := NewClient(ClientOptions{Peers: mustPeers(t, legacy)})
+	defer c.Close()
+	if c.ServesPlan(plan) {
+		t.Fatal("a peer without capBatch was accepted for the plan")
+	}
+	c2 := NewClient(ClientOptions{Peers: mustPeers(t, legacy+";"+modern)})
+	defer c2.Close()
+	if !c2.ServesPlan(plan) {
+		t.Fatal("a batching peer beside a legacy one should serve the plan")
 	}
 }
 
@@ -302,7 +339,7 @@ func TestTelemetryTailGarbageIgnored(t *testing.T) {
 	local := shard.NewLocal(plan)
 	srv := NewServer(plan, ServerOptions{})
 
-	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
+	req := slotReq(plan, g.DistinctLabels()[0], 0)
 	base := encodeExpand(plan.Graph().Digest(), req)
 	want, _ := local.Expand(context.Background(), req)
 	wantPayload := encodeExpandOK(want)
@@ -364,8 +401,7 @@ func TestStatsAndFleetSnapshot(t *testing.T) {
 	c := NewClient(ClientOptions{Peers: mustPeers(t, modern+"=0%2;"+legacy+"=1%2")})
 	defer c.Close()
 	bnd := c.For(plan)
-	req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
-	if _, err := bnd.Expand(context.Background(), req); err != nil {
+	if err := expandErr(bnd.Expand(context.Background(), slotReq(plan, g.DistinctLabels()[0], 0))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -411,8 +447,7 @@ func TestAttemptSpansNamePeers(t *testing.T) {
 
 	ctx, tr, _ := tracedCtx()
 	for i := 0; i < 6; i++ {
-		req := &shard.ExpandRequest{Kw: 0, Block: 0, Level: 0, Frontier: seedFrontier(plan, g.DistinctLabels()[0], 0)}
-		if _, err := bnd.Expand(ctx, req); err != nil {
+		if err := expandErr(bnd.Expand(ctx, slotReq(plan, g.DistinctLabels()[0], 0))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -424,9 +459,12 @@ func TestAttemptSpansNamePeers(t *testing.T) {
 	}
 }
 
-// TestPeerFailureAttribution exhausts a single dead replica and checks
-// the terminal error names the block and the peer — what the coordinator
-// unwraps into the coverage report's failed_peers.
+// TestPeerFailureAttribution exhausts dead replicas and checks the
+// terminal failure lands on exactly the slots the dead peer's share
+// carried, naming their blocks and the peer — what the coordinator unwraps
+// into the coverage report's failed_peers. With a live peer serving the
+// even blocks beside a dead one serving the odd, the even slots must be
+// answered as if nothing failed.
 func TestPeerFailureAttribution(t *testing.T) {
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -435,23 +473,65 @@ func TestPeerFailureAttribution(t *testing.T) {
 	deadAddr := dead.Addr().String()
 	dead.Close()
 
-	g := testGraph(37, 40)
+	g := testGraph(37, 60)
 	plan := testPlan(t, g, 16)
-	c := NewClient(ClientOptions{Peers: mustPeers(t, deadAddr), CallTimeout: 300 * time.Millisecond})
-	defer c.Close()
-	bnd := c.For(plan)
-	_, err = bnd.Expand(context.Background(), &shard.ExpandRequest{Kw: 0, Block: 1, Frontier: []graph.V{0}})
-	if err == nil {
-		t.Fatal("dead fleet call should fail")
+	if plan.NumBlocks() < 3 {
+		t.Fatalf("plan has %d blocks, the test needs 3", plan.NumBlocks())
 	}
-	var pf interface{ FailedPeers() []string }
-	if !asPeerFailure(err, &pf) {
-		t.Fatalf("terminal error %T carries no peer attribution: %v", err, err)
+	labels := g.DistinctLabels()
+	req := &shard.ExpandRequest{Slots: []shard.ExpandSlot{
+		{Kw: 0, Block: 1, Frontier: seedFrontier(plan, labels[0], 1)},
+		{Kw: 1, Block: 0, Frontier: seedFrontier(plan, labels[1], 0)},
+		{Kw: 1, Block: 1, Frontier: seedFrontier(plan, labels[1], 1)},
+		{Kw: 0, Block: 2, Frontier: seedFrontier(plan, labels[0], 2)},
+	}}
+
+	checkLost := func(t *testing.T, err error, wantBlocks []int) {
+		t.Helper()
+		var pf interface{ FailedPeers() []string }
+		if !asPeerFailure(err, &pf) {
+			t.Fatalf("terminal error %T carries no peer attribution: %v", err, err)
+		}
+		if peers := pf.FailedPeers(); len(peers) != 1 || peers[0] != deadAddr {
+			t.Fatalf("failed peers = %v, want [%s]", peers, deadAddr)
+		}
+		var typed *PeerFailure
+		if !errors.As(err, &typed) || !reflect.DeepEqual(typed.Blocks, wantBlocks) {
+			t.Fatalf("failure %v names blocks %v, want %v", err, typed, wantBlocks)
+		}
 	}
-	peers := pf.FailedPeers()
-	if len(peers) != 1 || peers[0] != deadAddr {
-		t.Fatalf("failed peers = %v, want [%s]", peers, deadAddr)
-	}
+
+	t.Run("whole-fleet", func(t *testing.T) {
+		c := NewClient(ClientOptions{Peers: mustPeers(t, deadAddr), CallTimeout: 300 * time.Millisecond})
+		defer c.Close()
+		resp, err := c.For(plan).Expand(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range resp.Slots {
+			checkLost(t, resp.Slots[i].Err, []int{0, 1, 2})
+		}
+	})
+
+	t.Run("one-share", func(t *testing.T) {
+		_, live := startServer(t, plan, ServerOptions{})
+		c := NewClient(ClientOptions{Peers: mustPeers(t, live+"=0%2;"+deadAddr+"=1%2"), CallTimeout: 300 * time.Millisecond})
+		defer c.Close()
+		resp, err := c.For(plan).Expand(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := shard.NewLocal(plan).Expand(context.Background(), req)
+		for i, sl := range req.Slots {
+			if sl.Block%2 == 1 {
+				checkLost(t, resp.Slots[i].Err, []int{1})
+				continue
+			}
+			if !reflect.DeepEqual(resp.Slots[i], want.Slots[i]) {
+				t.Fatalf("slot %d (block %d) of the live share: got %+v want %+v", i, sl.Block, resp.Slots[i], want.Slots[i])
+			}
+		}
+	})
 }
 
 // asPeerFailure is errors.As via the interface the coordinator uses.

@@ -288,50 +288,58 @@ func (t *table) grow() {
 }
 
 // buildResult materializes the quotient graph of a stable partition whose
-// blocks are numbered by smallest member.
+// blocks are numbered by smallest member. Block s's row is the distinct
+// blocks its members' successors fall in, written straight into the
+// summary's out-rows: stamp[t] holds the last block that recorded t, plus
+// one.
 func buildResult(g *graph.Graph, block []graph.V, numBlocks int) *Result {
-	// One quotient edge per distinct (source block, target block): stamp[t]
-	// holds the last source block that recorded an edge to t, plus one.
-	// Builder.Build sorts the edges.
 	members := members(block, numBlocks)
+	labels := make([]graph.Label, numBlocks)
+	outOff := make([]uint32, numBlocks+1)
+	outAdj := make([]graph.V, 0, g.NumEdges())
 	stamp := make([]uint32, numBlocks)
-	b := graph.NewBuilder(g.Dict())
-	for _, row := range members {
-		// All members share a label by construction; use the first.
-		b.AddVertexLabel(g.Label(row[0]))
-	}
 	for s, row := range members {
+		// All members share a label by construction; use the first.
+		labels[s] = g.Label(row[0])
+		lo := len(outAdj)
 		for _, v := range row {
 			for _, w := range g.Out(v) {
 				if t := block[w]; stamp[t] != uint32(s)+1 {
 					stamp[t] = uint32(s) + 1
-					b.AddEdge(graph.V(s), t)
+					outAdj = append(outAdj, t)
 				}
 			}
 		}
+		slices.Sort(outAdj[lo:])
+		outOff[s+1] = uint32(len(outAdj))
 	}
-	return &Result{Summary: b.Build(), Block: block, Members: members}
+	if len(outAdj) < cap(outAdj) {
+		outAdj = slices.Clone(outAdj)
+	}
+	return &Result{Summary: graph.FromRows(g.Dict(), labels, outOff, outAdj), Block: block, Members: members}
 }
 
 // members inverts block into ascending member rows, carved from one flat
 // array by a counting sort.
 func members(block []graph.V, numBlocks int) [][]graph.V {
-	start := make([]uint32, numBlocks+1)
+	end := make([]uint32, numBlocks+1)
 	for _, b := range block {
-		start[b+1]++
+		end[b+1]++
 	}
 	for s := range numBlocks {
-		start[s+1] += start[s]
+		end[s+1] += end[s]
 	}
+	// end[s] starts as block s's first slot and is advanced past it.
 	flat := make([]graph.V, len(block))
-	fill := slices.Clone(start[:numBlocks])
 	for v, b := range block {
-		flat[fill[b]] = graph.V(v)
-		fill[b]++
+		flat[end[b]] = graph.V(v)
+		end[b]++
 	}
 	rows := make([][]graph.V, numBlocks)
+	lo := uint32(0)
 	for s := range rows {
-		rows[s] = flat[start[s]:start[s+1]:start[s+1]]
+		rows[s] = flat[lo:end[s]:end[s]]
+		lo = end[s]
 	}
 	return rows
 }

@@ -13,7 +13,9 @@ const NoVertex = ^graph.V(0)
 // Change describes a graph g′ relative to an older version g.
 type Change struct {
 	// Prev maps each vertex of g′ to its vertex in g, or NoVertex when it
-	// is new.
+	// is new. A nil Prev says g′ only appended vertices to g: below g's
+	// vertex count each vertex is its own counterpart, and from there on
+	// every vertex is new.
 	Prev []graph.V
 	// Touched lists the vertices of g′ whose label or successor set, read
 	// through Prev, may differ from their counterpart's in g. Every new
@@ -45,22 +47,26 @@ const cyclic = math.MaxUint32
 // any path length the change could create, which means it closed a new
 // cycle.
 //
-// Blocks are renumbered by smallest member, so the result is identical to
-// Compute's. When the partition is unchanged Update returns old itself;
-// when only new vertices joined old blocks the result shares
-// old.Summary. The returned Change describes the new summary against
-// old.Summary, ready to drive the layer above.
+// Blocks are renumbered by smallest member, as Compute does, in one
+// first-appearance scan over g's vertices, so the result is identical to
+// Compute's whatever order old IDs were in. Renumbering is not monotone on
+// the surviving blocks: a block that loses its smallest member, or a fresh
+// block whose smallest member is smaller than an old block's, moves past
+// its neighbours. Each summary row is its signature mapped through the
+// renumbering, re-sorted only where the mapping put it out of order. Past
+// the walk the cost is one pass over each array the new layer writes.
+//
+// When the partition is unchanged Update returns old itself; when only
+// new vertices joined old blocks the result shares old.Summary. The
+// returned Change describes the new summary against old.Summary, ready to
+// drive the layer above.
 func Update(g *graph.Graph, label func(graph.Label) graph.Label, old *Result, ch Change) (*Result, Change, bool) {
 	u := updater{old: old.Summary, m: old.Summary.NumVertices(), at: map[graph.V]int32{}}
 	u.rank = make([]uint32, u.m)
 	u.fresh.reset()
-	n := g.NumVertices()
-	ids := make([]graph.V, n)
-	for v, p := range ch.Prev {
-		ids[v] = NoVertex
-		if p != NoVertex {
-			ids[v] = old.Block[p]
-		}
+	ids, ok := startIDs(g.NumVertices(), old.Block, ch.Prev)
+	if !ok {
+		return nil, Change{}, false
 	}
 	for _, v := range ch.Touched {
 		b := 0
@@ -146,35 +152,77 @@ func Update(g *graph.Graph, label func(graph.Label) graph.Label, old *Result, ch
 		return old, Change{}, true
 	}
 
-	next := Change{Prev: make([]graph.V, len(tid))}
+	res := &Result{Summary: u.old, Block: ids, Members: members(ids, len(tid))}
+	if !same {
+		res.Summary = u.summary(g.Dict(), tid, renum)
+	}
+	next := Change{Prev: tid}
 	for k, id := range tid {
-		next.Prev[k] = id
 		if int(id) >= u.m {
-			next.Prev[k] = NoVertex
+			tid[k] = NoVertex
 			next.Touched = append(next.Touched, graph.V(k))
 		}
 	}
-	res := &Result{Summary: u.old, Block: ids, Members: members(ids, len(tid))}
-	if same {
-		return res, next, true
+	return res, next, true
+}
+
+// startIDs returns each vertex's old block, or NoVertex for a new one. It
+// fails when a nil prev would drop old vertices.
+func startIDs(n int, block, prev []graph.V) ([]graph.V, bool) {
+	ids := make([]graph.V, n)
+	if prev == nil {
+		if n < len(block) {
+			return nil, false
+		}
+		for v := copy(ids, block); v < n; v++ {
+			ids[v] = NoVertex
+		}
+		return ids, true
 	}
-	// A block's quotient out-edges are its signature's successor blocks,
-	// all in use: a vertex's final signature names its successors' final
-	// blocks.
-	sb := graph.NewBuilder(g.Dict())
-	edges := 0
-	for _, id := range tid {
-		sb.AddVertexLabel(u.label(id))
-		edges += len(u.sig(id))
-	}
-	sb.Grow(edges)
-	for k, id := range tid {
-		for _, b := range u.sig(id) {
-			sb.AddEdge(graph.V(k), renum[b]-1)
+	for v, p := range prev {
+		ids[v] = NoVertex
+		if p != NoVertex {
+			ids[v] = block[p]
 		}
 	}
-	res.Summary = sb.Build()
-	return res, next, true
+	return ids, true
+}
+
+// summary writes the quotient graph of the renumbered blocks. A block's
+// quotient out-edges are its signature's successor blocks, all in use: a
+// vertex's final signature names its successors' final blocks. Each row
+// is its signature mapped through renum (new ID + 1), sorted again only if
+// the mapping reordered it.
+func (u *updater) summary(dict *graph.Dict, tid, renum []graph.V) *graph.Graph {
+	edges := 0
+	for _, id := range tid {
+		edges += len(u.sig(id))
+	}
+	labels := make([]graph.Label, len(tid))
+	outOff := make([]uint32, len(tid)+1)
+	outAdj := make([]graph.V, edges)
+	at := 0
+	for k, id := range tid {
+		labels[k] = u.label(id)
+		sig := u.sig(id)
+		row := outAdj[at : at+len(sig)]
+		// Signatures are distinct, so any descent means disorder.
+		last, sorted := graph.V(0), true
+		for i, b := range sig {
+			x := renum[b] - 1
+			row[i] = x
+			if x < last {
+				sorted = false
+			}
+			last = x
+		}
+		if !sorted {
+			slices.Sort(row)
+		}
+		at += len(sig)
+		outOff[k+1] = uint32(at)
+	}
+	return graph.FromRows(dict, labels, outOff, outAdj)
 }
 
 // updater holds Update's state. Block IDs below m are old.Summary's

@@ -223,6 +223,43 @@ func TestUpdateCyclicBlocks(t *testing.T) {
 	}
 }
 
+// TestUpdateResortsRelabelledRows pins the renumbering that is not
+// monotone on surviving blocks. Vertices 0 and 2 (A sinks) share a block
+// that sorts before B's block {1}; the C vertices 3 → {0, 1} and 4 → {2, 1}
+// share a block whose summary row is [A, B]. Adding 0 → 1 moves 0, the A
+// block's smallest member, into a fresh block, so the A block ({2}) now
+// sorts after the B block and the C row maps to [B, A] order: out of
+// order, and Update must sort it back. Both forms of an append-only Change
+// (nil Prev and the identity spelled out) must equal Compute.
+func TestUpdateResortsRelabelledRows(t *testing.T) {
+	dict := graph.NewDict()
+	a, b, c := dict.Intern("A"), dict.Intern("B"), dict.Intern("C")
+	g := graph.FromEdges(dict, []graph.Label{a, b, a, c, c},
+		[]graph.Edge{{From: 3, To: 0}, {From: 3, To: 1}, {From: 4, To: 2}, {From: 4, To: 1}})
+	d := batch{adds: []graph.Edge{{From: 0, To: 1}}}
+	patched, err := graph.Patch(g, d.verts, d.adds, d.removes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := Compute(g)
+	want := Compute(patched)
+	if !(old.Block[2] < old.Block[1] && want.Block[2] > want.Block[1]) {
+		t.Fatalf("premise: A block %d→%d, B block %d→%d; want the two swapped",
+			old.Block[2], want.Block[2], old.Block[1], want.Block[1])
+	}
+	same := func(l graph.Label) graph.Label { return l }
+	for _, ch := range []Change{{Touched: []graph.V{0}}, changeOf(g, d)} {
+		got, _, ok := Update(patched, same, old, ch)
+		if !ok {
+			t.Fatal("Update gave up on an acyclic graph")
+		}
+		sameResult(t, got, want)
+	}
+	if !checkUpdate(t, g, d) {
+		t.Fatal("Update gave up on an acyclic graph")
+	}
+}
+
 // FuzzUpdate decodes a small graph (as FuzzCompute does) followed by a
 // batch — appended vertex count and labels, then (kind, from, to) triples:
 // even kinds add, odd ones remove — and runs checkUpdate on it.
@@ -230,6 +267,9 @@ func FuzzUpdate(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 0, 2, 4, 1, 0, 2, 1, 3, 2, 1, 3, 0, 2, 1, 1, 0, 0, 4, 0})
 	f.Add([]byte{5, 0, 0, 1, 1, 0, 6, 1, 0, 2, 0, 3, 1, 4, 2, 0, 3, 0, 0, 1, 4, 0, 1, 2, 1})
 	f.Add([]byte{3, 0, 0, 0, 3, 0, 1, 1, 2, 2, 0, 0, 0, 1, 0, 1, 2, 1, 0})
+	// TestUpdateResortsRelabelledRows: labels A B A C C, edges 3→0 3→1
+	// 4→2 4→1, no new vertex, add 0→1.
+	f.Add([]byte{4, 0, 1, 0, 2, 2, 4, 3, 0, 3, 1, 4, 2, 4, 1, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

@@ -47,14 +47,18 @@ type DeltaReport struct {
 //
 //	x.Applied(d) ≡ x.Refreshed(graph.Patch(x.Data(), d))
 //
-// layer for layer and byte for byte. It costs what the batch touches:
-// graph.Patch splices layer 0's rows, and each summary layer re-signs
-// only the sources of changed edges and the new vertices, walking to
-// predecessors while blocks change (bisim.Update), then hands the change
-// in its summary to the layer above. Where the walk reaches a cycle the
-// layer and those above it are re-summarized whole. Either way the result
-// passes the NewFromLayers structural validation and carries x's epoch + 1
-// (the atomic-swap and cache-invalidation contract).
+// layer for layer and byte for byte. It costs what the batch touches
+// plus one write of each array the new index cannot share: graph.Patch
+// splices layer 0's rows, copying the untouched ones in bulk, and each
+// summary layer re-signs only the sources of changed edges and the new
+// vertices, walking to predecessors while blocks change (bisim.Update).
+// Past the walk a layer writes its Block and Down maps and its summary
+// CSR once, straight from the signatures, and hands the change in its
+// summary to the layer above. Where the walk reaches a cycle the layer and
+// those above it are re-summarized whole. Either way the result passes the
+// NewFromLayers structural validation, one more pass over each layer's
+// maps, and carries x's epoch + 1 (the atomic-swap and cache-invalidation
+// contract).
 //
 // The receiver is never modified; like Refreshed, Applied is safe to run
 // while x serves queries.
@@ -64,14 +68,12 @@ func (x *Index) Applied(d Delta, _ DeltaOptions) (*Index, *DeltaReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// Patch only appends vertices: a nil Prev says so without an
+	// identity map over every vertex.
 	n0, n := g0.NumVertices(), patched.NumVertices()
-	ch := bisim.Change{Prev: make([]graph.V, n)}
-	for v := range ch.Prev {
-		ch.Prev[v] = graph.V(v)
-		if v >= n0 {
-			ch.Prev[v] = bisim.NoVertex
-			ch.Touched = append(ch.Touched, graph.V(v))
-		}
+	var ch bisim.Change
+	for v := n0; v < n; v++ {
+		ch.Touched = append(ch.Touched, graph.V(v))
 	}
 	for _, es := range [][]graph.Edge{d.AddEdges, d.RemoveEdges} {
 		for _, e := range es {

@@ -194,8 +194,8 @@ func Build(g *graph.Graph, ont *ontology.Ontology, opt BuildOptions) (*Index, er
 //   - layer 0 is the data graph: no config, no vertex maps;
 //   - every layer i >= 1 carries a config, an Up map covering exactly the
 //     vertices of layer i-1, and a Down table that is Up's exact inverse
-//     (every supernode has at least one member and every membership
-//     round-trips);
+//     (every supernode has at least one member, its rows are ascending,
+//     and every membership round-trips);
 //   - every layer shares layer 0's dictionary.
 //
 // When ont is non-nil each configuration is validated against it, as
@@ -231,22 +231,27 @@ func NewFromLayers(ont *ontology.Ontology, layers []*Layer) (*Index, error) {
 			return nil, fmt.Errorf("core: layer %d Down covers %d supernodes, layer has %d", li, len(l.Down), here)
 		}
 		members := 0
-		seen := make([]bool, below)
+		up := l.Up[:below]
 		for s, row := range l.Down {
 			if len(row) == 0 {
 				return nil, fmt.Errorf("core: layer %d supernode %d has no members", li, s)
 			}
+			next := graph.V(0) // the least member the row may name next
 			for _, v := range row {
-				if int(v) >= below || int(l.Up[v]) != s || seen[v] {
+				if v < next || int(v) >= below || up[v] != graph.V(s) {
+					if v < next {
+						return nil, fmt.Errorf("core: layer %d supernode %d members are not ascending and distinct", li, s)
+					}
 					return nil, fmt.Errorf("core: layer %d Up/Down maps are not mutually inverse at supernode %d", li, s)
 				}
-				seen[v] = true
+				next = v + 1
 			}
 			members += len(row)
 		}
 		if members != below {
-			// Every Down entry round-tripped through Up exactly once, so a
-			// count match means the rows partition layer i-1 exactly.
+			// Every Down entry round-trips through Up to its own row, where
+			// it occurs once, so a count match means the rows partition
+			// layer i-1 exactly.
 			return nil, fmt.Errorf("core: layer %d Down covers %d members, want %d", li, members, below)
 		}
 		idx.seq = append(idx.seq, l.Config)

@@ -51,14 +51,7 @@ func (x *Index) resummarized(g *graph.Graph, ch *bisim.Change) (*Index, *DeltaRe
 		cfg := old.Config
 		// Skip (and stop at) layers whose configuration touches nothing in
 		// the evolved graph: further layers were built on top of them.
-		touches := false
-		for _, l := range top.DistinctLabels() {
-			if cfg.InDomain(l) {
-				touches = true
-				break
-			}
-		}
-		if !touches {
+		if !cfg.Touches(top) {
 			break
 		}
 		prev := &bisim.Result{Summary: old.Graph, Block: old.Up, Members: old.Down}

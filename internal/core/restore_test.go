@@ -95,6 +95,15 @@ func TestNewFromLayersRejectsCorruptStructures(t *testing.T) {
 			ls[1].Down[0] = append(ls[1].Down[0], ls[1].Down[0][0])
 			return ls
 		},
+		"descending members": func(ls []*Layer) []*Layer {
+			for _, row := range ls[1].Down {
+				if len(row) >= 2 {
+					row[0], row[1] = row[1], row[0]
+					return ls
+				}
+			}
+			return nil // fixture too small; treated as "no layers" reject
+		},
 	}
 	for name, corrupt := range cases {
 		if _, err := NewFromLayers(ds.Ont, corrupt(cloneLayers(idx))); err == nil {

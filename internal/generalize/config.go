@@ -93,6 +93,18 @@ func (c *Config) InDomain(l graph.Label) bool {
 	return ok
 }
 
+// Touches reports whether C generalizes a label that occurs on g's
+// vertices. It allocates nothing: each mapped label is looked up in g's
+// posting lists.
+func (c *Config) Touches(g *graph.Graph) bool {
+	for l := range c.fwd {
+		if g.LabelCount(l) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Domain returns X = {ℓ | (ℓ→ℓ′) ∈ C}, ascending.
 func (c *Config) Domain() []graph.Label {
 	d := make([]graph.Label, 0, len(c.fwd))

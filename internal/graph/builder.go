@@ -60,9 +60,8 @@ func (b *Builder) AddEdge(from, to V) {
 //
 // Build runs in time linear in the graph plus the cost of sorting each
 // vertex's own out-row: a counting sort by source places every edge in its
-// row, each row is sorted and deduplicated in place, and the in-rows are
-// filled by scanning the out-rows in vertex order, so they come out
-// ascending without a sort.
+// row, each row is sorted and deduplicated in place, and FromRows derives
+// the rest.
 func (b *Builder) Build() *Graph {
 	n := len(b.labels)
 	labels := append([]Label(nil), b.labels...)
@@ -97,25 +96,51 @@ func (b *Builder) Build() *Graph {
 		outAdj = slices.Clone(outAdj[:m])
 	}
 
-	// In-rows: count targets, then scan the out-rows in vertex order.
+	return FromRows(b.dict, labels, outOff, outAdj)
+}
+
+// FromRows returns the graph with the given vertex labels and out-rows:
+// vertex v's successors are outAdj[outOff[v]:outOff[v+1]], ascending and
+// distinct. It adopts the three slices, which the caller must not modify
+// afterwards, and derives the rest: the in-rows, filled by scanning the
+// out-rows in vertex order so they come out ascending without a sort, and
+// the posting lists. It panics on a row that is out of order or names a
+// vertex outside the graph, since that is always a construction bug.
+func FromRows(dict *Dict, labels []Label, outOff []uint32, outAdj []V) *Graph {
+	n := len(labels)
+	if len(outOff) != n+1 || int(outOff[n]) != len(outAdj) {
+		panic(fmt.Sprintf("graph: row offsets do not cover %d vertices and %d edges", n, len(outAdj)))
+	}
+	// In-rows: count targets into inOff[w+1], turn the counts into row
+	// starts, advance each start past its row while scattering, and shift
+	// the resulting row ends back into starts.
 	inOff := make([]uint32, n+1)
 	for _, w := range outAdj {
+		if int(w) >= n {
+			panic(fmt.Sprintf("graph: edge to vertex %d >= %d", w, n))
+		}
 		inOff[w+1]++
 	}
 	for v := range n {
 		inOff[v+1] += inOff[v]
 	}
-	inAdj := make([]V, m)
-	copy(next, inOff[:n])
+	inAdj := make([]V, len(outAdj))
 	for v := range n {
+		next := V(0) // the least vertex the row may name next
 		for _, w := range outAdj[outOff[v]:outOff[v+1]] {
-			inAdj[next[w]] = V(v)
-			next[w]++
+			if w < next {
+				panic(fmt.Sprintf("graph: out-row of %d is not ascending and distinct", v))
+			}
+			next = w + 1
+			inAdj[inOff[w]] = V(v)
+			inOff[w]++
 		}
 	}
+	copy(inOff[1:], inOff[:n])
+	inOff[0] = 0
 
 	return &Graph{
-		dict:    b.dict,
+		dict:    dict,
 		labels:  labels,
 		outOff:  outOff,
 		outAdj:  outAdj,
@@ -138,8 +163,14 @@ func postingLists(labels []Label) map[Label][]V {
 	for _, l := range labels {
 		counts[l]++
 	}
+	distinct := 0
+	for _, c := range counts {
+		if c > 0 {
+			distinct++
+		}
+	}
 	flat := make([]V, len(labels))
-	posting := make(map[Label][]V)
+	posting := make(map[Label][]V, distinct)
 	var start uint32
 	for l, c := range counts {
 		if c == 0 {

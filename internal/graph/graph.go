@@ -136,6 +136,25 @@ func (g *Graph) DistinctLabels() []Label {
 	return ls
 }
 
+// SameLabelSet reports whether g and h carry the same set of vertex
+// labels, without building either set: at once when they share their
+// label slice (graph.Patch shares it with an edge-only batch), otherwise
+// by looking up each of g's labels in h.
+func (g *Graph) SameLabelSet(h *Graph) bool {
+	if len(g.posting) != len(h.posting) {
+		return false
+	}
+	if len(g.labels) == len(h.labels) && (len(g.labels) == 0 || &g.labels[0] == &h.labels[0]) {
+		return true
+	}
+	for l := range g.posting {
+		if _, ok := h.posting[l]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Edges returns all edges in (From, To) lexicographic order. It allocates;
 // intended for tests and serialization, not inner loops.
 func (g *Graph) Edges() []Edge {

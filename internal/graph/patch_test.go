@@ -225,3 +225,52 @@ func FuzzPatch(f *testing.F) {
 		sameGraph(t, g, gCopy)
 	})
 }
+
+// TestSameLabelSet covers the label-set comparison the server uses to
+// keep its text index across a swap: an edge-only patch shares the label
+// slice; appending a vertex with a present label keeps the set; one with
+// an absent label changes it.
+func TestSameLabelSet(t *testing.T) {
+	g := patchBase(t)
+	a, c := g.Dict().Lookup("A"), g.Dict().Lookup("C")
+	d := g.Dict().Intern("D")
+	for _, tc := range []struct {
+		name  string
+		verts []Label
+		same  bool
+	}{
+		{"edge only", nil, true},
+		{"present label", []Label{a, c}, true},
+		{"new label", []Label{d}, false},
+	} {
+		p, err := Patch(g, tc.verts, []Edge{{From: 2, To: 0}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.SameLabelSet(p); got != tc.same || p.SameLabelSet(g) != tc.same {
+			t.Errorf("%s: SameLabelSet = %v, want %v", tc.name, got, tc.same)
+		}
+	}
+}
+
+// TestFromRowsRejectsDisorder pins FromRows' contract: out-rows must be
+// ascending and distinct and name vertices of the graph.
+func TestFromRowsRejectsDisorder(t *testing.T) {
+	dict := NewDict()
+	a := dict.Intern("A")
+	labels := []Label{a, a, a}
+	for name, adj := range map[string][]V{"descending": {2, 1}, "duplicate": {1, 1}, "out of range": {1, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: FromRows accepted row %v", name, adj)
+				}
+			}()
+			FromRows(dict, labels, []uint32{0, 2, 2, 2}, adj)
+		}()
+	}
+	g := FromRows(dict, labels, []uint32{0, 2, 2, 2}, []V{1, 2})
+	if !slices.Equal(g.In(2), []V{0}) || !slices.Equal(g.VerticesWithLabel(a), []V{0, 1, 2}) {
+		t.Fatalf("In(2) = %v, postings %v", g.In(2), g.VerticesWithLabel(a))
+	}
+}

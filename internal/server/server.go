@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -444,7 +443,7 @@ func (s *Server) newIndexState(idx *core.Index) *indexState {
 // sameLabels reports whether a and b share a dictionary and the set of
 // labels that occur on their vertices.
 func sameLabels(a, b *graph.Graph) bool {
-	return a.Dict() == b.Dict() && slices.Equal(a.DistinctLabels(), b.DistinctLabels())
+	return a.Dict() == b.Dict() && a.SameLabelSet(b)
 }
 
 // st returns the current index state; handlers load it once at entry so a

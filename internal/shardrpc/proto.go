@@ -571,12 +571,18 @@ func decodeExpandOKFull(p []byte) (*shard.ExpandResponse, []byte, error) {
 	return resp, decodeSummaryTail(&d), nil
 }
 
+// minMatchWire is the least a match takes on the wire: its root, its
+// distance count and its node count.
+const minMatchWire = 12
+
 // decodeVerifyOKFull decodes a VerifyOK response plus the optional
 // summary tail.
 func decodeVerifyOKFull(p []byte) (*shard.VerifyResponse, []byte, error) {
 	d := dec{b: p}
 	resp := &shard.VerifyResponse{Verified: int(d.u32())}
-	n := d.count(4)
+	// A match takes at least minMatchWire bytes on the wire, so the
+	// preallocated slice stays within a few times the payload.
+	n := d.count(minMatchWire)
 	if n > 0 {
 		resp.Matches = make([]search.Match, 0, n)
 		for i := 0; i < n && !d.bad; i++ {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bigindex/internal/graph"
@@ -152,6 +153,38 @@ func TestErrCodec(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Code != ErrCodeStale || re.Msg != "digest mismatch" {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestVerifyOKCountBoundsAllocation decodes VerifyOK payloads whose match
+// count is as large as the payload admits: 4 bytes per match, which no
+// match can be (it fails after allocating), and the true 12-byte minimum
+// (it decodes). Either way the bytes allocated stay within 6× the payload:
+// a Match is 64 bytes, so bounding the count by 4-byte elements would let
+// a hostile count allocate 16× the frame.
+func TestVerifyOKCountBoundsAllocation(t *testing.T) {
+	const body = 12 * 100_000
+	for _, tc := range []struct {
+		count int
+		ok    bool
+	}{{body / 4, false}, {body / minMatchWire, true}} {
+		var e enc
+		e.u32(0) // verified
+		e.u32(uint32(tc.count))
+		p := append(e.b, make([]byte, body)...) // zero root, no dists, no nodes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, _, err := decodeVerifyOKFull(p)
+		runtime.ReadMemStats(&after)
+		if (err == nil) != tc.ok {
+			t.Fatalf("count %d: err = %v, want ok = %v", tc.count, err, tc.ok)
+		}
+		if tc.ok && len(resp.Matches) != tc.count {
+			t.Fatalf("count %d: decoded %d matches", tc.count, len(resp.Matches))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 6*uint64(len(p)) {
+			t.Fatalf("count %d: decoding %d bytes allocated %d", tc.count, len(p), alloc)
+		}
 	}
 }
 

@@ -302,30 +302,20 @@ func (x *Index) ChiUp(v graph.V, from, to int) graph.V {
 	return v
 }
 
-// SpecializeStep expands supernodes of layer m to their members at layer
-// m−1 (Spec of Sec. 4.2, one step). keep filters the members (pass nil to
-// keep all); it implements the candidate filtering of Prop 4.1 when given a
-// label test.
-func (x *Index) SpecializeStep(supernodes []graph.V, m int, keep func(graph.V) bool) []graph.V {
-	out, _ := x.specializeStepCounted(supernodes, m, keep)
-	return out
-}
-
-// specializeStepCounted is SpecializeStep reporting how many distinct
-// members were examined before the keep filter — examined−len(out) is the
-// Prop 4.1 pruning at this step.
-func (x *Index) specializeStepCounted(supernodes []graph.V, m int, keep func(graph.V) bool) ([]graph.V, int) {
+// specializeStep expands distinct supernodes of layer m to their members
+// at layer m−1 (Spec of Sec. 4.2, one step) and reports how many members
+// it examined before the keep filter — examined−len(out) is the Prop 4.1
+// pruning at this step. keep filters the members (nil keeps all); it
+// implements the candidate filtering of Prop 4.1 when given a label test.
+// Distinct supernodes have disjoint Down rows (NewFromLayers checks the
+// partition), so the members come out distinct too.
+func (x *Index) specializeStep(supernodes []graph.V, m int, keep func(graph.V) bool) ([]graph.V, int) {
 	down := x.layers[m].Down
 	var out []graph.V
 	examined := 0
-	seen := make(map[graph.V]bool)
 	for _, s := range supernodes {
+		examined += len(down[s])
 		for _, v := range down[s] {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			examined++
 			if keep == nil || keep(v) {
 				out = append(out, v)
 			}
@@ -349,7 +339,7 @@ type specTally struct {
 func (x *Index) SpecializeRoot(s graph.V, m int) []graph.V {
 	set := []graph.V{s}
 	for j := m; j >= 1; j-- {
-		set = x.SpecializeStep(set, j, nil)
+		set, _ = x.specializeStep(set, j, nil)
 	}
 	return set
 }
@@ -368,7 +358,7 @@ func (x *Index) SpecializeKeyword(s graph.V, m int, kw graph.Label, early bool) 
 		if early || j == 1 {
 			keep = func(v graph.V) bool { return lg.Label(v) == want }
 		}
-		set = x.SpecializeStep(set, j, keep)
+		set, _ = x.specializeStep(set, j, keep)
 	}
 	return set
 }
@@ -382,7 +372,7 @@ func (x *Index) specializeRootSet(supers []graph.V, m int, sp *obs.Span, tally *
 	for j := m; j >= 1; j-- {
 		c := sp.StartChild("Spec/L"+strconv.Itoa(j-1)).SetAttr("role", "root").SetAttr("in", len(set))
 		var examined int
-		set, examined = x.specializeStepCounted(set, j, nil)
+		set, examined = x.specializeStep(set, j, nil)
 		led.AddLayerWork(j-1, int64(examined))
 		c.SetAttr("out", len(set)).End()
 		if tally != nil {
@@ -408,7 +398,7 @@ func (x *Index) specializeKeywordSet(supers []graph.V, m int, kw graph.Label, ea
 			SetAttr("role", "keyword").SetAttr("keyword", int(kw)).
 			SetAttr("filtered", keep != nil).SetAttr("in", len(set))
 		var examined int
-		set, examined = x.specializeStepCounted(set, j, keep)
+		set, examined = x.specializeStep(set, j, keep)
 		led.AddLayerWork(j-1, int64(examined))
 		c.SetAttr("out", len(set)).End()
 		if tally != nil {

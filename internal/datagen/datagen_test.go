@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"bytes"
 	"testing"
 
 	"bigindex/internal/graph"
@@ -171,43 +170,5 @@ func TestQueriesWorkload(t *testing.T) {
 				t.Fatal("workload not deterministic")
 			}
 		}
-	}
-}
-
-func TestWorkloadSaveLoad(t *testing.T) {
-	ds := Generate(Options{Name: "wio", Entities: 2000, Terms: 150, Seed: 21})
-	qs := Queries(ds, DefaultWorkload())
-	if len(qs) == 0 {
-		t.Skip("no workload")
-	}
-	var buf bytes.Buffer
-	if err := SaveWorkload(&buf, ds.Name, ds.Graph.Dict(), qs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadWorkload(bytes.NewReader(buf.Bytes()), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(qs) {
-		t.Fatalf("loaded %d queries, want %d", len(got), len(qs))
-	}
-	for i := range qs {
-		if got[i].ID != qs[i].ID {
-			t.Fatalf("query %d ID mismatch", i)
-		}
-		for j := range qs[i].Keywords {
-			if got[i].Keywords[j] != qs[i].Keywords[j] || got[i].Counts[j] != qs[i].Counts[j] {
-				t.Fatalf("query %d keyword %d mismatch", i, j)
-			}
-		}
-	}
-	// Foreign dataset rejects unknown keywords.
-	other := Generate(Options{Name: "other", Entities: 500, Seed: 22})
-	if _, err := LoadWorkload(bytes.NewReader(buf.Bytes()), other); err == nil {
-		t.Fatal("foreign dataset accepted the workload")
-	}
-	// Garbage input errors.
-	if _, err := LoadWorkload(bytes.NewReader([]byte("not json")), ds); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

@@ -147,11 +147,6 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// AllRealPresets returns the three real-dataset stand-ins.
-func AllRealPresets() []*Dataset {
-	return []*Dataset{YagoSmall(), DbpediaSmall(), ImdbSmall()}
-}
-
 // SyntheticSeries returns the synt-10k…synt-80k scaling series of Exp-2.
 func SyntheticSeries() []*Dataset {
 	return []*Dataset{

@@ -159,29 +159,6 @@ func TestRelabelSharesTopology(t *testing.T) {
 	}
 }
 
-func TestBFSAndDistances(t *testing.T) {
-	g, vs := buildDiamond(t)
-	if d := g.Dist(vs[0], vs[3], -1, Forward); d != 2 {
-		t.Fatalf("dist(a,d) = %d, want 2", d)
-	}
-	if d := g.Dist(vs[3], vs[0], -1, Forward); d != -1 {
-		t.Fatalf("dist(d,a) = %d, want -1 (unreachable)", d)
-	}
-	if d := g.Dist(vs[3], vs[0], -1, Backward); d != 2 {
-		t.Fatalf("backward dist(d,a) = %d, want 2", d)
-	}
-	if d := g.Dist(vs[0], vs[3], 1, Forward); d != -1 {
-		t.Fatalf("bounded dist(a,d,limit=1) = %d, want -1", d)
-	}
-	if !g.Reach(vs[0], vs[3], 2, Forward) {
-		t.Fatal("a should reach d within 2")
-	}
-	got := g.ReachableWithin(vs[0], 1, Forward)
-	if len(got) != 3 {
-		t.Fatalf("ReachableWithin(a,1) = %v, want 3 vertices", got)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g, vs := buildDiamond(t)
 	sub, remap := g.InducedSubgraph([]V{vs[0], vs[1], vs[3]})

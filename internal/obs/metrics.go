@@ -293,15 +293,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v, Time: time.Now()})
 }
 
-// BucketExemplar returns the exemplar currently held by bucket i (the
-// +Inf bucket is index len(bounds)); nil when the bucket has none.
-func (h *Histogram) BucketExemplar(i int) *Exemplar {
-	if h == nil || i < 0 || i >= len(h.exemplars) {
-		return nil
-	}
-	return h.exemplars[i].Load()
-}
-
 // Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -18,6 +18,7 @@ import (
 	"bigindex/internal/bisim"
 	"bigindex/internal/generalize"
 	"bigindex/internal/graph"
+	"bigindex/internal/search"
 )
 
 // SampleSize returns n = 0.5·0.5·(z/E)², the estimation-of-proportion sample
@@ -55,7 +56,7 @@ func NewEstimator(g *graph.Graph, radius, n int, seed int64) *Estimator {
 	}
 	// Sources are drawn serially (deterministic rng stream); sample
 	// extraction and baseline summarization are independent per sample and
-	// run across CPUs.
+	// run across CPUs, each worker drawing its balls on one pooled Scratch.
 	sources := make([]graph.V, n)
 	for i := range sources {
 		sources[i] = graph.V(rng.Intn(g.NumVertices()))
@@ -71,12 +72,14 @@ func NewEstimator(g *graph.Graph, radius, n int, seed int64) *Estimator {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := search.GetScratch(g.NumVertices(), 0)
+			defer search.PutScratch(s)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				vs := g.ReachableWithin(sources[i], radius, graph.Forward)
+				vs := s.Ball(g, sources[i:i+1], radius, search.Out)
 				sub, _ := g.InducedSubgraph(vs)
 				e.samples[i] = sub
 				e.baseline[i] = compressRatio(sub, func(l graph.Label) graph.Label { return l })

@@ -23,17 +23,49 @@ func randomGraph(rng *rand.Rand, n, e, labels int) *graph.Graph {
 	return b.Build()
 }
 
+// forwardDists is the reference bounded forward BFS: hop distances from
+// src along out-edges within limit hops.
+func forwardDists(g *graph.Graph, src graph.V, limit int) map[graph.V]int {
+	dist := map[graph.V]int{src: 0}
+	queue := []graph.V{src}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		if dist[v] == limit {
+			continue
+		}
+		for _, w := range g.Out(v) {
+			if _, ok := dist[w]; !ok {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
 // bruteForce checks every vertex as a root with a bounded forward BFS.
 func bruteForce(g *graph.Graph, q []graph.Label, dmax int) map[string]float64 {
 	out := map[string]float64{}
 	for v := 0; v < g.NumVertices(); v++ {
-		dists, _, ok := search.MinDistToLabels(g, graph.V(v), q, dmax)
+		dist := forwardDists(g, graph.V(v), dmax)
+		dists := make([]int, len(q))
+		sum, ok := 0, true
+		for i, l := range q {
+			dists[i] = -1
+			for w, d := range dist {
+				if g.Label(w) == l && (dists[i] < 0 || d < dists[i]) {
+					dists[i] = d
+				}
+			}
+			if dists[i] < 0 {
+				ok = false
+				break
+			}
+			sum += dists[i]
+		}
 		if !ok {
 			continue
-		}
-		sum := 0
-		for _, d := range dists {
-			sum += d
 		}
 		m := search.Match{Root: graph.V(v), Dists: dists, Score: float64(sum)}
 		out[m.Key()] = m.Score

@@ -14,15 +14,15 @@ import (
 // is within R of every node already in the partial answer".
 //
 // Vertex-at-a-time mode recomputes a bounded traversal per qualification
-// check; path-based mode memoizes one traversal per candidate vertex in a
-// session-wide cache shared across partial answers and generalized answers
-// (Sec. 4.3.3's duplicated-computation elimination).
+// check; path-based mode memoizes one neighbor row per candidate vertex in
+// a session-wide cache shared across partial answers and generalized
+// answers (Sec. 4.3.3's duplicated-computation elimination).
 type generation struct {
 	g      *graph.Graph
 	q      []graph.Label
 	r      int
 	opt    search.GenOptions
-	cache  map[graph.V]map[graph.V]int
+	cache  map[graph.V]nbrRow
 	seen   map[string]bool
 	count  int
 	checks int
@@ -57,6 +57,8 @@ func (gen *generation) GenerateCtx(ctx context.Context, rootCands []graph.V, can
 			return nil
 		}
 	}
+	s := search.GetScratch(gen.g.NumVertices(), 0)
+	defer search.PutScratch(s)
 
 	order := make([]int, len(cands))
 	for i := range order {
@@ -79,7 +81,7 @@ func (gen *generation) GenerateCtx(ctx context.Context, rootCands []graph.V, can
 			return
 		}
 		if step == len(order) {
-			m := gen.makeMatch(tuple)
+			m := gen.makeMatch(s, tuple)
 			if !gen.seen[m.Key()] {
 				gen.seen[m.Key()] = true
 				out = append(out, m)
@@ -97,7 +99,7 @@ func (gen *generation) GenerateCtx(ctx context.Context, rootCands []graph.V, can
 			}
 			ok := true
 			for _, j := range order[:step] {
-				if !gen.within(tuple[j], v) {
+				if !gen.within(s, tuple[j], v) {
 					ok = false
 					break
 				}
@@ -115,9 +117,9 @@ func (gen *generation) GenerateCtx(ctx context.Context, rootCands []graph.V, can
 	return out
 }
 
-func (gen *generation) within(u, v graph.V) bool {
+func (gen *generation) within(s *search.Scratch, u, v graph.V) bool {
 	gen.checks++
-	_, ok := gen.distOf(u, v)
+	_, ok := gen.distOf(s, u, v)
 	if gen.opt.PathBased {
 		gen.stats.PathChecks++
 		if ok {
@@ -132,32 +134,31 @@ func (gen *generation) within(u, v graph.V) bool {
 	return ok
 }
 
-// distOf returns the undirected distance between u and v when it is <= R.
-func (gen *generation) distOf(u, v graph.V) (int, bool) {
+// distOf returns the undirected distance between u and v when it is <= R,
+// traversing on s.
+func (gen *generation) distOf(s *search.Scratch, u, v graph.V) (int, bool) {
 	if u == v {
 		return 0, true
 	}
 	if gen.opt.PathBased {
-		dm, ok := gen.cache[u]
+		row, ok := gen.cache[u]
 		if !ok {
-			dm = search.UndirectedDists(gen.g, u, gen.r)
-			gen.cache[u] = dm
+			row = neighbors(s, gen.g, u, gen.r)
+			gen.cache[u] = row
 		}
-		d, ok := dm[v]
-		return d, ok
+		return row.dist(v)
 	}
 	// Vertex-at-a-time: fresh bounded traversal per check.
-	dm := search.UndirectedDists(gen.g, u, gen.r)
-	d, ok := dm[v]
-	return d, ok
+	s.Ball(gen.g, []graph.V{u}, gen.r, search.Both)
+	return s.BallDist(v)
 }
 
-func (gen *generation) makeMatch(tuple []graph.V) search.Match {
+func (gen *generation) makeMatch(s *search.Scratch, tuple []graph.V) search.Match {
 	nodes := append([]graph.V(nil), tuple...)
 	score := 0
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
-			if d, ok := gen.distOf(nodes[i], nodes[j]); ok {
+			if d, ok := gen.distOf(s, nodes[i], nodes[j]); ok {
 				score += d
 			} else {
 				score += 2 * gen.r

@@ -14,12 +14,12 @@
 package rclique
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -67,16 +67,41 @@ func (a *Algorithm) R() int { return a.opt.R }
 // no distinguished root.
 func (a *Algorithm) Rootless() bool { return true }
 
-// nbrEntry is one neighbor-index row: w is within d undirected hops.
+// nbrEntry is one neighbor-index entry: w is within d undirected hops.
 type nbrEntry struct {
 	w graph.V
 	d int
 }
 
+// nbrRow is one vertex's neighbor-index row: every other vertex within R
+// undirected hops, sorted by ID.
+type nbrRow []nbrEntry
+
+// neighbors builds v's row from one bounded undirected traversal on s.
+func neighbors(s *search.Scratch, g *graph.Graph, v graph.V, r int) nbrRow {
+	ball := s.Ball(g, []graph.V{v}, r, search.Both)
+	row := make(nbrRow, 0, len(ball)-1)
+	for _, w := range ball[1:] {
+		d, _ := s.BallDist(w)
+		row = append(row, nbrEntry{w, d})
+	}
+	slices.SortFunc(row, func(a, b nbrEntry) int { return cmp.Compare(a.w, b.w) })
+	return row
+}
+
+// dist looks up w's distance in the row; ok is false when w is not in it.
+func (row nbrRow) dist(w graph.V) (int, bool) {
+	i, ok := slices.BinarySearchFunc(row, w, func(e nbrEntry, w graph.V) int { return cmp.Compare(e.w, w) })
+	if !ok {
+		return 0, false
+	}
+	return row[i].d, true
+}
+
 type prepared struct {
 	g   *graph.Graph
 	opt Options
-	nbr [][]nbrEntry // nbr[v] sorted by w; excludes v itself
+	nbr []nbrRow
 }
 
 // Prepare implements search.Algorithm: it builds the neighbor index (one
@@ -84,7 +109,7 @@ type prepared struct {
 // independent, so parallel construction is deterministic).
 func (a *Algorithm) Prepare(g *graph.Graph) (search.Prepared, error) {
 	n := g.NumVertices()
-	p := &prepared{g: g, opt: a.opt, nbr: make([][]nbrEntry, n)}
+	p := &prepared{g: g, opt: a.opt, nbr: make([]nbrRow, n)}
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -98,6 +123,8 @@ func (a *Algorithm) Prepare(g *graph.Graph) (search.Prepared, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := search.GetScratch(n, 0)
+			defer search.PutScratch(s)
 			for {
 				lo := int(next.Add(chunk)) - chunk
 				if lo >= n {
@@ -108,14 +135,7 @@ func (a *Algorithm) Prepare(g *graph.Graph) (search.Prepared, error) {
 					if a.opt.MaxEntries > 0 && total.Load() > int64(a.opt.MaxEntries) {
 						return // budget blown; stop early
 					}
-					dm := search.UndirectedDists(g, graph.V(v), a.opt.R)
-					row := make([]nbrEntry, 0, len(dm)-1)
-					for w, d := range dm {
-						if w != graph.V(v) {
-							row = append(row, nbrEntry{w, d})
-						}
-					}
-					sort.Slice(row, func(i, j int) bool { return row[i].w < row[j].w })
+					row := neighbors(s, g, graph.V(v), a.opt.R)
 					p.nbr[v] = row
 					total.Add(int64(len(row)))
 				}
@@ -143,9 +163,11 @@ func (a *Algorithm) EstimateEntries(g *graph.Graph, nSample int) int {
 	if step == 0 {
 		step = 1
 	}
+	s := search.GetScratch(g.NumVertices(), 0)
+	defer search.PutScratch(s)
 	sum, cnt := 0, 0
 	for v := 0; v < g.NumVertices(); v += step {
-		sum += len(search.UndirectedDists(g, graph.V(v), a.opt.R)) - 1
+		sum += len(s.Ball(g, []graph.V{graph.V(v)}, a.opt.R, search.Both)) - 1
 		cnt++
 	}
 	return sum / cnt * g.NumVertices()
@@ -157,12 +179,7 @@ func (p *prepared) dist(u, w graph.V) (int, bool) {
 	if u == w {
 		return 0, true
 	}
-	row := p.nbr[u]
-	i := sort.Search(len(row), func(i int) bool { return row[i].w >= w })
-	if i < len(row) && row[i].w == w {
-		return row[i].d, true
-	}
-	return 0, false
+	return p.nbr[u].dist(w)
 }
 
 // Search implements search.Prepared.
@@ -275,9 +292,13 @@ func (p *prepared) makeMatch(tuple []graph.V) search.Match {
 	return search.Match{Root: nodes[0], Nodes: nodes, Score: float64(score)}
 }
 
+// undirDist is the undirected distance from u to w, or limit+1 when w is
+// farther than limit.
 func undirDist(g *graph.Graph, u, w graph.V, limit int) int {
-	dm := search.UndirectedDists(g, u, limit)
-	if d, ok := dm[w]; ok {
+	s := search.GetScratch(g.NumVertices(), 0)
+	defer search.PutScratch(s)
+	s.Ball(g, []graph.V{u}, limit, search.Both)
+	if d, ok := s.BallDist(w); ok {
 		return d
 	}
 	return limit + 1
@@ -490,7 +511,7 @@ func (a *Algorithm) NewGeneration(data *graph.Graph, q []graph.Label, opt search
 		q:     q,
 		r:     a.opt.R,
 		opt:   opt,
-		cache: make(map[graph.V]map[graph.V]int),
+		cache: make(map[graph.V]nbrRow),
 		seen:  make(map[string]bool),
 	}
 }

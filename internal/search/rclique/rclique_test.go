@@ -32,6 +32,27 @@ func matchKeys(ms []search.Match) map[string]float64 {
 	return out
 }
 
+// undirectedDists is the reference bounded BFS over the undirected
+// skeleton: hop distances from src within limit hops.
+func undirectedDists(g *graph.Graph, src graph.V, limit int) map[graph.V]int {
+	dist := map[graph.V]int{src: 0}
+	queue := []graph.V{src}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		if dist[v] == limit {
+			continue
+		}
+		for _, w := range append(append([]graph.V(nil), g.Out(v)...), g.In(v)...) {
+			if _, ok := dist[w]; !ok {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
 // bruteForce enumerates tuples directly with on-the-fly BFS distances.
 func bruteForce(g *graph.Graph, q []graph.Label, r int) map[string]float64 {
 	sets := make([][]graph.V, len(q))
@@ -48,7 +69,7 @@ func bruteForce(g *graph.Graph, q []graph.Label, r int) map[string]float64 {
 		if i == len(q) {
 			score := 0
 			for a := 0; a < len(tuple); a++ {
-				dm := search.UndirectedDists(g, tuple[a], r)
+				dm := undirectedDists(g, tuple[a], r)
 				for b := a + 1; b < len(tuple); b++ {
 					d, ok := dm[tuple[b]]
 					if !ok {

@@ -22,8 +22,9 @@ import (
 //     failing roots are abandoned after the cheapest possible work.
 //
 //   - path-at-a-time (Algo 4): one multi-source backward traversal per
-//     keyword, shared across every candidate root and every generalized
-//     answer; verifying a root is then n map lookups.
+//     keyword, shared across every candidate root of a GenerateCtx call
+//     (all generalized answers, when K = 0); verifying a root is then n
+//     row lookups.
 type RootedGeneration struct {
 	g       *graph.Graph
 	q       []graph.Label
@@ -31,15 +32,14 @@ type RootedGeneration struct {
 	opt     GenOptions
 	score   ScoreFunc
 	order   []int // keyword check order
-	kwDist  []map[graph.V]int
 	emitted map[graph.V]bool
 	count   int
 	// Adaptive switch for path-based mode: building the per-keyword
-	// distance maps costs roughly the size of the postings' d_max
+	// distance rows costs roughly the size of the postings' d_max
 	// neighborhoods, which only amortizes over enough candidate roots.
 	// Until `verified` exceeds `pathThreshold` the session verifies
-	// vertex-at-a-time even in path-based mode, then builds the maps once
-	// and answers the rest by lookup.
+	// vertex-at-a-time even in path-based mode, then builds each rare
+	// keyword's row once per GenerateCtx call and answers by lookup.
 	verified      int
 	pathThreshold int
 	stats         GenStats
@@ -107,7 +107,7 @@ func (rg *RootedGeneration) Generate(rootCands []graph.V, cands [][]graph.V) []M
 // the current root and returns the verified (sound) matches so far.
 func (rg *RootedGeneration) GenerateCtx(ctx context.Context, rootCands []graph.V, cands [][]graph.V) []Match {
 	cancel := NewCanceller(ctx)
-	s := GetScratch(rg.g.NumVertices(), 0)
+	s := GetScratch(rg.g.NumVertices(), len(rg.q))
 	defer PutScratch(s)
 	var out []Match
 	for _, r := range rootCands {
@@ -133,28 +133,28 @@ func (rg *RootedGeneration) GenerateCtx(ctx context.Context, rootCands []graph.V
 
 func (rg *RootedGeneration) verify(s *Scratch, r graph.V) (Match, bool) {
 	rg.verified++
-	useMaps := rg.opt.PathBased && (rg.kwDist != nil || rg.verified > rg.pathThreshold)
-	if useMaps && rg.kwDist == nil {
-		rg.kwDist = make([]map[graph.V]int, len(rg.q))
-	}
+	useRows := rg.opt.PathBased && rg.verified > rg.pathThreshold
 	dists := make([]int, len(rg.q))
 	for _, i := range rg.order {
 		d := -1
-		if useMaps && rg.mapWorthwhile(i) {
+		if useRows && rg.rowWorthwhile(i) {
 			// Rare keyword: one shared backward traversal from its small
-			// posting list answers every root by lookup.
-			if rg.kwDist[i] == nil {
-				rg.kwDist[i] = MultiSourceDists(rg.g, rg.g.VerticesWithLabel(rg.q[i]), rg.dmax, graph.Backward)
+			// posting list answers every root by lookup. Row i is filled
+			// in this call's search iff its sources read distance 0.
+			if posting := rg.g.VerticesWithLabel(rg.q[i]); len(posting) > 0 {
+				if _, ok := s.Dist(i, posting[0]); !ok {
+					s.KeywordBall(rg.g, i, posting, rg.dmax, In)
+				}
 			}
 			rg.stats.PathChecks++
-			if dd, ok := rg.kwDist[i][r]; ok {
+			if dd, ok := s.Dist(i, r); ok {
 				d = dd
 				rg.stats.PathQualified++
 			}
 		} else {
 			// Popular keyword: a forward probe exits at the first
 			// occurrence, usually within a hop or two — cheaper than
-			// materializing its near-global distance map.
+			// filling its near-global distance row.
 			rg.stats.VertexChecks++
 			if ds, _, ok := s.MinDistToLabels(rg.g, r, rg.q[i:i+1], rg.dmax); ok {
 				d = ds[0]
@@ -177,21 +177,11 @@ func (rg *RootedGeneration) verify(s *Scratch, r graph.V) (Match, bool) {
 // Stats implements StatsReporter.
 func (rg *RootedGeneration) Stats() GenStats { return rg.stats }
 
-// mapWorthwhile decides per keyword whether the shared distance map pays:
-// a map's cost grows with the posting's d_max neighborhood, while a
+// rowWorthwhile decides per keyword whether the shared distance row pays:
+// a row's cost grows with the posting's d_max neighborhood, while a
 // per-root probe's cost shrinks as the label gets more frequent (it exits
-// at the first occurrence). Rare keywords therefore want the map.
-func (rg *RootedGeneration) mapWorthwhile(i int) bool {
+// at the first occurrence). Rare keywords therefore want the row.
+func (rg *RootedGeneration) rowWorthwhile(i int) bool {
 	n := rg.g.NumVertices()
 	return rg.g.LabelCount(rg.q[i])*24 <= n
-}
-
-// WitnessNodes picks, for each keyword, the smallest-ID vertex of that
-// label at the given minimum distance from root, via one level-order BFS.
-// The deterministic tie-break keeps matches comparable across evaluation
-// strategies.
-func WitnessNodes(g *graph.Graph, root graph.V, q []graph.Label, dists []int) []graph.V {
-	s := GetScratch(g.NumVertices(), 0)
-	defer PutScratch(s)
-	return s.WitnessNodes(g, root, q, dists)
 }

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"bigindex/internal/graph"
@@ -64,6 +66,51 @@ func TestRootedGenerationDirect(t *testing.T) {
 	ms2 := rg2.Generate([]graph.V{r1}, nil)
 	if len(ms2) != 1 || ms2[0].Score != 6 {
 		t.Fatalf("custom score: %+v", ms2)
+	}
+
+	// The adaptive switch: a rare keyword (3 of 120 vertices) and more
+	// candidate roots than pathThreshold, so path-based sessions answer it
+	// from the shared backward row once the threshold is crossed. Their
+	// answers, witnesses included, must equal vertex-at-a-time's; roots
+	// arrive in two Generate calls, each filling its own rows.
+	rng := rand.New(rand.NewSource(7))
+	bld = graph.NewBuilder(nil)
+	rare, common := bld.Dict().Intern("rare"), bld.Dict().Intern("common")
+	for v := 0; v < 120; v++ {
+		l := common
+		if v%40 == 7 {
+			l = rare
+		}
+		bld.AddVertexLabel(l)
+	}
+	for e := 0; e < 200; e++ {
+		bld.AddEdge(graph.V(rng.Intn(120)), graph.V(rng.Intn(120)))
+	}
+	g = bld.Build()
+	roots := make([]graph.V, 120)
+	for i := range roots {
+		roots[i] = graph.V(i)
+	}
+	for _, q := range [][]graph.Label{{rare}, {common, rare}, {rare, common, rare}} {
+		want := NewRootedGeneration(g, q, 3, nil, GenOptions{}).Generate(roots, nil)
+		if len(want) < 5 {
+			t.Fatalf("q %v: only %d answers", q, len(want))
+		}
+		for _, opt := range []GenOptions{{PathBased: true}, {PathBased: true, SpecOrder: true}} {
+			rg := NewRootedGeneration(g, q, 3, nil, opt)
+			got := append(rg.Generate(roots[:60], nil), rg.Generate(roots[60:], nil)...)
+			if rg.Stats().PathChecks == 0 {
+				t.Fatalf("q %v opt %+v: no path-based checks", q, opt)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("q %v opt %+v: %d answers, want %d", q, opt, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Key() != want[i].Key() || got[i].Score != want[i].Score || !slices.Equal(got[i].Nodes, want[i].Nodes) {
+					t.Fatalf("q %v opt %+v: answer %d = %+v, want %+v", q, opt, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

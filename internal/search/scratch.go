@@ -8,9 +8,10 @@ import (
 )
 
 // Scratch is the dense, reusable state of one rooted search (bkws, bidir,
-// Blinks) and of the forward probes that verify and witness its roots:
-// per keyword a distance row and a pair of level buffers, a per-vertex
-// root counter, and a visited row for forward probes.
+// Blinks) and of every bounded breadth-first traversal (Ball): per keyword
+// a distance row and a pair of level buffers, a per-vertex root counter,
+// and a probe row for the traversals that verify and witness roots, draw
+// the cost model's samples and build r-clique's neighbour rows.
 //
 // Every row entry carries the epoch that wrote it (entry = epoch<<32 |
 // value), so starting a new search is one counter increment instead of a
@@ -18,7 +19,8 @@ import (
 // 32-bit value holds any distance, since no shortest distance exceeds
 // |V|−1, so every d_max is exact. When the epoch wraps, the rows are
 // cleared once and counting restarts at 1; zeroed entries (epoch 0) are
-// therefore never current.
+// therefore never current. The probe row works the same way under its own
+// counter, bumped once per traversal.
 //
 // A Scratch serves one goroutine at a time. GetScratch and PutScratch pool
 // them across searches, graphs and algorithms; rows only grow, so a pooled
@@ -30,13 +32,28 @@ type Scratch struct {
 	roots  []uint64   // roots[v] = epoch<<32 | keywords that have reached v
 	fronts []Frontier // fronts[kw]: keyword kw's level buffers
 
-	probe       uint32   // the current forward probe
-	seen        []uint32 // seen[v] == probe: the current probe visited v
-	level, next []graph.V
-	pdist       []int
-	pnode       []graph.V
-	have        []bool
+	probe uint32    // the current probe
+	seen  []uint64  // seen[v] = probe<<32 | the current probe's distance at v
+	order []graph.V // the latest traversal's vertices, in level order
+	pdist []int
+	pnode []graph.V
+	have  []bool
 }
+
+// Rule picks the edges a traversal follows.
+type Rule uint8
+
+const (
+	// Out follows out-edges: what a root reaches (rooted verification, the
+	// cost model's samples).
+	Out Rule = iota
+	// In follows in-edges: which vertices reach the sources (backward
+	// keyword expansion, Algo 4's shared traversal).
+	In
+	// Both follows out-edges then in-edges: the undirected skeleton of
+	// r-clique's distance constraint.
+	Both
+)
 
 // Frontier is one keyword's level-order expansion: Cur holds vertices at
 // distance Level, Next collects those discovered at Level+1. Its buffers
@@ -76,7 +93,7 @@ func GetScratch(n, kw int) *Scratch {
 	}
 	if s.roots == nil {
 		s.roots = make([]uint64, s.size)
-		s.seen = make([]uint32, s.size)
+		s.seen = make([]uint64, s.size)
 	}
 	if testEpoch != 0 {
 		s.epoch, s.probe = testEpoch, testEpoch
@@ -149,7 +166,7 @@ func (s *Scratch) Dists(v graph.V, n int) []int {
 }
 
 // NewVisit starts a new visited set on the probe row: every vertex reads
-// unvisited. Forward probes start one each; callers outside the package
+// unvisited. Every Ball and probe starts one; callers outside the package
 // use it to deduplicate vertex lists without a map.
 func (s *Scratch) NewVisit() {
 	s.probe++
@@ -159,37 +176,101 @@ func (s *Scratch) NewVisit() {
 	}
 }
 
-// beginProbe starts a forward probe with only root visited.
-func (s *Scratch) beginProbe(root graph.V) {
-	s.NewVisit()
-	s.seen[root] = s.probe
-}
-
 // Visit marks v visited in the current visited set and reports whether it
 // was new.
 func (s *Scratch) Visit(v graph.V) bool {
-	if s.seen[v] == s.probe {
+	if uint32(s.seen[v]>>32) == s.probe {
 		return false
 	}
-	s.seen[v] = s.probe
+	s.seen[v] = uint64(s.probe) << 32
 	return true
 }
 
-// expand fills next with the unvisited out-neighbours of level.
-func (s *Scratch) expand(g *graph.Graph, level, next []graph.V) []graph.V {
-	next = next[:0]
-	for _, v := range level {
-		for _, w := range g.Out(v) {
-			if s.Visit(w) {
-				next = append(next, w)
-			}
-		}
-	}
-	return next
+// Ball runs one bounded breadth-first traversal on the probe row: from
+// sources (distance 0, duplicates once) along rule, up to limit hops
+// (limit < 0: unbounded). It returns the vertices reached, in level order
+// and, within a level, in discovery order; BallDist reads their
+// distances. The slice belongs to s and is overwritten by the next Ball or
+// probe.
+func (s *Scratch) Ball(g *graph.Graph, sources []graph.V, limit int, rule Rule) []graph.V {
+	s.NewVisit()
+	return s.traverse(g, s.seen, s.probe, sources, limit, rule, nil)
 }
 
-// MinDistToLabels is the package-level MinDistToLabels on s's visited row.
-// The returned slices belong to s and are overwritten by its next probe.
+// BallDist returns v's distance in the latest Ball, if it reached v.
+func (s *Scratch) BallDist(v graph.V) (int, bool) {
+	e := s.seen[v]
+	return int(uint32(e)), uint32(e>>32) == s.probe
+}
+
+// KeywordBall is Ball recorded on keyword kw's row of the current search
+// instead of the probe row, so Dist(kw, ·) answers it and probes may run
+// meanwhile. Each keyword row takes one KeywordBall per search.
+func (s *Scratch) KeywordBall(g *graph.Graph, kw int, sources []graph.V, limit int, rule Rule) []graph.V {
+	return s.traverse(g, s.dist[kw], s.epoch, sources, limit, rule, nil)
+}
+
+// traverse is the one bounded breadth-first traversal: it stamps each
+// vertex reached into row as stamp<<32 | distance, the first time it is
+// reached, and returns the reached vertices in level order. When level is
+// non-nil it is called with each completed level and its distance before
+// that level is expanded; false stops the traversal there.
+func (s *Scratch) traverse(g *graph.Graph, row []uint64, stamp uint32, sources []graph.V, limit int, rule Rule, level func(vs []graph.V, d int) bool) []graph.V {
+	order := s.order[:0]
+	mark := uint64(stamp) << 32
+	for _, v := range sources {
+		if uint32(row[v]>>32) != stamp {
+			row[v] = mark
+			order = append(order, v)
+		}
+	}
+	for lo, d := 0, 0; lo < len(order); d++ {
+		hi := len(order)
+		if level != nil && !level(order[lo:hi], d) || d == limit {
+			break
+		}
+		next := mark | uint64(uint32(d+1))
+		for _, v := range order[lo:hi] {
+			if rule != In {
+				for _, w := range g.Out(v) {
+					if uint32(row[w]>>32) != stamp {
+						row[w] = next
+						order = append(order, w)
+					}
+				}
+			}
+			if rule != Out {
+				for _, w := range g.In(v) {
+					if uint32(row[w]>>32) != stamp {
+						row[w] = next
+						order = append(order, w)
+					}
+				}
+			}
+		}
+		lo = hi
+	}
+	s.order = order
+	return order
+}
+
+// probeFrom runs a forward traversal from root on the probe row, calling
+// level as traverse does.
+func (s *Scratch) probeFrom(g *graph.Graph, root graph.V, limit int, level func(vs []graph.V, d int) bool) {
+	s.NewVisit()
+	s.traverse(g, s.seen, s.probe, []graph.V{root}, limit, Out, level)
+}
+
+// MinDistToLabels performs one bounded forward traversal from root and
+// returns, for each of the requested labels, the minimum hop distance and
+// the smallest-ID vertex realizing it. ok is false if some label is
+// unreachable within limit. The traversal stops once every label has been
+// seen at its minimum distance (all vertices at the current level
+// processed). The returned slices belong to s and are overwritten by its
+// next probe.
+//
+// The deterministic smallest-ID tie-break is what makes direct evaluation
+// and index-backed regeneration produce byte-identical matches.
 func (s *Scratch) MinDistToLabels(g *graph.Graph, root graph.V, labels []graph.Label, limit int) (dists []int, nodes []graph.V, ok bool) {
 	dists = s.pdist[:0]
 	nodes = s.pnode[:0]
@@ -199,34 +280,25 @@ func (s *Scratch) MinDistToLabels(g *graph.Graph, root graph.V, labels []graph.L
 	}
 	s.pdist, s.pnode = dists, nodes
 	remaining := len(labels)
-	record := func(v graph.V, d int) {
-		lv := g.Label(v)
-		for i, l := range labels {
-			if l != lv {
-				continue
-			}
-			if dists[i] == -1 {
-				dists[i], nodes[i] = d, v
-				remaining--
-			} else if dists[i] == d && v < nodes[i] {
-				nodes[i] = v
-			}
-		}
-	}
-
 	// Level-order, so every vertex at the minimal distance is recorded
 	// before stopping (the smallest-ID tie-break needs the whole level).
-	s.beginProbe(root)
-	record(root, 0)
-	level, next := append(s.level[:0], root), s.next
-	for d := 0; len(level) > 0 && remaining > 0 && (limit < 0 || d < limit); d++ {
-		next = s.expand(g, level, next)
-		for _, w := range next {
-			record(w, d+1)
+	s.probeFrom(g, root, limit, func(vs []graph.V, d int) bool {
+		for _, v := range vs {
+			lv := g.Label(v)
+			for i, l := range labels {
+				if l != lv {
+					continue
+				}
+				if dists[i] == -1 {
+					dists[i], nodes[i] = d, v
+					remaining--
+				} else if dists[i] == d && v < nodes[i] {
+					nodes[i] = v
+				}
+			}
 		}
-		level, next = next, level
-	}
-	s.level, s.next = level, next
+		return remaining > 0
+	})
 	return dists, nodes, remaining == 0
 }
 
@@ -243,7 +315,10 @@ func (s *Scratch) RootMatch(g *graph.Graph, r graph.V, labels []graph.Label, lim
 	return Match{Root: r, Nodes: slices.Clone(nodes), Dists: dists, Score: SumDistances(dists)}, true
 }
 
-// WitnessNodes is the package-level WitnessNodes on s's visited row.
+// WitnessNodes picks, for each keyword, the smallest-ID vertex of that
+// label at the given minimum distance from root, via one level-order
+// traversal. The deterministic tie-break keeps matches comparable across
+// evaluation strategies.
 func (s *Scratch) WitnessNodes(g *graph.Graph, root graph.V, q []graph.Label, dists []int) []graph.V {
 	maxD := 0
 	for _, d := range dists {
@@ -255,10 +330,8 @@ func (s *Scratch) WitnessNodes(g *graph.Graph, root graph.V, q []graph.Label, di
 		have = append(have, false)
 	}
 	s.have = have
-	s.beginProbe(root)
-	level, next := append(s.level[:0], root), s.next
-	for d := 0; ; d++ {
-		for _, v := range level {
+	s.probeFrom(g, root, maxD, func(vs []graph.V, d int) bool {
+		for _, v := range vs {
 			lv := g.Label(v)
 			for i, l := range q {
 				if dists[i] == d && lv == l && (!have[i] || v < nodes[i]) {
@@ -266,13 +339,8 @@ func (s *Scratch) WitnessNodes(g *graph.Graph, root graph.V, q []graph.Label, di
 				}
 			}
 		}
-		if d >= maxD {
-			break
-		}
-		next = s.expand(g, level, next)
-		level, next = next, level
-	}
-	s.level, s.next = level, next
+		return true
+	})
 	return nodes
 }
 

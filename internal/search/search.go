@@ -1,7 +1,7 @@
 // Package search defines the plug-in contract between the BiG-index
 // framework and keyword search algorithms (the f of the problem statement,
-// Def. 2.3), plus traversal helpers shared by the three implemented
-// semantics (bkws, Blinks, r-clique; Sec. 5).
+// Def. 2.3), plus the one bounded traversal (Scratch) that the implemented
+// semantics (bkws, bidir, Blinks, r-clique; Sec. 5) share.
 //
 // The framework only assumes the index is label- and path-preserving; an
 // algorithm therefore sees a plain graph — sometimes the data graph
@@ -64,34 +64,6 @@ func (m Match) appendKey(b []byte) []byte {
 		b = append(b, ',')
 	}
 	return b
-}
-
-// Subgraph materializes the match as an answer subgraph of g by connecting
-// the root to each matched node with a shortest path (rooted semantics) or
-// the nodes pairwise (when Root equals Nodes[0] and Dists is nil). Used for
-// presenting answers; equality testing uses Key.
-func (m Match) Subgraph(g *graph.Graph) *graph.Subgraph {
-	sub := &graph.Subgraph{Root: m.Root, Score: m.Score}
-	sub.Vertices = append(sub.Vertices, m.Root)
-	for _, n := range m.Nodes {
-		path := ShortestPath(g, m.Root, n, -1, graph.Forward)
-		if path == nil {
-			path = ShortestPathUndirected(g, m.Root, n, -1)
-		}
-		for i := 0; i+1 < len(path); i++ {
-			sub.Vertices = append(sub.Vertices, path[i+1])
-			if g.HasEdge(path[i], path[i+1]) {
-				sub.Edges = append(sub.Edges, graph.Edge{From: path[i], To: path[i+1]})
-			} else {
-				sub.Edges = append(sub.Edges, graph.Edge{From: path[i+1], To: path[i]})
-			}
-		}
-		if len(path) == 0 {
-			sub.Vertices = append(sub.Vertices, n)
-		}
-	}
-	sub.Normalize()
-	return sub
 }
 
 // GenOptions toggles the answer-generation optimizations of Sec. 4.3; the

@@ -391,11 +391,21 @@ func (c *Coordinator) SearchBKWS(ctx context.Context, q []graph.Label, k, dmax i
 	// Witness nodes are presentational (Match.Key ignores them); assemble
 	// them only for the returned matches, in parallel — same deterministic
 	// smallest-ID BFS as the sequential path, just not wasted on answers
-	// that truncation drops.
-	c.exec.Map(len(matches), func(i, _ int) {
+	// that truncation drops. Each worker probes on its own Scratch: the
+	// round state's f.s belongs to this goroutine.
+	probes := make([]*search.Scratch, c.exec.Workers())
+	c.exec.Map(len(matches), func(i, worker int) {
+		if probes[worker] == nil {
+			probes[worker] = search.GetScratch(c.plan.g.NumVertices(), 0)
+		}
 		m := &matches[i]
-		m.Nodes = search.WitnessNodes(c.plan.g, m.Root, q, m.Dists)
+		m.Nodes = probes[worker].WitnessNodes(c.plan.g, m.Root, q, m.Dists)
 	})
+	for _, s := range probes {
+		if s != nil {
+			search.PutScratch(s)
+		}
+	}
 	f.finish(ctx, "bkws", len(matches), earlyStop)
 	return matches, err
 }

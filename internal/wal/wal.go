@@ -83,9 +83,6 @@ type Batch struct {
 	RemoveEdges []graph.Edge
 }
 
-// Items reports the batch's total mutation count.
-func (b Batch) Items() int { return len(b.AddVertices) + len(b.AddEdges) + len(b.RemoveEdges) }
-
 // Hooks intercepts the log's filesystem operations so the fault-injection
 // suite (internal/faultio) can kill an append at any byte or fail the
 // fsync. Nil fields use the real operation.

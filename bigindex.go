@@ -29,6 +29,10 @@
 //		bigindex.DefaultEvalOptions())
 //	matches, breakdown, err := ev.Eval([]bigindex.Label{dict.Lookup("UC Berkeley")})
 //
+// Eval evaluates at the layer the cost model picks. Evaluator.EvalLayerCtx
+// is the same evaluation with a context (tracing, cancellation) and a
+// layer argument: -1 lets the cost model pick, m >= 0 pins layer m.
+//
 // The facade re-exports the stable types from the internal packages; the
 // internal layout follows the paper's architecture (see DESIGN.md).
 package bigindex
@@ -66,8 +70,6 @@ type (
 	V = graph.V
 	// Edge is a directed edge.
 	Edge = graph.Edge
-	// Subgraph is an answer subgraph view.
-	Subgraph = graph.Subgraph
 )
 
 // NewDict returns an empty label dictionary.
@@ -112,12 +114,6 @@ type (
 	EvalOptions = core.EvalOptions
 	// Breakdown reports evaluation phase timings.
 	Breakdown = core.Breakdown
-	// AnswerPattern is a generalized answer subgraph whose concrete answer
-	// graphs can be enumerated with the literal Algo 3 / Algo 4 machinery
-	// (Index.AnswerGraphs / Index.AnswerGraphsPathBased).
-	AnswerPattern = core.AnswerPattern
-	// Embedding maps pattern supernodes to data vertices.
-	Embedding = core.Embedding
 	// ConfigSearchOptions controls the Algorithm-1 greedy configuration
 	// search used during Build.
 	ConfigSearchOptions = cost.SearchOptions

@@ -212,7 +212,7 @@ func cmdQuery(args []string) error {
 	k := fs.Int("k", 10, "top-k (0 = all)")
 	direct := fs.Bool("direct", false, "bypass the index (baseline eval)")
 	load := fs.String("load", "", "load a snapshot saved by build -save (same preset) instead of building")
-	expand := fs.Bool("expand", false, "expand concept keywords to their occurring subterms (concept-level search)")
+	expand := fs.Bool("expand", false, "replace each concept keyword by its most frequent occurring subterm (concept-level search)")
 	explain := fs.Bool("explain", false, "print the evaluation plan (per-layer costs) before answering")
 	trace := fs.Bool("trace", false, "print the query's span tree (phase timings) as JSON after answering")
 	fs.Parse(args)
@@ -231,9 +231,9 @@ func cmdQuery(args []string) error {
 	}
 	if *expand {
 		// Concept-level search (the paper's future-work "similarity
-		// search"): a keyword naming an ontology type stands for any of
-		// its occurring subterms; evaluate the cross product of choices
-		// and merge the rankings.
+		// search"): a keyword naming an ontology type stands for one of
+		// its subterms that occurs in the graph; the query keeps the
+		// subterm with the most vertices.
 		for i, l := range q {
 			terms := ds.Ont.SubtreeTerms(l, ds.Graph)
 			if len(terms) == 1 {
@@ -278,7 +278,7 @@ func cmdQuery(args []string) error {
 		ms, err = ev.DirectCtx(ctx, q, *k)
 	} else {
 		var bd *core.Breakdown
-		ms, bd, err = ev.EvalCtx(ctx, q)
+		ms, bd, err = ev.EvalLayerCtx(ctx, q, -1)
 		if bd != nil {
 			defer fmt.Printf("evaluated at layer %d (search %v, specialize %v, generate %v)\n",
 				bd.Layer, bd.Search, bd.Specialize, bd.Generate)

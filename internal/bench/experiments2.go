@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -122,19 +123,20 @@ func RunFig19() (*Report, error) {
 	header = append(header, "predicted", "best")
 	r := &Report{ID: "Fig 19", Title: "Query performance by layer m (yago-s, Blinks, β = 0.5)", Header: header}
 
+	opt := core.DefaultEvalOptions()
+	opt.DegreeExponent = 1
+	ev := core.NewEvaluator(f.Index, NewBlinks(), opt)
+	ctx := context.Background()
 	correct := 0
 	for _, q := range f.Queries {
 		times := make([]time.Duration, h)
 		best := 0
 		for m := 0; m < h; m++ {
-			opt := core.DefaultEvalOptions()
-			opt.DegreeExponent = 1
-			opt.ForcedLayer = m
-			ev := core.NewEvaluator(f.Index, NewBlinks(), opt)
-			if _, _, err := ev.Eval(q.Keywords); err != nil { // warmup
+			evalAt := func() error { _, _, e := ev.EvalLayerCtx(ctx, q.Keywords, m); return e }
+			if err := evalAt(); err != nil { // warmup
 				return nil, err
 			}
-			t, err := timeIt(QueryRepeats, func() error { _, _, e := ev.Eval(q.Keywords); return e })
+			t, err := timeIt(QueryRepeats, evalAt)
 			if err != nil {
 				return nil, err
 			}
@@ -144,9 +146,6 @@ func RunFig19() (*Report, error) {
 			}
 		}
 		// The model's pick.
-		opt := core.DefaultEvalOptions()
-		opt.DegreeExponent = 1
-		ev := core.NewEvaluator(f.Index, NewBlinks(), opt)
 		_, bd, err := ev.Eval(q.Keywords)
 		if err != nil {
 			return nil, err

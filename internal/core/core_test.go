@@ -96,7 +96,7 @@ func TestChiUpAndSpecializeInverse(t *testing.T) {
 		// Every data vertex must be a member of its own chi-image.
 		for v := 0; v < min(ds.Graph.NumVertices(), 100); v++ {
 			s := idx.ChiUp(graph.V(v), 0, m)
-			members := idx.SpecializeRoot(s, m)
+			members := idx.specializeRootSet([]graph.V{s}, m, nil, nil, nil)
 			found := false
 			for _, u := range members {
 				if u == graph.V(v) {
@@ -109,48 +109,6 @@ func TestChiUpAndSpecializeInverse(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestSpecializeKeywordEarlyVsLate(t *testing.T) {
-	// isKey early filtering must not change the final candidate set
-	// (Sec. 4.3.1 is a performance optimization).
-	ds := smallDataset(102)
-	idx := buildIndex(t, ds)
-	rng := rand.New(rand.NewSource(1))
-	for m := 1; m < idx.NumLayers(); m++ {
-		lg := idx.LayerGraph(m)
-		for trial := 0; trial < 20; trial++ {
-			kw := pickQuery(rng, ds, 1, 2)
-			if kw == nil {
-				t.Skip("no frequent labels")
-			}
-			want := idx.Configs().GenLabel(kw[0], m)
-			posting := lg.VerticesWithLabel(want)
-			if len(posting) == 0 {
-				continue
-			}
-			s := posting[rng.Intn(len(posting))]
-			early := idx.SpecializeKeyword(s, m, kw[0], true)
-			late := idx.SpecializeKeyword(s, m, kw[0], false)
-			em, lm := toSet(early), toSet(late)
-			if len(em) != len(lm) {
-				t.Fatalf("layer %d: early %d vs late %d candidates", m, len(em), len(lm))
-			}
-			for v := range em {
-				if !lm[v] {
-					t.Fatalf("layer %d: early-only candidate %d", m, v)
-				}
-			}
-		}
-	}
-}
-
-func toSet(vs []graph.V) map[graph.V]bool {
-	m := make(map[graph.V]bool, len(vs))
-	for _, v := range vs {
-		m[v] = true
-	}
-	return m
 }
 
 // TestEquivalenceTheorem is Thm 4.2: eval_Ont(G,Q,f) = eval(G,Q,f) for all
@@ -167,8 +125,18 @@ func TestEquivalenceTheorem(t *testing.T) {
 		blinks.New(blinks.Options{DMax: 3}),
 		rclique.New(2),
 	}
+	// Every SpecOrder × PathBased combination; isKey is always on.
+	var optSets []EvalOptions
+	for _, specOrder := range []bool{false, true} {
+		for _, pathBased := range []bool{false, true} {
+			optSets = append(optSets, EvalOptions{Beta: 0.5, SpecOrder: specOrder, PathBased: pathBased})
+		}
+	}
 	for _, algo := range algos {
-		ev := NewEvaluator(idx, algo, DefaultEvalOptions())
+		evs := make([]*Evaluator, len(optSets))
+		for i, opt := range optSets {
+			evs[i] = NewEvaluator(idx, algo, opt)
+		}
 		for trial := 0; trial < 6; trial++ {
 			size := 2
 			if trial%2 == 1 {
@@ -178,28 +146,25 @@ func TestEquivalenceTheorem(t *testing.T) {
 			if q == nil {
 				t.Skip("dataset lacks frequent labels")
 			}
-			want, err := ev.Direct(q, 0)
+			want, err := evs[0].Direct(q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wm := matchKeys(want)
 
 			for layer := 0; layer < idx.NumLayers(); layer++ {
-				for _, flags := range []EvalOptions{
-					{Beta: 0.5, ForcedLayer: layer},
-					{Beta: 0.5, ForcedLayer: layer, SpecOrder: true, PathBased: true, IsKey: true},
-					{Beta: 0.5, ForcedLayer: layer, PathBased: true},
-					{Beta: 0.5, ForcedLayer: layer, IsKey: true},
-				} {
-					ev.SetOptions(flags)
-					got, _, err := ev.Eval(q)
+				for _, ev := range evs {
+					got, bd, err := ev.EvalLayerCtx(context.Background(), q, layer)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if bd.Layer != layer {
+						t.Fatalf("%s: pinned layer %d, evaluated at %d", algo.Name(), layer, bd.Layer)
 					}
 					gm := matchKeys(got)
 					if len(gm) != len(wm) {
 						t.Fatalf("%s layer %d flags %+v: %d answers, direct %d (q=%v)",
-							algo.Name(), layer, flags, len(gm), len(wm), q)
+							algo.Name(), layer, ev.Options(), len(gm), len(wm), q)
 					}
 					for k, s := range wm {
 						if gs, ok := gm[k]; !ok || gs != s {
@@ -265,15 +230,14 @@ func TestTopKEquivalence(t *testing.T) {
 				t.Skip("no frequent labels")
 			}
 			for _, algo := range algos {
-				ev := NewEvaluator(idx, algo, DefaultEvalOptions())
-				all, err := ev.Direct(q, 0)
+				all, err := NewEvaluator(idx, algo, DefaultEvalOptions()).Direct(q, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, k := range []int{1, 3, 10} {
 					opt := DefaultEvalOptions()
 					opt.K = k
-					ev.SetOptions(opt)
+					ev := NewEvaluator(idx, algo, opt)
 					want := search.Truncate(all, k)
 					for layer := -1; layer < idx.NumLayers(); layer++ {
 						got, bd, err := ev.EvalLayerCtx(context.Background(), q, layer)
@@ -330,8 +294,8 @@ func TestRemoveOntologyMapping(t *testing.T) {
 func TestEvalErrorsOnBadLayer(t *testing.T) {
 	ds := smallDataset(107)
 	idx := buildIndex(t, ds)
-	ev := NewEvaluator(idx, bkws.New(3), EvalOptions{ForcedLayer: 99})
-	if _, _, err := ev.Eval([]graph.Label{1}); err == nil {
+	ev := NewEvaluator(idx, bkws.New(3), DefaultEvalOptions())
+	if _, _, err := ev.EvalLayerCtx(context.Background(), []graph.Label{1}, 99); err == nil {
 		t.Fatal("expected layer-out-of-range error")
 	}
 }

@@ -12,7 +12,10 @@ import (
 	"bigindex/internal/search"
 )
 
-// EvalOptions controls hierarchical query evaluation (eval_Ont).
+// EvalOptions controls hierarchical query evaluation (eval_Ont). The isKey
+// optimization of Sec. 4.3.1 (label-filtering keyword candidates at every
+// layer on the way down) is not an option: it is always on. The evaluation
+// layer is not one either: EvalLayerCtx takes it per query.
 type EvalOptions struct {
 	// Beta is the β weight of the query-layer cost model (Formula 4);
 	// the experiments settle on 0.5.
@@ -24,18 +27,10 @@ type EvalOptions struct {
 	// never decreases distances). The result equals the first K answers of
 	// exhaustive evaluation.
 	K int
-	// ForcedLayer pins the evaluation layer (Fig. 19's layer sweep and the
-	// Fan et al. comparison of Exp-6 use it); -1 selects the optimal layer
-	// with the cost model (Def. 4.1).
-	ForcedLayer int
 	// SpecOrder enables the specialization-order optimization (Sec. 4.3.2).
 	SpecOrder bool
 	// PathBased enables path-based answer generation (Sec. 4.3.3).
 	PathBased bool
-	// IsKey enables early specialization of keyword nodes (Sec. 4.3.1):
-	// keyword candidates are label-filtered at every layer on the way down
-	// instead of only at layer 0.
-	IsKey bool
 	// EarlyK enables the early-termination of Sec. 4.3.4: answer
 	// generation stops as soon as K final answers exist, without waiting
 	// for the score bound that guarantees exact top-k. The paper's
@@ -61,9 +56,9 @@ type EvalOptions struct {
 	GenLimit int
 }
 
-// DefaultEvalOptions enables every optimization, β = 0.5, automatic layer.
+// DefaultEvalOptions enables every optimization, β = 0.5.
 func DefaultEvalOptions() EvalOptions {
-	return EvalOptions{Beta: 0.5, ForcedLayer: -1, SpecOrder: true, PathBased: true, IsKey: true}
+	return EvalOptions{Beta: 0.5, SpecOrder: true, PathBased: true}
 }
 
 // Breakdown reports where evaluation time went, matching the query
@@ -95,9 +90,10 @@ type Breakdown struct {
 
 // Evaluator runs eval_Ont(G, Q, f) for one algorithm over one index,
 // caching the algorithm's per-layer prepared indexes across queries.
-// Concurrent Eval calls are safe (EvalBatch relies on this): preparation is
-// serialized behind mu, and everything else consulted during evaluation is
-// immutable. SetOptions must not race with in-flight queries.
+// Concurrent calls are safe (the server shares one evaluator per algorithm
+// across requests): preparation is serialized behind mu, the options are
+// fixed at construction, and everything else consulted during evaluation
+// is immutable.
 type Evaluator struct {
 	idx      *Index
 	algo     search.Algorithm
@@ -118,9 +114,6 @@ func (e *Evaluator) Options() EvalOptions { return e.opt }
 // calibration audit needs it to recompute per-layer cost terms).
 func (e *Evaluator) Index() *Index { return e.idx }
 
-// SetOptions replaces the options; prepared layer indexes are retained.
-func (e *Evaluator) SetOptions(opt EvalOptions) { e.opt = opt }
-
 func (e *Evaluator) preparedFor(m int) (search.Prepared, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -135,21 +128,25 @@ func (e *Evaluator) preparedFor(m int) (search.Prepared, error) {
 	return p, nil
 }
 
-// Eval implements Algo 2 (hierarchical query processing):
+// Eval is EvalLayerCtx without a context, at the layer the cost model
+// picks.
+func (e *Evaluator) Eval(q []graph.Label) ([]search.Match, *Breakdown, error) {
+	return e.EvalLayerCtx(context.Background(), q, -1)
+}
+
+// EvalLayerCtx implements Algo 2 (hierarchical query processing):
 //
-//  1. generalize Q to the optimal layer m (Def. 4.1) and evaluate f there;
+//  1. generalize Q to layer m and evaluate f there; layer < 0 selects the
+//     optimal layer with the cost model (Def. 4.1, Formula 4), layer >= 0
+//     pins it for this query (the server's &layer= parameter, Fig. 19's
+//     layer sweep);
 //  2. specialize each generalized answer's root and keyword supernodes
 //     layer by layer (Spec), pruning keyword candidates whose label is not
-//     the appropriately generalized keyword (Prop 4.1), optionally at every
-//     layer (isKey, Sec. 4.3.1);
+//     the appropriately generalized keyword at every layer (Prop 4.1 with
+//     the isKey optimization, Sec. 4.3.1);
 //  3. generate and verify concrete answers on the data graph through the
 //     algorithm's Generation session (Step 5 / Algos 3 and 4);
 //  4. rank, deduplicate, and apply top-k early termination.
-func (e *Evaluator) Eval(q []graph.Label) ([]search.Match, *Breakdown, error) {
-	return e.EvalCtx(context.Background(), q)
-}
-
-// EvalCtx is Eval with span-based tracing and cooperative cancellation.
 //
 // Tracing: when ctx carries an obs span (obs.ContextWithSpan), the
 // evaluation phases attach to it as a nested tree — Select, Search,
@@ -160,27 +157,13 @@ func (e *Evaluator) Eval(q []graph.Label) ([]search.Match, *Breakdown, error) {
 //
 // Cancellation: ctx is threaded into the algorithm's SearchCtx/GenerateCtx
 // loops and checked between specialize/generate steps. When ctx expires
-// mid-evaluation, EvalCtx returns the final answers accumulated so far
+// mid-evaluation, EvalLayerCtx returns the final answers accumulated so far
 // together with the context's error. The partial result is sound — every
 // returned match was generated and verified against the data graph, and
 // specialization only refines already-found generalized answers (Prop 5.2)
 // — it is merely possibly incomplete, which callers surface as a degraded
 // answer set rather than a failure.
-func (e *Evaluator) EvalCtx(ctx context.Context, q []graph.Label) ([]search.Match, *Breakdown, error) {
-	return e.evalCtx(ctx, q, e.opt.ForcedLayer)
-}
-
-// EvalLayerCtx evaluates with the layer pinned for this query only (the
-// server's &layer= parameter and the layer-sweep experiments), overriding
-// Options.ForcedLayer without mutating the shared evaluator's options —
-// evaluators are shared across concurrent queries, so per-request knobs
-// must never be written into them. layer < 0 selects the optimal layer
-// with the cost model, as EvalCtx does.
 func (e *Evaluator) EvalLayerCtx(ctx context.Context, q []graph.Label, layer int) ([]search.Match, *Breakdown, error) {
-	return e.evalCtx(ctx, q, layer)
-}
-
-func (e *Evaluator) evalCtx(ctx context.Context, q []graph.Label, forced int) ([]search.Match, *Breakdown, error) {
 	parent := obs.SpanFromContext(ctx)
 	if parent == nil {
 		parent = obs.NewTrace("eval").Root()
@@ -195,7 +178,7 @@ func (e *Evaluator) evalCtx(ctx context.Context, q []graph.Label, forced int) ([
 
 	// (1) Layer selection.
 	sel := parent.StartChild("Select")
-	m := forced
+	m := layer
 	if m < 0 {
 		m, bd.LayerCosts = cost.OptimalLayerEx(e.idx, q, e.opt.Beta, e.opt.DegreeExponent)
 	} else if m >= e.idx.NumLayers() {
@@ -290,7 +273,7 @@ func (e *Evaluator) evalCtx(ctx context.Context, q []graph.Label, forced int) ([
 		}
 		cands := make([][]graph.V, len(q))
 		for i := range q {
-			cands[i] = e.idx.specializeKeywordSet(kwSupers[i], m, q[i], e.opt.IsKey, spec, tally, led)
+			cands[i] = e.idx.specializeKeywordSet(kwSupers[i], m, q[i], spec, tally, led)
 		}
 		bd.Candidates += len(rootCands)
 		spec.SetAttr("root_candidates", len(rootCands))
@@ -395,7 +378,7 @@ func (e *Evaluator) Direct(q []graph.Label, k int) ([]search.Match, error) {
 // DirectCtx is Direct with tracing and cooperative cancellation: the whole
 // baseline evaluation is one "Direct" span under the context's span, if
 // any, and when ctx expires mid-search the matches found so far come back
-// with the context's error (sound but possibly incomplete, like EvalCtx).
+// with the context's error (sound but possibly incomplete, like EvalLayerCtx).
 func (e *Evaluator) DirectCtx(ctx context.Context, q []graph.Label, k int) ([]search.Match, error) {
 	sp := obs.SpanFromContext(ctx).StartChild("Direct").SetAttr("k", k)
 	defer sp.End()

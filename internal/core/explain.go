@@ -24,7 +24,8 @@ type Plan struct {
 	Generalized [][]graph.Label
 }
 
-// Explain computes the evaluation plan for q under the evaluator's options.
+// Explain computes the evaluation plan for q under the evaluator's options:
+// the layer the cost model picks, as Eval and EvalLayerCtx(ctx, q, -1) do.
 func (e *Evaluator) Explain(q []graph.Label) *Plan {
 	return e.ExplainCtx(context.Background(), q)
 }
@@ -41,11 +42,7 @@ func (e *Evaluator) ExplainCtx(ctx context.Context, q []graph.Label) *Plan {
 
 func (e *Evaluator) explain(q []graph.Label) *Plan {
 	p := &Plan{Query: append([]graph.Label(nil), q...)}
-	if e.opt.ForcedLayer >= 0 {
-		p.Layer = e.opt.ForcedLayer
-	} else {
-		p.Layer, p.LayerCosts = cost.OptimalLayerEx(e.idx, q, e.opt.Beta, e.opt.DegreeExponent)
-	}
+	p.Layer, p.LayerCosts = cost.OptimalLayerEx(e.idx, q, e.opt.Beta, e.opt.DegreeExponent)
 	seq := e.idx.Configs()
 	distinct := make(map[graph.Label]bool, len(q))
 	for _, l := range q {
@@ -72,7 +69,7 @@ func (p *Plan) Render(dict *graph.Dict) string {
 			legal = "  (illegal: keywords merge)"
 		}
 		costStr := ""
-		if m < len(p.LayerCosts) && p.LayerCosts != nil {
+		if m < len(p.LayerCosts) {
 			costStr = fmt.Sprintf(" cost=%.3f", p.LayerCosts[m])
 		}
 		names := make([]string, len(p.Generalized[m]))

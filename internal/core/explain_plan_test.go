@@ -15,8 +15,7 @@ import (
 // TestExplainLayerCosts pins Plan.LayerCosts against the cost model it is
 // supposed to expose: the plan's per-layer vector must equal a direct
 // OptimalLayerEx call under the same β / degree exponent, layer 0 must cost
-// exactly 1 (Formula 4 is a ratio against the data graph), and a forced
-// layer must bypass the model entirely.
+// exactly 1 (Formula 4 is a ratio against the data graph).
 func TestExplainLayerCosts(t *testing.T) {
 	ds := smallDataset(900)
 	idx := buildIndex(t, ds)
@@ -27,14 +26,12 @@ func TestExplainLayerCosts(t *testing.T) {
 	}
 
 	cases := []struct {
-		name   string
-		mut    func(*EvalOptions)
-		forced bool
+		name string
+		mut  func(*EvalOptions)
 	}{
 		{name: "default (degreeExp unset)", mut: func(o *EvalOptions) {}},
 		{name: "degreeExp=3", mut: func(o *EvalOptions) { o.DegreeExponent = 3 }},
 		{name: "beta=0.9", mut: func(o *EvalOptions) { o.Beta = 0.9 }},
-		{name: "forced layer", mut: func(o *EvalOptions) { o.ForcedLayer = 1 }, forced: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,12 +40,6 @@ func TestExplainLayerCosts(t *testing.T) {
 			ev := NewEvaluator(idx, bkws.New(3), opt)
 			p := ev.Explain(q)
 
-			if tc.forced {
-				if p.Layer != opt.ForcedLayer || p.LayerCosts != nil {
-					t.Fatalf("forced plan must skip the cost model: %+v", p)
-				}
-				return
-			}
 			wantLayer, wantCosts := cost.OptimalLayerEx(idx, q, opt.Beta, opt.DegreeExponent)
 			if p.Layer != wantLayer {
 				t.Fatalf("plan layer %d, cost model says %d", p.Layer, wantLayer)
@@ -141,15 +132,13 @@ func TestLedgerMonotoneInGraphSize(t *testing.T) {
 	small := gen(400)
 	large := gen(1600)
 
-	opt := DefaultEvalOptions()
-	opt.ForcedLayer = 0
 	work := func(ds *datagen.Dataset, q []graph.Label) int64 {
 		t.Helper()
 		idx := buildIndex(t, ds)
-		ev := NewEvaluator(idx, bkws.New(3), opt)
+		ev := NewEvaluator(idx, bkws.New(3), DefaultEvalOptions())
 		led := obs.NewLedger()
 		ctx := obs.ContextWithLedger(t.Context(), led)
-		if _, _, err := ev.EvalCtx(ctx, q); err != nil {
+		if _, _, err := ev.EvalLayerCtx(ctx, q, 0); err != nil {
 			t.Fatal(err)
 		}
 		return led.WorkUnits()

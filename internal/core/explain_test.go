@@ -41,15 +41,4 @@ func TestExplainMatchesEval(t *testing.T) {
 		}
 	}
 
-	// Forced layer bypasses the cost model.
-	forced := DefaultEvalOptions()
-	forced.ForcedLayer = 1
-	ev2 := NewEvaluator(idx, bkws.New(3), forced)
-	q := pickQuery(rng, ds, 2, 3)
-	if q == nil {
-		t.Skip("no frequent labels")
-	}
-	if p := ev2.Explain(q); p.Layer != 1 || p.LayerCosts != nil {
-		t.Fatalf("forced plan: %+v", p)
-	}
 }

@@ -334,39 +334,10 @@ type specTally struct {
 	fanout         []int // candidates emerging from each descent step
 }
 
-// SpecializeRoot expands a layer-m supernode all the way to data vertices
-// without label filtering (answer roots can carry any label).
-func (x *Index) SpecializeRoot(s graph.V, m int) []graph.V {
-	set := []graph.V{s}
-	for j := m; j >= 1; j-- {
-		set, _ = x.specializeStep(set, j, nil)
-	}
-	return set
-}
-
-// SpecializeKeyword expands a layer-m supernode matched to query keyword kw
-// down to data vertices. With early filtering (the isKey optimization of
-// Sec. 4.3.1) members are pruned at every layer j unless their label equals
-// Gen^j(kw) (Prop 4.1); without it, pruning happens only at layer 0. Both
-// modes return the same set — early filtering only shrinks intermediates.
-func (x *Index) SpecializeKeyword(s graph.V, m int, kw graph.Label, early bool) []graph.V {
-	set := []graph.V{s}
-	for j := m; j >= 1; j-- {
-		want := x.seq.GenLabel(kw, j-1)
-		lg := x.layers[j-1].Graph
-		var keep func(graph.V) bool
-		if early || j == 1 {
-			keep = func(v graph.V) bool { return lg.Label(v) == want }
-		}
-		set, _ = x.specializeStep(set, j, keep)
-	}
-	return set
-}
-
-// specializeRootSet expands a set of layer-m supernodes to data vertices
-// without label filtering, deduplicating at every level (batch form of
-// SpecializeRoot used by exhaustive evaluation). Each Spec step from layer
-// j to j−1 is one child span of sp (nil sp disables tracing).
+// specializeRootSet expands a set of layer-m supernodes all the way to data
+// vertices without label filtering (answer roots can carry any label),
+// deduplicating the input. Each Spec step from layer j to j−1 is one child
+// span of sp (nil sp disables tracing).
 func (x *Index) specializeRootSet(supers []graph.V, m int, sp *obs.Span, tally *specTally, led *obs.Ledger) []graph.V {
 	set := dedupVs(supers)
 	for j := m; j >= 1; j-- {
@@ -382,33 +353,31 @@ func (x *Index) specializeRootSet(supers []graph.V, m int, sp *obs.Span, tally *
 	return set
 }
 
-// specializeKeywordSet is the batch form of SpecializeKeyword; the
-// per-layer spans record how much the Prop 4.1 label filter prunes (the
-// in→out contraction at each step).
-func (x *Index) specializeKeywordSet(supers []graph.V, m int, kw graph.Label, early bool, sp *obs.Span, tally *specTally, led *obs.Ledger) []graph.V {
+// specializeKeywordSet expands a set of layer-m supernodes matched to query
+// keyword kw down to data vertices. Every Spec step keeps only the members
+// whose label equals Gen^(j−1)(kw) (Prop 4.1), so candidates are pruned at
+// every layer on the way down (the isKey optimization of Sec. 4.3.1), not
+// only at layer 0; the result is the same, the intermediates smaller. The
+// per-layer spans record how much the filter prunes (the in→out
+// contraction at each step).
+func (x *Index) specializeKeywordSet(supers []graph.V, m int, kw graph.Label, sp *obs.Span, tally *specTally, led *obs.Ledger) []graph.V {
 	set := dedupVs(supers)
 	for j := m; j >= 1; j-- {
 		want := x.seq.GenLabel(kw, j-1)
 		lg := x.layers[j-1].Graph
-		var keep func(graph.V) bool
-		if early || j == 1 {
-			keep = func(v graph.V) bool { return lg.Label(v) == want }
-		}
 		c := sp.StartChild("Spec/L"+strconv.Itoa(j-1)).
 			SetAttr("role", "keyword").SetAttr("keyword", int(kw)).
-			SetAttr("filtered", keep != nil).SetAttr("in", len(set))
+			SetAttr("in", len(set))
 		var examined int
-		set, examined = x.specializeStep(set, j, keep)
+		set, examined = x.specializeStep(set, j, func(v graph.V) bool { return lg.Label(v) == want })
 		led.AddLayerWork(j-1, int64(examined))
 		c.SetAttr("out", len(set)).End()
 		if tally != nil {
 			tally.fanout = append(tally.fanout, len(set))
-			if keep != nil {
-				tally.prop41Checked += examined
-				tally.prop41Filtered += examined - len(set)
-				if j > 1 {
-					tally.isKeySteps++
-				}
+			tally.prop41Checked += examined
+			tally.prop41Filtered += examined - len(set)
+			if j > 1 {
+				tally.isKeySteps++
 			}
 		}
 	}

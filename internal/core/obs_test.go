@@ -29,7 +29,7 @@ func TestEvalCtxSpanTree(t *testing.T) {
 
 	tr := obs.NewTrace("eval-test")
 	ctx := obs.ContextWithSpan(context.Background(), tr.Root())
-	_, bd, err := ev.EvalCtx(ctx, q)
+	_, bd, err := ev.EvalLayerCtx(ctx, q, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,8 +141,8 @@ func TestProp53RankPreservation(t *testing.T) {
 // TestSpecializeSetsDistinct: the batch specializations return every data
 // vertex under the given supernodes exactly once — the supernode lists may
 // repeat, the Down rows of distinct supernodes are disjoint — and the
-// keyword form keeps exactly those with the keyword's label, with and
-// without early filtering.
+// keyword form, which label-filters at every layer, keeps exactly those
+// with the keyword's label.
 func TestSpecializeSetsDistinct(t *testing.T) {
 	for seed := int64(503); seed < 506; seed++ {
 		ds := smallDataset(seed)
@@ -179,10 +179,8 @@ func TestSpecializeSetsDistinct(t *testing.T) {
 			}
 			inSupers := func(v graph.V) bool { return under[idx.ChiUp(v, 0, m)] }
 			check("root", idx.specializeRootSet(supers, m, nil, nil, nil), inSupers)
-			for _, early := range []bool{false, true} {
-				got := idx.specializeKeywordSet(supers, m, kw, early, nil, nil, nil)
-				check("keyword", got, func(v graph.V) bool { return inSupers(v) && g.Label(v) == kw })
-			}
+			check("keyword", idx.specializeKeywordSet(supers, m, kw, nil, nil, nil),
+				func(v graph.V) bool { return inSupers(v) && g.Label(v) == kw })
 		}
 	}
 }

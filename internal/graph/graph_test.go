@@ -212,29 +212,3 @@ func TestReadRejectsGarbage(t *testing.T) {
 		t.Fatal("expected error for empty input")
 	}
 }
-
-func TestSubgraphNormalizeAndKey(t *testing.T) {
-	s := &Subgraph{
-		Root:     2,
-		Vertices: []V{3, 1, 3, 2},
-		Edges:    []Edge{{3, 1}, {1, 2}, {3, 1}},
-	}
-	s.Normalize()
-	if len(s.Vertices) != 3 || len(s.Edges) != 2 {
-		t.Fatalf("Normalize: %+v", s)
-	}
-	k1 := s.Key()
-	s2 := &Subgraph{Root: 2, Vertices: []V{1, 2, 3}, Edges: []Edge{{1, 2}, {3, 1}}}
-	s2.Normalize()
-	if k1 != s2.Key() {
-		t.Fatal("equal subgraphs should share a key")
-	}
-	if !s.HasVertex(1) || s.HasVertex(9) {
-		t.Fatal("HasVertex wrong")
-	}
-	c := s.Clone()
-	c.Vertices[0] = 99
-	if s.Vertices[0] == 99 {
-		t.Fatal("Clone not deep")
-	}
-}

@@ -29,77 +29,3 @@ func (g *Graph) InducedSubgraph(vs []V) (*Graph, map[V]V) {
 	}
 	return b.Build(), remap
 }
-
-// Subgraph is a lightweight view of an answer subgraph of a host graph:
-// vertex IDs refer to the host. Answers a = (V_a, E_a) of the paper are
-// Subgraphs of G^0 (or of a summary layer, for generalized answers).
-type Subgraph struct {
-	Root     V // answer root (meaningful for tree-shaped semantics)
-	Vertices []V
-	Edges    []Edge
-	Score    float64 // ranking score, lower is better (e.g. Σ dist(r, p_i))
-}
-
-// Clone returns a deep copy of s.
-func (s *Subgraph) Clone() *Subgraph {
-	return &Subgraph{
-		Root:     s.Root,
-		Vertices: append([]V(nil), s.Vertices...),
-		Edges:    append([]Edge(nil), s.Edges...),
-		Score:    s.Score,
-	}
-}
-
-// HasVertex reports whether v is in the subgraph.
-func (s *Subgraph) HasVertex(v V) bool {
-	return slices.Contains(s.Vertices, v)
-}
-
-// Normalize sorts and deduplicates the vertex and edge lists, giving answers
-// a canonical form so they can be compared across evaluation strategies
-// (the equivalence theorem eval_Ont = eval is tested on normalized answers).
-func (s *Subgraph) Normalize() {
-	slices.Sort(s.Vertices)
-	s.Vertices = slices.Compact(s.Vertices)
-	slices.SortFunc(s.Edges, func(a, b Edge) int {
-		if a.From != b.From {
-			return int(a.From) - int(b.From)
-		}
-		return int(a.To) - int(b.To)
-	})
-	s.Edges = slices.Compact(s.Edges)
-}
-
-// Key returns a canonical string key for a normalized subgraph; used to
-// compare answer sets irrespective of discovery order.
-func (s *Subgraph) Key() string {
-	buf := make([]byte, 0, 8+8*len(s.Vertices)+16*len(s.Edges))
-	buf = appendUvarint(buf, uint64(s.Root))
-	buf = append(buf, '|')
-	for _, v := range s.Vertices {
-		buf = appendUvarint(buf, uint64(v))
-		buf = append(buf, ',')
-	}
-	buf = append(buf, '|')
-	for _, e := range s.Edges {
-		buf = appendUvarint(buf, uint64(e.From))
-		buf = append(buf, '>')
-		buf = appendUvarint(buf, uint64(e.To))
-		buf = append(buf, ',')
-	}
-	return string(buf)
-}
-
-func appendUvarint(buf []byte, x uint64) []byte {
-	if x == 0 {
-		return append(buf, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for x > 0 {
-		i--
-		tmp[i] = byte('0' + x%10)
-		x /= 10
-	}
-	return append(buf, tmp[i:]...)
-}

@@ -186,16 +186,6 @@ func (o *Ontology) Roots() []graph.Label {
 	return rs
 }
 
-// Types returns every type known to the ontology, ascending.
-func (o *Ontology) Types() []graph.Label {
-	ts := make([]graph.Label, 0, len(o.supers))
-	for l := range o.supers {
-		ts = append(ts, l)
-	}
-	slices.Sort(ts)
-	return ts
-}
-
 // NumTypes reports |V_Ont|.
 func (o *Ontology) NumTypes() int { return len(o.supers) }
 

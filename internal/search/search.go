@@ -141,15 +141,6 @@ type GenStats struct {
 	EarlyKStops     int64 // Sec 4.3.4 top-k early terminations
 }
 
-// Merge adds o into s.
-func (s *GenStats) Merge(o GenStats) {
-	s.VertexChecks += o.VertexChecks
-	s.VertexQualified += o.VertexQualified
-	s.PathChecks += o.PathChecks
-	s.PathQualified += o.PathQualified
-	s.EarlyKStops += o.EarlyKStops
-}
-
 // StatsReporter is optionally implemented by Generation sessions that
 // count their qualification work. Stats reports session totals so far (a
 // session persists across the generalized answers of one query).

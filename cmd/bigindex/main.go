@@ -25,6 +25,7 @@ import (
 	"bigindex/internal/graph"
 	"bigindex/internal/obs"
 	"bigindex/internal/search"
+	"bigindex/internal/search/bidir"
 	"bigindex/internal/search/bkws"
 	"bigindex/internal/search/blinks"
 	"bigindex/internal/search/rclique"
@@ -70,7 +71,7 @@ func usage() {
   query  -preset <name> -algo <a> -q k1,k2,... evaluate a keyword query
   bench  -preset <name> -algo <a>              time the Q1-Q8 workload
 presets: demo yago-s dbpedia-s imdb-s synt-10k synt-20k synt-40k synt-80k
-algos:   blinks (default), bkws, rclique`)
+algos:   blinks (default), bkws, bidir, rclique`)
 }
 
 func loadPreset(name string) (*datagen.Dataset, error) {
@@ -86,6 +87,8 @@ func newAlgo(name string, dmax int) (search.Algorithm, error) {
 		return blinks.New(blinks.Options{DMax: dmax}), nil
 	case "bkws":
 		return bkws.New(dmax), nil
+	case "bidir":
+		return bidir.New(dmax), nil
 	case "rclique":
 		return rclique.New(dmax - 1), nil
 	default:

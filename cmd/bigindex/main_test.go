@@ -105,3 +105,16 @@ func TestCmdErrors(t *testing.T) {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
+
+// Every algorithm the usage line lists resolves, under its own name.
+func TestNewAlgoNames(t *testing.T) {
+	for _, name := range []string{"blinks", "bkws", "bidir", "rclique"} {
+		a, err := newAlgo(name, 4)
+		if err != nil {
+			t.Fatalf("newAlgo(%q): %v", name, err)
+		}
+		if a.Name() != name {
+			t.Fatalf("newAlgo(%q) resolved %q", name, a.Name())
+		}
+	}
+}

@@ -81,7 +81,6 @@ type Breakdown struct {
 	LayersAvail    int             // layers the cost model chose from (Formula 4 domain)
 	Prop41Checked  int             // candidates examined by the Prop 4.1 label filter
 	Prop41Filtered int             // … dropped by it
-	IsKeySteps     int             // early-filtered Spec steps above layer 1 (Sec. 4.3.1)
 	SpecFanout     []int           // candidates emerging from each layer-descent step
 	EarlyStops     int             // Sec. 4.3.4 first-k stops in the eval loop
 	BoundStops     int             // Prop 5.2 score-bound top-k stops
@@ -205,9 +204,9 @@ func (e *Evaluator) EvalLayerCtx(ctx context.Context, q []graph.Label, layer int
 		limit = e.opt.K
 	}
 	// The Search child becomes the ambient span so the algorithm's own
-	// counters (expansions/finalized/early_topk, …) attach to it rather
-	// than to the query root. The ledger's expansion counter is bracketed
-	// around the call so the search's work lands on the searched layer.
+	// counters (expanded/early_topk, …) attach to it rather than to the
+	// query root. The ledger's expansion counter is bracketed around the
+	// call so the search's work lands on the searched layer.
 	expBefore := led.Expanded()
 	gens, err := prep.SearchCtx(obs.ContextWithSpan(ctx, srch), qGen, limit)
 	led.AddLayerWork(m, led.Expanded()-expBefore)
@@ -353,7 +352,6 @@ func setGenAttrs(sp *obs.Span, st search.GenStats) {
 func (t *specTally) fill(bd *Breakdown, sp *obs.Span) {
 	bd.Prop41Checked = t.prop41Checked
 	bd.Prop41Filtered = t.prop41Filtered
-	bd.IsKeySteps = t.isKeySteps
 	bd.SpecFanout = t.fanout
 	if sp != nil && t.prop41Checked > 0 {
 		sp.SetAttr("prop41_checked", t.prop41Checked).

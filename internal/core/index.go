@@ -325,12 +325,11 @@ func (x *Index) specializeStep(supernodes []graph.V, m int, keep func(graph.V) b
 }
 
 // specTally accumulates the paper-phase specialization counters of one
-// query: Prop 4.1 filter work, isKey early-filter steps (Sec. 4.3.1), and
-// the candidate fan-out of each layer-descent step. Nil disables counting.
+// query: Prop 4.1 filter work and the candidate fan-out of each
+// layer-descent step. Nil disables counting.
 type specTally struct {
 	prop41Checked  int   // candidates examined by the Prop 4.1 label filter
 	prop41Filtered int   // … dropped by it
-	isKeySteps     int   // label-filtered Spec steps above layer 1
 	fanout         []int // candidates emerging from each descent step
 }
 
@@ -376,9 +375,6 @@ func (x *Index) specializeKeywordSet(supers []graph.V, m int, kw graph.Label, sp
 			tally.fanout = append(tally.fanout, len(set))
 			tally.prop41Checked += examined
 			tally.prop41Filtered += examined - len(set)
-			if j > 1 {
-				tally.isKeySteps++
-			}
 		}
 	}
 	return set

@@ -7,3 +7,7 @@ func SetTestEpoch(e uint32) uint32 {
 	testEpoch = e
 	return old
 }
+
+// RandomGraph draws a random labeled graph with n vertices, e edges and
+// labels "a", "b", …
+var RandomGraph = randomGraph

@@ -116,10 +116,6 @@ func GetScratch(n, kw int) *Scratch {
 // PutScratch returns s to the pool; s must not be used afterwards.
 func PutScratch(s *Scratch) { scratches.Put(s) }
 
-// Frontier returns keyword kw's level buffers, empty at level 0 when the
-// search starts.
-func (s *Scratch) Frontier(kw int) *Frontier { return &s.fronts[kw] }
-
 // Reach records d as keyword kw's distance at v unless this search already
 // recorded one, and reports whether it did. Level-order callers reach each
 // vertex first at its minimum distance.
@@ -342,12 +338,4 @@ func (s *Scratch) WitnessNodes(g *graph.Graph, root graph.V, q []graph.Label, di
 		return true
 	})
 	return nodes
-}
-
-// Witness fills in the witness nodes of every match in ms, all rooted in
-// g, for the keywords q.
-func (s *Scratch) Witness(g *graph.Graph, q []graph.Label, ms []Match) {
-	for i := range ms {
-		ms[i].Nodes = s.WitnessNodes(g, ms[i].Root, q, ms[i].Dists)
-	}
 }

@@ -234,7 +234,6 @@ type Server struct {
 	// Paper-phase counters fed from core.Breakdown after each evaluation.
 	layerChosen *obs.CounterVec // queries by algo and evaluated layer (Formula 4 outcome)
 	prop41      *obs.CounterVec // Prop 4.1 label-filter candidates, by result
-	isKeySteps  *obs.Counter    // Sec. 4.3.1 early-filtered Spec steps
 	topkStops   *obs.CounterVec // top-k early terminations, by kind
 	genChecks   *obs.CounterVec // Def 4.2/4.3 qualification checks, by kind and result
 	specFanout  *obs.Histogram  // candidates per layer-descent step
@@ -357,8 +356,6 @@ func New(idx *core.Index, ont *ontology.Ontology, opt Options) *Server {
 	s.prop41 = s.reg.CounterVec("bigindex_prop41_candidates_total",
 		"Specialization candidates examined by the Prop 4.1 label filter, by result (kept, filtered).",
 		"result")
-	s.isKeySteps = s.reg.Counter("bigindex_iskey_steps_total",
-		"Early-filtered specialization steps above layer 1 (the isKey optimization, Sec. 4.3.1).")
 	s.topkStops = s.reg.CounterVec("bigindex_topk_stops_total",
 		"Top-k early terminations by kind: earlyk (Sec. 4.3.4 first-k), bound (Prop 5.2 score bound), generate (inside a generation session).",
 		"kind")
@@ -675,12 +672,11 @@ func withCoverage(cr cachedResult, cov *shard.Coverage) cachedResult {
 
 // observeBreakdown exports the Breakdown's paper-phase counters so metrics
 // speak the paper's vocabulary (Formula 4 / Prop 4.1 / Defs 4.2-4.3 /
-// Secs. 4.3.1 and 4.3.4); see DESIGN.md for the mapping.
+// Sec. 4.3.4); see DESIGN.md for the mapping.
 func (s *Server) observeBreakdown(algo string, bd *core.Breakdown) {
 	s.layerChosen.With(algo, strconv.Itoa(bd.Layer)).Inc()
 	s.prop41.With("kept").Add(int64(bd.Prop41Checked - bd.Prop41Filtered))
 	s.prop41.With("filtered").Add(int64(bd.Prop41Filtered))
-	s.isKeySteps.Add(int64(bd.IsKeySteps))
 	s.topkStops.With("earlyk").Add(int64(bd.EarlyStops))
 	s.topkStops.With("bound").Add(int64(bd.BoundStops))
 	s.topkStops.With("generate").Add(bd.Gen.EarlyKStops)

@@ -55,12 +55,6 @@ func New(mode Mode, dmax int, opt Options) *Algorithm {
 // sequential result is a valid sharded result and vice versa).
 func (a *Algorithm) Name() string { return a.mode.name() }
 
-// DMax returns the configured distance bound.
-func (a *Algorithm) DMax() int { return a.dmax }
-
-// Workers returns the configured executor pool size.
-func (a *Algorithm) Workers() int { return a.opt.Workers }
-
 // Prepare implements search.Algorithm: resolve (or build) the graph's
 // plan and wire a coordinator over a shard server — the Options.Server
 // factory's choice (remote peers, in stage 2) or the in-process Local.

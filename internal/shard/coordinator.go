@@ -318,9 +318,10 @@ func (f *fleet) finish(ctx context.Context, algo string, roots int, earlyStop bo
 // SearchBKWS is the sharded backward keyword search: every keyword's
 // multi-source backward BFS decomposed per (keyword × block), stitched at
 // portals, with the coordinator completing roots (vertices settled by all
-// keywords) from its Σdist bookkeeping. Byte-identical to bkws.SearchCtx:
-// the rounds compute the same exact distances, and the strict stop bound
-// admits exactly the exhaustive top-k prefix.
+// keywords) from its Σdist bookkeeping. Byte-identical to the sequential
+// search.Rooted under the BANKS schedule (bkws.New): the rounds compute
+// the same exact distances, and the strict stop bound admits exactly the
+// exhaustive top-k prefix.
 func (c *Coordinator) SearchBKWS(ctx context.Context, q []graph.Label, k, dmax int) ([]search.Match, error) {
 	if len(q) == 0 {
 		return nil, fmt.Errorf("bkws: empty query")
@@ -413,7 +414,8 @@ func (c *Coordinator) SearchBKWS(ctx context.Context, q []graph.Label, k, dmax i
 // SearchBidir is the sharded bidirectional expansion: the backward
 // activation from the most selective keyword runs block-sharded like one
 // bkws keyword, and each level's newly activated candidates are verified
-// forward in parallel chunks. Byte-identical to bidir.SearchCtx.
+// forward in parallel chunks. Byte-identical to search.Rooted under the
+// Bidirectional schedule (bidir.New).
 func (c *Coordinator) SearchBidir(ctx context.Context, q []graph.Label, k, dmax int) ([]search.Match, error) {
 	if len(q) == 0 {
 		return nil, fmt.Errorf("bidir: empty query")

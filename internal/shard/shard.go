@@ -33,7 +33,7 @@
 // worker count: the level-synchronous rounds compute the same exact BFS
 // distances, matches are sorted by the same total (score, Key) order, and
 // the strict Σdist early-stop bound admits exactly the exhaustive top-k
-// prefix (see the tie-safety note in bkws.SearchCtx).
+// prefix (see the tie-safety note in search.Rooted's SearchCtx).
 package shard
 
 import (

@@ -106,8 +106,6 @@ func main() {
 		"uniform keep probability for unremarkable query traces; slow/errored/degraded/shed queries are always kept (negative = recorder off)")
 	traceStoreSize := flag.Int("trace-store-size", 512, "flight-recorder trace ring capacity")
 	traceKeepSlowest := flag.Int("trace-keep-slowest", 8, "K slowest queries retained per window by the flight recorder")
-	shadowSample := flag.Float64("costmodel-shadow", 0,
-		"probability of re-evaluating a routed query at the runner-up layer to measure cost-model misroutes (0 = off)")
 	shardServe := flag.String("shard-serve", "",
 		"run as a shard server instead of the HTTP daemon: boot the index, then answer shardrpc expansion/verification on this address until SIGTERM")
 	shardBlocks := flag.String("shard-blocks", "all",
@@ -197,10 +195,9 @@ func main() {
 			StoreSize:   *traceStoreSize,
 			KeepSlowest: *traceKeepSlowest,
 		},
-		ShadowSample: *shadowSample,
-		AdminToken:   *adminToken,
-		BlockSize:    *shardBlockSize,
-		ShardClient:  shardClient,
+		AdminToken:  *adminToken,
+		BlockSize:   *shardBlockSize,
+		ShardClient: shardClient,
 	})
 
 	if *warmFile != "" {

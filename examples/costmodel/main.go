@@ -66,14 +66,15 @@ func main() {
 	}
 	fmt.Printf("index has %d layers\n", idx.NumLayers())
 	for _, q := range bigindex.GenerateQueries(ds, bigindex.DefaultWorkload()) {
-		best, costs := cost.OptimalLayer(idx, q.Keywords, 0.5)
+		t := cost.NewTable(idx, q.Keywords, 0)
+		best := t.Argmin(0.5, 0.5)
 		fmt.Printf("  %-3s cost_q by layer:", q.ID)
-		for m, c := range costs {
+		for m := range t {
 			marker := " "
 			if m == best {
 				marker = "*"
 			}
-			fmt.Printf(" %s%.3f", marker, c)
+			fmt.Printf(" %s%.3f", marker, t.Cost(m, 0.5))
 		}
 		fmt.Println()
 	}

@@ -104,12 +104,12 @@ func NewBlinks() search.Algorithm {
 }
 
 // BlinksEvalOptions returns the evaluator options used for Blinks on a
-// dataset. β = 0.5 follows the paper; the density-correction exponent of
-// cost.QueryCostEx is calibrated per dataset the way the paper calibrates
-// its own knobs "by experiments": the dense DBpedia stand-in needs the
-// correction (its summaries densify sharply, making high layers a trap),
-// while the IMDB stand-in's selective topic queries profit from high
-// layers despite densification.
+// dataset. β = 0.5 follows the paper; Formula 4's density-correction
+// exponent (EvalOptions.DegreeExponent) is calibrated per dataset the way
+// the paper calibrates its own knobs "by experiments": the dense DBpedia
+// stand-in needs the correction (its summaries densify sharply, making high
+// layers a trap), while the IMDB stand-in's selective topic queries profit
+// from high layers despite densification.
 func BlinksEvalOptions(dataset string) core.EvalOptions {
 	opt := core.DefaultEvalOptions()
 	switch dataset {

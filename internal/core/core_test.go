@@ -203,8 +203,8 @@ func TestOptimalLayerEquivalence(t *testing.T) {
 		if bd.Layer < 0 || bd.Layer >= idx.NumLayers() {
 			t.Fatalf("layer out of range: %d", bd.Layer)
 		}
-		if len(bd.LayerCosts) != idx.NumLayers() {
-			t.Fatalf("LayerCosts has %d entries", len(bd.LayerCosts))
+		if len(bd.Costs) != idx.NumLayers() {
+			t.Fatalf("cost table has %d rows", len(bd.Costs))
 		}
 	}
 }

@@ -38,10 +38,11 @@ type EvalOptions struct {
 	// rank-guided approximations (exact when the semantics itself is
 	// exhaustive per answer).
 	EarlyK bool
-	// DegreeExponent enables the density correction of cost.QueryCostEx
-	// during layer selection (0 = the paper's Formula 4). Distance-based
-	// semantics whose traversal cost grows like degree^R should pass their
-	// R; rooted semantics typically use 1.
+	// DegreeExponent enables the density correction of Formula 4's
+	// compression term (cost.NewTable) during layer selection (0 = the
+	// paper's Formula 4). Distance-based semantics whose traversal cost
+	// grows like degree^R should pass their R; rooted semantics typically
+	// use 1.
 	DegreeExponent int
 	// GenBudget caps the qualification checks spent by answer generation
 	// (search.GenOptions.MaxChecks); 0 = unlimited. Only meaningful with
@@ -65,20 +66,16 @@ func DefaultEvalOptions() EvalOptions {
 // performance breakdown of Figs. 10–14 (summary search / specialization +
 // pruning / answer generation).
 type Breakdown struct {
-	Layer       int           // layer the query was evaluated at
-	LayerCosts  []float64     // cost_q(m) for every layer (Formula 4)
-	Select      time.Duration // layer selection
-	Search      time.Duration // eval on the summary graph
-	Specialize  time.Duration // Spec + Prop 4.1 pruning, layers m..1
-	Generate    time.Duration // answer generation + verification at layer 0
-	GenAnswers  int           // generalized answers found at layer m
-	Candidates  int           // specialized root candidates examined
-	FinalCount  int           // final answers returned
-	SearchCalls int
+	Layer      int           // layer the query was evaluated at
+	Costs      cost.Table    // Formula 4 at every layer, pinned queries too
+	Select     time.Duration // layer selection
+	Search     time.Duration // eval on the summary graph
+	Specialize time.Duration // Spec + Prop 4.1 pruning, layers m..1
+	Generate   time.Duration // answer generation + verification at layer 0
+	GenAnswers int           // generalized answers found at layer m
 
 	// Paper-phase counters (the flight recorder's vocabulary): how the
 	// query exercised the machinery of Secs. 4.2–4.3.
-	LayersAvail    int             // layers the cost model chose from (Formula 4 domain)
 	Prop41Checked  int             // candidates examined by the Prop 4.1 label filter
 	Prop41Filtered int             // … dropped by it
 	SpecFanout     []int           // candidates emerging from each layer-descent step
@@ -110,7 +107,7 @@ func NewEvaluator(idx *Index, algo search.Algorithm, opt EvalOptions) *Evaluator
 func (e *Evaluator) Options() EvalOptions { return e.opt }
 
 // Index returns the index the evaluator runs over (the server's
-// calibration audit needs it to recompute per-layer cost terms).
+// calibration audit normalizes observed work by its data-graph size).
 func (e *Evaluator) Index() *Index { return e.idx }
 
 func (e *Evaluator) preparedFor(m int) (search.Prepared, error) {
@@ -172,20 +169,23 @@ func (e *Evaluator) EvalLayerCtx(ctx context.Context, q []graph.Label, layer int
 	// attributes them to the searched layer, and the specialize/generate
 	// phases add their own per-layer work units.
 	led := obs.LedgerFromContext(ctx)
-	bd := &Breakdown{LayersAvail: e.idx.NumLayers()}
+	bd := &Breakdown{}
 	tally := &specTally{}
 
-	// (1) Layer selection.
+	// (1) Layer selection. The cost table is built for pinned layers too:
+	// the calibration audit reads the pinned layer's terms from it.
 	sel := parent.StartChild("Select")
 	m := layer
-	if m < 0 {
-		m, bd.LayerCosts = cost.OptimalLayerEx(e.idx, q, e.opt.Beta, e.opt.DegreeExponent)
-	} else if m >= e.idx.NumLayers() {
+	if m >= e.idx.NumLayers() {
 		sel.End()
 		return nil, nil, fmt.Errorf("core: layer %d out of range (index has %d)", m, e.idx.NumLayers())
 	}
+	bd.Costs = cost.NewTable(e.idx, q, e.opt.DegreeExponent)
+	if m < 0 {
+		m = bd.Costs.Argmin(e.opt.Beta, 1-e.opt.Beta)
+	}
 	bd.Layer = m
-	qGen := e.idx.Configs().GenQuery(q, m)
+	qGen := bd.Costs[m].Gen
 	sel.SetAttr("layer", m).SetAttr("keywords", len(q))
 	bd.Select = sel.End().Duration()
 
@@ -215,7 +215,6 @@ func (e *Evaluator) EvalLayerCtx(ctx context.Context, q []graph.Label, layer int
 		srch.End()
 		return nil, nil, err
 	}
-	bd.SearchCalls++
 	bd.GenAnswers = len(gens)
 	srch.SetAttr("generalized_answers", len(gens))
 	bd.Search = srch.End().Duration()
@@ -224,7 +223,6 @@ func (e *Evaluator) EvalLayerCtx(ctx context.Context, q []graph.Label, layer int
 		// Evaluating at the data layer is direct evaluation; on
 		// cancellation the prefix found so far is the degraded answer set.
 		search.SortMatches(gens)
-		bd.FinalCount = len(search.Truncate(gens, e.opt.K))
 		return search.Truncate(gens, e.opt.K), bd, err
 	}
 	if err != nil {
@@ -274,7 +272,6 @@ func (e *Evaluator) EvalLayerCtx(ctx context.Context, q []graph.Label, layer int
 		for i := range q {
 			cands[i] = e.idx.specializeKeywordSet(kwSupers[i], m, q[i], spec, tally, led)
 		}
-		bd.Candidates += len(rootCands)
 		spec.SetAttr("root_candidates", len(rootCands))
 		tally.fill(bd, spec)
 		bd.Specialize += spec.End().Duration()
@@ -321,9 +318,7 @@ func (e *Evaluator) EvalLayerCtx(ctx context.Context, q []graph.Label, layer int
 	led.AddLayerWork(0, bd.Gen.VertexChecks+bd.Gen.PathChecks)
 
 	search.SortMatches(finals)
-	finals = search.Truncate(finals, e.opt.K)
-	bd.FinalCount = len(finals)
-	return finals, bd, context.Cause(ctx)
+	return search.Truncate(finals, e.opt.K), bd, context.Cause(ctx)
 }
 
 // genStatsOf reads the session's qualification counters when the

@@ -10,18 +10,13 @@ import (
 	"bigindex/internal/obs"
 )
 
-// Plan describes how a query would be evaluated: the per-layer costs, the
-// chosen layer, the generalized keywords, and their per-layer legality
-// (Def. 4.1 Condition 1). It is purely informational — Explain runs the
-// cost model but no search.
+// Plan describes how a query would be evaluated: the query's Formula 4
+// cost table and the layer it routes to under β. It is purely
+// informational — Explain runs the cost model but no search.
 type Plan struct {
-	Query      []graph.Label
-	Layer      int
-	LayerCosts []float64
-	// Legal[m] is false when two query keywords merge at layer m.
-	Legal []bool
-	// Generalized[m] is Gen^m(Q).
-	Generalized [][]graph.Label
+	Layer int
+	Beta  float64
+	Costs cost.Table
 }
 
 // Explain computes the evaluation plan for q under the evaluator's options:
@@ -35,23 +30,9 @@ func (e *Evaluator) Explain(q []graph.Label) *Plan {
 func (e *Evaluator) ExplainCtx(ctx context.Context, q []graph.Label) *Plan {
 	sp := obs.SpanFromContext(ctx).StartChild("Explain")
 	defer sp.End()
-	p := e.explain(q)
+	t := cost.NewTable(e.idx, q, e.opt.DegreeExponent)
+	p := &Plan{Layer: t.Argmin(e.opt.Beta, 1-e.opt.Beta), Beta: e.opt.Beta, Costs: t}
 	sp.SetAttr("layer", p.Layer)
-	return p
-}
-
-func (e *Evaluator) explain(q []graph.Label) *Plan {
-	p := &Plan{Query: append([]graph.Label(nil), q...)}
-	p.Layer, p.LayerCosts = cost.OptimalLayerEx(e.idx, q, e.opt.Beta, e.opt.DegreeExponent)
-	seq := e.idx.Configs()
-	distinct := make(map[graph.Label]bool, len(q))
-	for _, l := range q {
-		distinct[l] = true
-	}
-	for m := 0; m < e.idx.NumLayers(); m++ {
-		p.Generalized = append(p.Generalized, seq.GenQuery(q, m))
-		p.Legal = append(p.Legal, seq.DistinctAtLayer(q, m) == len(distinct))
-	}
 	return p
 }
 
@@ -59,28 +40,24 @@ func (e *Evaluator) explain(q []graph.Label) *Plan {
 func (p *Plan) Render(dict *graph.Dict) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: evaluate at layer %d\n", p.Layer)
-	for m := range p.Generalized {
+	for m, row := range p.Costs {
 		marker := " "
 		if m == p.Layer {
 			marker = "*"
 		}
 		legal := ""
-		if !p.Legal[m] {
+		if !row.Legal {
 			legal = "  (illegal: keywords merge)"
 		}
-		costStr := ""
-		if m < len(p.LayerCosts) {
-			costStr = fmt.Sprintf(" cost=%.3f", p.LayerCosts[m])
-		}
-		names := make([]string, len(p.Generalized[m]))
-		for i, l := range p.Generalized[m] {
+		names := make([]string, len(row.Gen))
+		for i, l := range row.Gen {
 			if n, ok := dict.NameOK(l); ok {
 				names[i] = n
 			} else {
 				names[i] = fmt.Sprintf("#%d", l)
 			}
 		}
-		fmt.Fprintf(&b, "%s L%d%s  Q=%s%s\n", marker, m, costStr, strings.Join(names, ", "), legal)
+		fmt.Fprintf(&b, "%s L%d cost=%.3f  Q=%s%s\n", marker, m, p.Costs.Cost(m, p.Beta), strings.Join(names, ", "), legal)
 	}
 	return b.String()
 }

@@ -12,8 +12,8 @@ import (
 	"bigindex/internal/search/bkws"
 )
 
-// TestExplainLayerCosts pins Plan.LayerCosts against the cost model it is
-// supposed to expose: the plan's per-layer vector must equal a direct
+// TestExplainLayerCosts pins the plan's per-layer costs against the cost
+// model they are supposed to expose: they must equal a direct
 // OptimalLayerEx call under the same β / degree exponent, layer 0 must cost
 // exactly 1 (Formula 4 is a ratio against the data graph).
 func TestExplainLayerCosts(t *testing.T) {
@@ -44,18 +44,18 @@ func TestExplainLayerCosts(t *testing.T) {
 			if p.Layer != wantLayer {
 				t.Fatalf("plan layer %d, cost model says %d", p.Layer, wantLayer)
 			}
-			if len(p.LayerCosts) != idx.NumLayers() {
-				t.Fatalf("LayerCosts length %d, want %d", len(p.LayerCosts), idx.NumLayers())
+			if len(p.Costs) != idx.NumLayers() {
+				t.Fatalf("cost table length %d, want %d", len(p.Costs), idx.NumLayers())
 			}
-			for m, c := range p.LayerCosts {
-				if math.Abs(c-wantCosts[m]) > 1e-12 {
-					t.Fatalf("LayerCosts[%d] = %v, cost model says %v", m, c, wantCosts[m])
+			for m := range p.Costs {
+				if c := p.Costs.Cost(m, p.Beta); math.Abs(c-wantCosts[m]) > 1e-12 {
+					t.Fatalf("cost of layer %d = %v, cost model says %v", m, c, wantCosts[m])
 				}
 			}
 			// Layer 0 compares the data graph against itself: both Formula 4
 			// terms are 1 regardless of β or the density correction.
-			if math.Abs(p.LayerCosts[0]-1) > 1e-12 {
-				t.Fatalf("layer-0 cost = %v, want 1", p.LayerCosts[0])
+			if c := p.Costs.Cost(0, p.Beta); math.Abs(c-1) > 1e-12 {
+				t.Fatalf("layer-0 cost = %v, want 1", c)
 			}
 		})
 	}
@@ -68,8 +68,8 @@ func TestExplainLayerCosts(t *testing.T) {
 	dense.DegreeExponent = 3
 	corrected := NewEvaluator(idx, bkws.New(3), dense).Explain(q)
 	changed := false
-	for m := 1; m < len(plain.LayerCosts); m++ {
-		if math.Abs(plain.LayerCosts[m]-corrected.LayerCosts[m]) > 1e-12 {
+	for m := 1; m < len(plain.Costs); m++ {
+		if math.Abs(plain.Costs.Cost(m, plain.Beta)-corrected.Costs.Cost(m, corrected.Beta)) > 1e-12 {
 			changed = true
 		}
 	}
@@ -102,11 +102,8 @@ func TestExplainSingleLayerIndex(t *testing.T) {
 	if p.Layer != 0 {
 		t.Fatalf("single-layer plan picked layer %d", p.Layer)
 	}
-	if len(p.LayerCosts) != 1 || math.Abs(p.LayerCosts[0]-1) > 1e-12 {
-		t.Fatalf("single-layer costs: %v", p.LayerCosts)
-	}
-	if len(p.Legal) != 1 || !p.Legal[0] || len(p.Generalized) != 1 {
-		t.Fatalf("single-layer plan shape: %+v", p)
+	if len(p.Costs) != 1 || math.Abs(p.Costs.Cost(0, p.Beta)-1) > 1e-12 || !p.Costs[0].Legal {
+		t.Fatalf("single-layer plan: %+v", p)
 	}
 }
 

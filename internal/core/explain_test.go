@@ -26,10 +26,10 @@ func TestExplainMatchesEval(t *testing.T) {
 		if plan.Layer != bd.Layer {
 			t.Fatalf("Explain picked layer %d, Eval used %d", plan.Layer, bd.Layer)
 		}
-		if len(plan.Generalized) != idx.NumLayers() || len(plan.Legal) != idx.NumLayers() {
+		if len(plan.Costs) != idx.NumLayers() {
 			t.Fatalf("plan shape: %+v", plan)
 		}
-		if !plan.Legal[0] {
+		if !plan.Costs[0].Legal {
 			t.Fatal("layer 0 must always be legal")
 		}
 		out := plan.Render(ds.Graph.Dict())

@@ -202,6 +202,14 @@ func Build(g *graph.Graph, ont *ontology.Ontology, opt BuildOptions) (*Index, er
 // Build would have. The index starts at epoch 0; use RestoreEpoch to
 // carry a persisted epoch forward.
 func NewFromLayers(ont *ontology.Ontology, layers []*Layer) (*Index, error) {
+	return assemble(ont, layers, nil)
+}
+
+// assemble is NewFromLayers for layers that may reuse prev's, the layers
+// of a valid index over the same ontology. A layer that is prev's own, over
+// a layer below with prev's vertex count and dictionary, skips its checks:
+// they read nothing else, and they held when prev was assembled.
+func assemble(ont *ontology.Ontology, layers, prev []*Layer) (*Index, error) {
 	if len(layers) == 0 || layers[0] == nil || layers[0].Graph == nil {
 		return nil, fmt.Errorf("core: NewFromLayers requires a data-graph layer")
 	}
@@ -212,6 +220,12 @@ func NewFromLayers(ont *ontology.Ontology, layers []*Layer) (*Index, error) {
 	dict := layers[0].Graph.Dict()
 	for i, l := range layers[1:] {
 		li := i + 1
+		if li < len(prev) && l == prev[li] &&
+			layers[li-1].Graph.NumVertices() == prev[li-1].Graph.NumVertices() &&
+			layers[li-1].Graph.Dict() == prev[li-1].Graph.Dict() {
+			idx.seq = append(idx.seq, l.Config)
+			continue
+		}
 		if l == nil || l.Graph == nil || l.Config == nil {
 			return nil, fmt.Errorf("core: layer %d is incomplete", li)
 		}

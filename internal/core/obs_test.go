@@ -160,17 +160,18 @@ func TestBreakdownPaperPhaseCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 
 	var bd *Breakdown
+	var finals int
 	for try := 0; try < 20; try++ {
 		q := pickQuery(rng, ds, 2, 3)
 		if q == nil {
 			t.Skip("no query available")
 		}
-		_, b, err := ev.EvalLayerCtx(context.Background(), q, 1)
+		ms, b, err := ev.EvalLayerCtx(context.Background(), q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if b.GenAnswers > 0 {
-			bd = b
+			bd, finals = b, len(ms)
 			break
 		}
 	}
@@ -178,9 +179,6 @@ func TestBreakdownPaperPhaseCounters(t *testing.T) {
 		t.Skip("no query produced generalized answers")
 	}
 
-	if bd.LayersAvail != idx.NumLayers() {
-		t.Fatalf("LayersAvail = %d, want %d", bd.LayersAvail, idx.NumLayers())
-	}
 	if bd.Prop41Checked <= 0 {
 		t.Fatalf("Prop41Checked = %d, want > 0 (keyword specialization ran)", bd.Prop41Checked)
 	}
@@ -199,7 +197,7 @@ func TestBreakdownPaperPhaseCounters(t *testing.T) {
 	if g.VertexChecks < g.VertexQualified || g.PathChecks < g.PathQualified {
 		t.Fatalf("qualified exceeds checked: %+v", g)
 	}
-	if g.VertexChecks == 0 && g.PathChecks == 0 && bd.FinalCount > 0 {
+	if g.VertexChecks == 0 && g.PathChecks == 0 && finals > 0 {
 		t.Fatalf("finals produced with zero Def 4.2/4.3 checks: %+v", bd)
 	}
 }

@@ -86,13 +86,14 @@ func (x *Index) resummarized(g *graph.Graph, ch *bisim.Change) (*Index, *DeltaRe
 	return n, rep, err
 }
 
-// successor assembles layers into the index that replaces x. It goes
-// through the snapshot-restore constructor, so the full structural
-// validation (Up/Down inversion, dict sharing, config vs ontology) turns
-// a maintenance bug into an error instead of a silently wrong index, and
-// it carries x's epoch + 1.
+// successor assembles layers into the index that replaces x. It runs the
+// snapshot-restore constructor's structural validation (Up/Down
+// inversion, dict sharing, config vs ontology) on every layer maintenance
+// built, so a maintenance bug becomes an error instead of a silently wrong
+// index; layers reused from x over an unchanged base are not re-checked.
+// The successor carries x's epoch + 1.
 func (x *Index) successor(layers []*Layer) (*Index, error) {
-	n, err := NewFromLayers(x.ont, layers)
+	n, err := assemble(x.ont, layers, x.layers)
 	if err != nil {
 		return nil, fmt.Errorf("core: maintenance produced an invalid hierarchy: %w", err)
 	}

@@ -151,3 +151,55 @@ func TestRefreshedNonMutating(t *testing.T) {
 		t.Fatalf("chained epoch = %d, want 2", third.Epoch())
 	}
 }
+
+// successor skips the checks of a layer it reuses from the receiver only
+// while the layer below keeps the receiver's vertex count and dictionary;
+// every layer it did not reuse is checked in full.
+func TestSuccessorChecksWhatItDidNotReuse(t *testing.T) {
+	ds := smallDataset(403)
+	idx := buildIndex(t, ds)
+	if idx.NumLayers() < 3 {
+		t.Skip("need two summary layers")
+	}
+	own := func() []*Layer { return append([]*Layer(nil), idx.layers...) }
+	if _, err := idx.successor(own()); err != nil {
+		t.Fatalf("reusing every layer: %v", err)
+	}
+	// A data graph of n vertices over dict (nil = a fresh one).
+	base := func(dict *graph.Dict, n int) *Layer {
+		b := graph.NewBuilder(dict)
+		for v := 0; v < n; v++ {
+			b.AddVertex("v")
+		}
+		return &Layer{Graph: b.Build()}
+	}
+	n := idx.Data().NumVertices()
+	cases := map[string]func([]*Layer) []*Layer{
+		"reused layer over a grown base": func(ls []*Layer) []*Layer {
+			ls[0] = base(idx.Data().Dict(), n+1)
+			return ls
+		},
+		"reused layer over a foreign dictionary": func(ls []*Layer) []*Layer {
+			ls[0] = base(nil, n)
+			return ls
+		},
+		"rebuilt layer with a non-inverse Down": func(ls []*Layer) []*Layer {
+			l := cloneLayers(idx)[1]
+			l.Down[0][0], l.Down[1][0] = l.Down[1][0], l.Down[0][0]
+			ls[1] = l
+			return ls
+		},
+		"rebuilt top layer with a short Up": func(ls []*Layer) []*Layer {
+			top := len(ls) - 1
+			l := cloneLayers(idx)[top]
+			l.Up = l.Up[:len(l.Up)-1]
+			ls[top] = l
+			return ls
+		},
+	}
+	for name, corrupt := range cases {
+		if _, err := idx.successor(corrupt(own())); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -3,25 +3,23 @@ package cost
 import (
 	"sort"
 	"sync"
-
-	"bigindex/internal/graph"
 )
 
 // Calibration audits Formula 4 against observed query cost. Each evaluated
-// query contributes a Sample: the per-layer model terms (compression ratio
-// and relative support, from QueryCostTerms) plus the work the query
-// actually performed, normalized by data-graph size so it lives on the
-// same relative scale as the model's cost. A bounded ring keeps the most
-// recent window; Fit solves the least-squares problem
+// query contributes a Sample: the model terms at the layer it ran on
+// (compression ratio and relative support, from its cost Table) plus the
+// work the query actually performed, normalized by data-graph size so it
+// lives on the same relative scale as the model's cost. A bounded ring
+// keeps the most recent window; Fit solves the least-squares problem
 //
 //	observed ≈ a·compress(chosen) + b·sup(chosen)
 //
 // over the window. The model's cost is linear in β — Formula 4 is
 // β·compress + (1−β)·sup — so the fitted coefficient pair yields a scale-
 // free suggested β̂ = a/(a+b): the β under which the model's layer ranking
-// best matches what queries actually cost. CheaperLayer re-ranks a
-// sample's layers under the fitted coefficients, which is how misroutes
-// (a different layer would have been cheaper) are detected.
+// best matches what queries actually cost. Table.Argmin at the fitted
+// coefficients re-ranks a query's layers, which is how misroutes (a
+// different layer would have been cheaper) are detected.
 type Calibration struct {
 	mu   sync.Mutex
 	ring []Sample
@@ -31,13 +29,10 @@ type Calibration struct {
 
 // Sample is one evaluated query in the calibration window.
 type Sample struct {
-	Algo  string
-	Layer int // the layer the query was evaluated at
-	// Per-layer Formula 4 terms and Def 4.1 Condition 1 legality, indexed
-	// by layer (same shape as core.Breakdown.LayerCosts).
-	Compress []float64
-	Sup      []float64
-	Legal    []bool
+	Algo     string
+	Layer    int     // the layer the query was evaluated at
+	Compress float64 // Formula 4's terms at Layer (its Row of the query's Table)
+	Sup      float64
 	// Observed is the query's ledger work units divided by the data-graph
 	// size |G| — the measured analogue of cost_q(m), which predicts work
 	// relative to evaluating on the full data graph.
@@ -60,7 +55,7 @@ func NewCalibration(size int) *Calibration {
 // Add records a sample, evicting the oldest once the window is full.
 // Samples with non-positive observed work are ignored (nothing to fit).
 func (c *Calibration) Add(s Sample) {
-	if c == nil || s.Observed <= 0 || s.Layer < 0 || s.Layer >= len(s.Compress) {
+	if c == nil || s.Observed <= 0 || s.Layer < 0 {
 		return
 	}
 	c.mu.Lock()
@@ -97,21 +92,21 @@ func (c *Calibration) Total() int64 {
 // Fit solves the window's least squares for (a, b) ≥ 0 and derives the
 // suggested β̂ = a/(a+b). ok is false below fitMinSamples or when the
 // system is degenerate (e.g. all samples at one layer with collinear
-// terms), in which case callers keep the configured β.
+// terms), in which case callers keep the configured β. The sums run over
+// the ring in place, under the lock, so Fit allocates nothing.
 func (c *Calibration) Fit() (beta, a, b float64, ok bool) {
 	if c == nil {
 		return 0, 0, 0, false
 	}
 	c.mu.Lock()
-	samples := make([]Sample, len(c.ring))
-	copy(samples, c.ring)
-	c.mu.Unlock()
-	if len(samples) < fitMinSamples {
+	defer c.mu.Unlock()
+	if len(c.ring) < fitMinSamples {
 		return 0, 0, 0, false
 	}
 	var scc, scs, sss, scw, ssw float64
-	for _, s := range samples {
-		cm, sm := s.Compress[s.Layer], s.Sup[s.Layer]
+	for i := range c.ring {
+		s := &c.ring[i]
+		cm, sm := s.Compress, s.Sup
 		scc += cm * cm
 		scs += cm * sm
 		sss += sm * sm
@@ -143,24 +138,6 @@ func (c *Calibration) Fit() (beta, a, b float64, ok bool) {
 	return a / (a + b), a, b, true
 }
 
-// CheaperLayer returns the legal layer minimizing a·compress + b·sup for
-// the sample — the layer the *fitted* model would route to. Falls back to
-// the sample's own layer when no layer is legal (cannot happen for layer
-// 0, which Def 4.1 always admits).
-func CheaperLayer(s Sample, a, b float64) int {
-	best, bestCost, have := s.Layer, 0.0, false
-	for m := range s.Compress {
-		if m < len(s.Legal) && !s.Legal[m] {
-			continue
-		}
-		cost := a*s.Compress[m] + b*s.Sup[m]
-		if !have || cost < bestCost {
-			best, bestCost, have = m, cost, true
-		}
-	}
-	return best
-}
-
 // LayerCalibration is one (algo, chosen layer) group of the calibration
 // summary: how far the model's predicted cost sits from observed work.
 type LayerCalibration struct {
@@ -179,11 +156,6 @@ func (c *Calibration) Summary(beta float64) []LayerCalibration {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	samples := make([]Sample, len(c.ring))
-	copy(samples, c.ring)
-	c.mu.Unlock()
-
 	type groupKey struct {
 		algo  string
 		layer int
@@ -193,8 +165,11 @@ func (c *Calibration) Summary(beta float64) []LayerCalibration {
 		pred, obs, ratio float64
 	}
 	groups := map[groupKey]*agg{}
-	for _, s := range samples {
-		pred := beta*s.Compress[s.Layer] + (1-beta)*s.Sup[s.Layer]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.ring {
+		s := &c.ring[i]
+		pred := beta*s.Compress + (1-beta)*s.Sup
 		k := groupKey{s.Algo, s.Layer}
 		g := groups[k]
 		if g == nil {
@@ -226,23 +201,4 @@ func (c *Calibration) Summary(beta float64) []LayerCalibration {
 		return out[i].Layer < out[j].Layer
 	})
 	return out
-}
-
-// LayerTerms computes the per-layer Formula 4 terms and Def 4.1
-// Condition 1 legality for a query — the model-side half of a Sample.
-// One support lookup per keyword per layer; cheap enough per query.
-func LayerTerms(idx LayerGraphs, q []graph.Label, degreeExp int) (compress, sup []float64, legal []bool) {
-	data := idx.LayerGraph(0)
-	seq := idx.Configs()
-	n := idx.NumLayers()
-	compress = make([]float64, n)
-	sup = make([]float64, n)
-	legal = make([]bool, n)
-	nDistinct := len(distinct(q))
-	for m := 0; m < n; m++ {
-		qGen := seq.GenQuery(q, m)
-		compress[m], sup[m] = QueryCostTerms(degreeExp, data, idx.LayerGraph(m), q, qGen)
-		legal[m] = seq.DistinctAtLayer(q, m) == nDistinct
-	}
-	return compress, sup, legal
 }

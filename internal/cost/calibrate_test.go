@@ -2,20 +2,17 @@ package cost
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
-// synthSample builds a two-layer sample whose observed cost follows the
-// true model scale·(β·compress + (1−β)·sup) at the chosen layer.
-func synthSample(algo string, layer int, compress, sup []float64, beta, scale float64) Sample {
-	legal := make([]bool, len(compress))
-	for i := range legal {
-		legal[i] = true
-	}
+// synthSample builds a sample whose observed cost follows the true model
+// scale·(β·compress + (1−β)·sup) at the chosen layer.
+func synthSample(algo string, layer int, compress, sup, beta, scale float64) Sample {
 	return Sample{
 		Algo: algo, Layer: layer,
-		Compress: compress, Sup: sup, Legal: legal,
-		Observed: scale * (beta*compress[layer] + (1-beta)*sup[layer]),
+		Compress: compress, Sup: sup,
+		Observed: scale * (beta*compress + (1-beta)*sup),
 	}
 }
 
@@ -26,7 +23,7 @@ func TestCalibrationFitRecoversBeta(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c := 0.1 + 0.013*float64(i%61)
 		s := 0.9 - 0.011*float64(i%71)
-		cal.Add(synthSample("blinks", 1, []float64{1, c}, []float64{1, s}, trueBeta, scale))
+		cal.Add(synthSample("blinks", 1, c, s, trueBeta, scale))
 	}
 	beta, a, b, ok := cal.Fit()
 	if !ok {
@@ -44,7 +41,7 @@ func TestCalibrationFitRecoversBeta(t *testing.T) {
 func TestCalibrationFitDeclinesSmallWindow(t *testing.T) {
 	cal := NewCalibration(64)
 	for i := 0; i < fitMinSamples-1; i++ {
-		cal.Add(synthSample("x", 0, []float64{1}, []float64{1}, 0.5, 1))
+		cal.Add(synthSample("x", 0, 1, 1, 0.5, 1))
 	}
 	if _, _, _, ok := cal.Fit(); ok {
 		t.Fatal("fit must decline below the sample floor")
@@ -57,11 +54,7 @@ func TestCalibrationDegenerateFallsBackToSharedScale(t *testing.T) {
 	// identifiable, but the magnitude still is.
 	for i := 0; i < 32; i++ {
 		v := 0.2 + 0.01*float64(i)
-		cal.Add(Sample{
-			Algo: "x", Layer: 0,
-			Compress: []float64{v}, Sup: []float64{v}, Legal: []bool{true},
-			Observed: 2 * v,
-		})
+		cal.Add(Sample{Algo: "x", Layer: 0, Compress: v, Sup: v, Observed: 2 * v})
 	}
 	beta, a, b, ok := cal.Fit()
 	if !ok {
@@ -74,9 +67,8 @@ func TestCalibrationDegenerateFallsBackToSharedScale(t *testing.T) {
 
 func TestCalibrationAddIgnoresJunk(t *testing.T) {
 	cal := NewCalibration(8)
-	cal.Add(Sample{Algo: "x", Layer: 0, Compress: []float64{1}, Sup: []float64{1}, Observed: 0})
-	cal.Add(Sample{Algo: "x", Layer: 5, Compress: []float64{1}, Sup: []float64{1}, Observed: 1})
-	cal.Add(Sample{Algo: "x", Layer: -1, Compress: []float64{1}, Sup: []float64{1}, Observed: 1})
+	cal.Add(Sample{Algo: "x", Layer: 0, Compress: 1, Sup: 1, Observed: 0})
+	cal.Add(Sample{Algo: "x", Layer: -1, Compress: 1, Sup: 1, Observed: 1})
 	if cal.Len() != 0 || cal.Total() != 0 {
 		t.Fatalf("junk samples stored: len=%d total=%d", cal.Len(), cal.Total())
 	}
@@ -85,7 +77,7 @@ func TestCalibrationAddIgnoresJunk(t *testing.T) {
 func TestCalibrationRingEvicts(t *testing.T) {
 	cal := NewCalibration(4)
 	for i := 0; i < 10; i++ {
-		cal.Add(synthSample("x", 0, []float64{1}, []float64{1}, 0.5, float64(i+1)))
+		cal.Add(synthSample("x", 0, 1, 1, 0.5, float64(i+1)))
 	}
 	if cal.Len() != 4 {
 		t.Fatalf("window len = %d, want 4", cal.Len())
@@ -95,33 +87,11 @@ func TestCalibrationRingEvicts(t *testing.T) {
 	}
 }
 
-func TestCheaperLayer(t *testing.T) {
-	s := Sample{
-		Layer:    2,
-		Compress: []float64{1.0, 0.5, 0.3},
-		Sup:      []float64{1.0, 0.8, 2.0},
-		Legal:    []bool{true, true, true},
-	}
-	// Under a=1, b=0 (all weight on compression) layer 2 wins; under a=0,
-	// b=1 (all weight on support) layer 1 wins.
-	if got := CheaperLayer(s, 1, 0); got != 2 {
-		t.Fatalf("compress-only cheapest = %d, want 2", got)
-	}
-	if got := CheaperLayer(s, 0, 1); got != 1 {
-		t.Fatalf("support-only cheapest = %d, want 1", got)
-	}
-	// Illegal layers are never chosen.
-	s.Legal[1] = false
-	if got := CheaperLayer(s, 0, 1); got != 0 {
-		t.Fatalf("with layer 1 illegal, cheapest = %d, want 0", got)
-	}
-}
-
 func TestCalibrationSummaryGroups(t *testing.T) {
 	cal := NewCalibration(64)
 	for i := 0; i < 10; i++ {
-		cal.Add(synthSample("blinks", 1, []float64{1, 0.4}, []float64{1, 0.6}, 0.5, 1))
-		cal.Add(synthSample("rclique", 0, []float64{1, 0.4}, []float64{1, 0.6}, 0.5, 2))
+		cal.Add(synthSample("blinks", 1, 0.4, 0.6, 0.5, 1))
+		cal.Add(synthSample("rclique", 0, 1, 1, 0.5, 2))
 	}
 	rows := cal.Summary(0.5)
 	if len(rows) != 2 {
@@ -152,5 +122,51 @@ func TestCalibrationNilSafe(t *testing.T) {
 	}
 	if cal.Summary(0.5) != nil {
 		t.Fatal("nil calibration summary must be nil")
+	}
+}
+
+// Add, Fit and Summary share the window from concurrent requests; under
+// -race this fails if any of them touches the ring outside the lock.
+func TestCalibrationConcurrent(t *testing.T) {
+	cal := NewCalibration(64)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				c := 0.1 + 0.013*float64((i+w)%61)
+				cal.Add(synthSample("x", w%2, c, 1-c/2, 0.7, 2))
+				switch i % 3 {
+				case 0:
+					cal.Fit()
+				case 1:
+					cal.Summary(0.5)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if cal.Len() != 64 || cal.Total() != 2000 {
+		t.Fatalf("window len=%d total=%d, want 64/2000", cal.Len(), cal.Total())
+	}
+	if _, _, _, ok := cal.Fit(); !ok {
+		t.Fatal("fit declined on a full window")
+	}
+}
+
+// BenchmarkCalibrationFit fits a full default-size window, the work the
+// audit does per routed query.
+func BenchmarkCalibrationFit(b *testing.B) {
+	cal := NewCalibration(0)
+	for i := 0; i < 512; i++ {
+		cal.Add(synthSample("bkws", i%2, 0.1+0.013*float64(i%61), 0.9-0.011*float64(i%71), 0.7, 3.5))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, ok := cal.Fit(); !ok {
+			b.Fatal("fit declined")
+		}
 	}
 }

@@ -173,7 +173,7 @@ func TestQueryCostAndOptimalLayer(t *testing.T) {
 
 	// Query {pa, org}: legal at both layers (pa->Person, org->org distinct).
 	q := []graph.Label{g0.Label(pa), g0.Label(o)}
-	best, costs := OptimalLayer(idx, q, 0.5)
+	best, costs := OptimalLayerEx(idx, q, 0.5, 0)
 	if len(costs) != 2 {
 		t.Fatalf("costs = %v", costs)
 	}
@@ -197,7 +197,7 @@ func TestQueryCostAndOptimalLayer(t *testing.T) {
 	// Query {pa, pb} merges into {Person} at layer 1: Condition 1 of
 	// Def 4.1 forces layer 0.
 	qMerge := []graph.Label{g0.Label(pa), g0.Label(pb)}
-	best2, _ := OptimalLayer(idx, qMerge, 0.1)
+	best2, _ := OptimalLayerEx(idx, qMerge, 0.1, 0)
 	if best2 != 0 {
 		t.Fatalf("merged query must evaluate at layer 0, got %d", best2)
 	}
@@ -208,13 +208,13 @@ func TestQueryCostBetaExtremes(t *testing.T) {
 	b := graph.NewBuilder(dict)
 	v := b.AddVertex("x")
 	g := b.Build()
-	q := []graph.Label{g.Label(v)}
+	tab := NewTable(&layered{graphs: []*graph.Graph{g}}, []graph.Label{g.Label(v)}, 0)
 	// β = 1: pure compression ratio; same graph -> 1.
-	if c := QueryCost(1, g, g, q, q); c != 1 {
+	if c := tab.Cost(0, 1); c != 1 {
 		t.Fatalf("β=1 same-layer cost = %v", c)
 	}
 	// β = 0: pure support ratio; same query -> 1.
-	if c := QueryCost(0, g, g, q, q); c != 1 {
+	if c := tab.Cost(0, 0); c != 1 {
 		t.Fatalf("β=0 same-layer cost = %v", c)
 	}
 }

@@ -84,8 +84,8 @@ func (g *Graph) InDegree(v V) int { return int(g.inOff[v+1] - g.inOff[v]) }
 func (g *Graph) Degree(v V) int { return g.OutDegree(v) + g.InDegree(v) }
 
 // Branching estimates the per-hop fan-out of a bounded traversal as
-// √E[deg²] over undirected degrees; the density correction of
-// cost.QueryCostEx compares it across layers. The second moment matters:
+// √E[deg²] over undirected degrees; Formula 4's density correction
+// (cost.NewTable) compares it across layers. The second moment matters:
 // summarization concentrates edges on hub supernodes (a supernode holding
 // 500 collapsed attribute vertices inherits every member's in-edge), and a
 // traversal that touches one hub immediately reaches its whole

@@ -1,26 +1,19 @@
 package server
 
-// Formula 4 calibration audit: every routed /query evaluation contributes
-// its ledger-measured work to a calibration window (internal/cost), the
-// predicted/observed ratio is exported as a histogram, and GET
-// /debug/costmodel reports per-(algo, layer) calibration plus the
-// least-squares β̂ the window suggests. Optionally (Options.ShadowSample)
-// a sampled fraction of routed queries is re-evaluated in the background
-// at the runner-up layer, turning the misroute counter from a model-side
-// inference into a measurement.
+// Formula 4 calibration audit: every uncached hierarchical /query
+// evaluation contributes its ledger-measured work to a calibration window
+// (internal/cost), the predicted/observed ratio is exported as a
+// histogram, and GET /debug/costmodel reports per-(algo, layer)
+// calibration plus the least-squares β̂ the window suggests.
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"bigindex/internal/core"
 	"bigindex/internal/cost"
-	"bigindex/internal/graph"
 	"bigindex/internal/obs"
 )
 
@@ -30,8 +23,6 @@ type costAudit struct {
 	errRatio  *obs.HistogramVec
 	misroute  *obs.CounterVec
 	misroutes atomic.Int64 // sum across algos, for /debug/costmodel
-	shadows   atomic.Int64 // shadow evaluations completed
-	shadowSem chan struct{}
 }
 
 func newCostAudit(reg *obs.Registry) *costAudit {
@@ -42,17 +33,20 @@ func newCostAudit(reg *obs.Registry) *costAudit {
 			[]float64{0.0625, 0.125, 0.25, 0.5, 0.75, 1, 1.5, 2, 4, 8, 16},
 			"algo", "layer"),
 		misroute: reg.CounterVec("bigindex_costmodel_misroute_total",
-			"Queries where the calibrated cost model or a shadow evaluation shows a different layer would have been cheaper.",
+			"Routed queries where the calibrated cost model prefers a different legal layer.",
 			"algo"),
-		shadowSem: make(chan struct{}, 1),
 	}
 }
 
-// auditCost feeds one routed evaluation into the calibration audit. Called
-// from evalQuery after a successful hierarchical evaluation; direct
-// (baseline) evaluations and cache hits never reach it, so the window holds
-// only queries the cost model actually routed.
-func (s *Server) auditCost(ev *core.Evaluator, algo string, q []graph.Label, bd *core.Breakdown, led *obs.Ledger, forcedLayer int) {
+// auditCost feeds one hierarchical evaluation into the calibration audit,
+// reading Formula 4's terms from the query's cost table on bd. Called from
+// evalQuery after a successful evaluation; direct (baseline) evaluations
+// and cache hits never reach it. Queries at a client-pinned layer
+// (forcedLayer >= 0) enter the window too — their observed work at that
+// layer is as much a calibration point as a routed query's — but only
+// routed queries are checked for misroutes: for a pinned one the router
+// made no choice.
+func (s *Server) auditCost(ev *core.Evaluator, algo string, bd *core.Breakdown, led *obs.Ledger, forcedLayer int) {
 	a := s.audit
 	if a == nil || led == nil || bd == nil {
 		return
@@ -63,76 +57,17 @@ func (s *Server) auditCost(ev *core.Evaluator, algo string, q []graph.Label, bd 
 		return
 	}
 	observed := float64(work) / float64(size)
-	opt := ev.Options()
-	compress, sup, legal := cost.LayerTerms(ev.Index(), q, opt.DegreeExponent)
-	if bd.Layer < 0 || bd.Layer >= len(compress) {
-		return
-	}
-	predicted := opt.Beta*compress[bd.Layer] + (1-opt.Beta)*sup[bd.Layer]
-	a.errRatio.With(algo, strconv.Itoa(bd.Layer)).Observe(predicted / observed)
-	sample := cost.Sample{
-		Algo: algo, Layer: bd.Layer,
-		Compress: compress, Sup: sup, Legal: legal,
-		Observed: observed,
-	}
-	a.cal.Add(sample)
-	if forcedLayer >= 0 {
-		return // pinned by the client; the router made no choice to audit
-	}
-	if _, fa, fb, ok := a.cal.Fit(); ok {
-		if cost.CheaperLayer(sample, fa, fb) != bd.Layer {
-			a.misroute.With(algo).Inc()
-			a.misroutes.Add(1)
-			return
-		}
-	}
-	s.maybeShadowEval(ev, algo, q, sample, work)
-}
-
-// maybeShadowEval re-evaluates a sampled query at the runner-up layer (the
-// second-cheapest legal layer under the configured β) with its own ledger
-// and counts a misroute when the road not taken measures cheaper. At most
-// one shadow runs at a time; excess samples are dropped, not queued — the
-// audit must never add load proportional to traffic.
-func (s *Server) maybeShadowEval(ev *core.Evaluator, algo string, q []graph.Label, sample cost.Sample, observedWork int64) {
-	p := s.opt.ShadowSample
-	if p <= 0 || rand.Float64() >= p {
-		return
-	}
 	beta := ev.Options().Beta
-	runner := -1
-	runnerCost := 0.0
-	for m := range sample.Compress {
-		if m == sample.Layer || (m < len(sample.Legal) && !sample.Legal[m]) {
-			continue
-		}
-		c := beta*sample.Compress[m] + (1-beta)*sample.Sup[m]
-		if runner == -1 || c < runnerCost {
-			runner, runnerCost = m, c
-		}
-	}
-	if runner < 0 {
-		return // single legal layer; no alternative to measure
-	}
-	select {
-	case s.audit.shadowSem <- struct{}{}:
-	default:
+	row := bd.Costs[bd.Layer]
+	a.errRatio.With(algo, strconv.Itoa(bd.Layer)).Observe(bd.Costs.Cost(bd.Layer, beta) / observed)
+	a.cal.Add(cost.Sample{Algo: algo, Layer: bd.Layer, Compress: row.Compress, Sup: row.Sup, Observed: observed})
+	if forcedLayer >= 0 {
 		return
 	}
-	go func() {
-		defer func() { <-s.audit.shadowSem }()
-		led := obs.NewLedger()
-		ctx, cancel := context.WithTimeout(obs.ContextWithLedger(context.Background(), led), 5*time.Second)
-		defer cancel()
-		if _, _, err := ev.EvalLayerCtx(ctx, q, runner); err != nil {
-			return
-		}
-		s.audit.shadows.Add(1)
-		if w := led.WorkUnits(); w > 0 && w < observedWork {
-			s.audit.misroute.With(algo).Inc()
-			s.audit.misroutes.Add(1)
-		}
-	}()
+	if _, fa, fb, ok := a.cal.Fit(); ok && bd.Costs.Argmin(fa, fb) != bd.Layer {
+		a.misroute.With(algo).Inc()
+		a.misroutes.Add(1)
+	}
 }
 
 // handleDebugCostmodel reports the calibration window: per-(algo, layer)
@@ -154,14 +89,12 @@ func (s *Server) handleDebugCostmodel(w http.ResponseWriter, r *http.Request) {
 		FitA           *float64                `json:"fit_compress_coeff,omitempty"`
 		FitB           *float64                `json:"fit_support_coeff,omitempty"`
 		Misroutes      int64                   `json:"misroutes"`
-		ShadowEvals    int64                   `json:"shadow_evals"`
 		Layers         []cost.LayerCalibration `json:"layers"`
 	}{
 		ConfiguredBeta: beta,
 		Window:         a.cal.Len(),
 		TotalSamples:   a.cal.Total(),
 		Misroutes:      a.misroutes.Load(),
-		ShadowEvals:    a.shadows.Load(),
 		Layers:         a.cal.Summary(beta),
 	}
 	if betaHat, fa, fb, ok := a.cal.Fit(); ok {

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"bigindex/internal/core"
+	"bigindex/internal/datagen"
+	"bigindex/internal/obs"
 )
 
 // The calibration endpoint is gated like every other /debug surface and
@@ -209,5 +214,46 @@ func TestDebugTraceCarriesCost(t *testing.T) {
 	_, byID := get(t, s, "/debug/traces/"+id)
 	if c, _ := byID["cost"].(map[string]interface{}); c == nil || c["work_units"] != cost["work_units"] {
 		t.Fatalf("by-ID cost mismatch: %v vs %v", byID["cost"], cost)
+	}
+}
+
+// BenchmarkAuditCost runs the Formula 4 calibration audit of one routed
+// bkws query per iteration, cycling over the yago-s workload, against a
+// window that is full after the first 512 iterations.
+func BenchmarkAuditCost(b *testing.B) {
+	ds := datagen.YagoSmall()
+	opt := core.DefaultBuildOptions()
+	opt.Search.SampleCount = 120
+	idx, err := core.Build(ds.Graph, ds.Ont, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(idx, ds.Ont, Options{DMax: 4})
+	ev, err := s.evaluator(s.st(), "bkws")
+	if err != nil {
+		b.Fatal(err)
+	}
+	type run struct {
+		bd  *core.Breakdown
+		led *obs.Ledger
+	}
+	var runs []run
+	for _, q := range datagen.Queries(ds, datagen.DefaultWorkload()) {
+		led := obs.NewLedger()
+		_, bd, err := ev.EvalLayerCtx(obs.ContextWithLedger(context.Background(), led), q.Keywords, -1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs = append(runs, run{bd, led})
+	}
+	for i := 0; i < 512; i++ {
+		r := runs[i%len(runs)]
+		s.auditCost(ev, "bkws", r.bd, r.led, -1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := runs[i%len(runs)]
+		s.auditCost(ev, "bkws", r.bd, r.led, -1)
 	}
 }

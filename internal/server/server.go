@@ -122,11 +122,6 @@ type Options struct {
 	// decided per query at query end); the endpoints exposing it are
 	// default-off.
 	Debug DebugOptions
-	// ShadowSample is the probability that a routed query is re-evaluated
-	// in the background at the runner-up layer so the cost-model misroute
-	// counter reflects measurement, not just the fitted model. At most one
-	// shadow evaluation runs at a time. 0 disables shadowing.
-	ShadowSample float64
 	// AdminToken, when non-empty, gates every /admin/* endpoint behind a
 	// shared secret ("Authorization: Bearer <token>" or "X-Admin-Token"),
 	// compared in constant time. Empty leaves the admin surface open
@@ -650,7 +645,7 @@ func (s *Server) evalQuery(ctx context.Context, ev *core.Evaluator, algo string,
 		s.phaseSec.With("generate").Observe(bd.Generate.Seconds())
 		s.observeBreakdown(algo, bd)
 		if err == nil {
-			s.auditCost(ev, algo, q, bd, obs.LedgerFromContext(ctx), forcedLayer)
+			s.auditCost(ev, algo, bd, obs.LedgerFromContext(ctx), forcedLayer)
 		}
 	}
 	return withCoverage(cachedResult{matches: search.Truncate(ms, k), layer: layer}, cov), err
@@ -1097,7 +1092,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	dict := st.idx.Data().Dict()
 	type layerJSON struct {
 		Layer       int      `json:"layer"`
-		Cost        *float64 `json:"cost,omitempty"`
+		Cost        float64  `json:"cost"`
 		Legal       bool     `json:"legal"`
 		Generalized []string `json:"generalized"`
 	}
@@ -1106,13 +1101,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Layers []layerJSON `json:"layers"`
 		Notes  []string    `json:"notes,omitempty"`
 	}{Chosen: plan.Layer, Notes: notes}
-	for m := range plan.Generalized {
-		lj := layerJSON{Layer: m, Legal: plan.Legal[m]}
-		if plan.LayerCosts != nil && m < len(plan.LayerCosts) {
-			c := plan.LayerCosts[m]
-			lj.Cost = &c
-		}
-		for _, l := range plan.Generalized[m] {
+	for m, row := range plan.Costs {
+		lj := layerJSON{Layer: m, Cost: plan.Costs.Cost(m, plan.Beta), Legal: row.Legal}
+		for _, l := range row.Gen {
 			name, _ := dict.NameOK(l)
 			lj.Generalized = append(lj.Generalized, name)
 		}

@@ -242,6 +242,9 @@ func FuzzRootedAgree(f *testing.F) {
 	f.Add([]byte{8, 3, 2, 0, 2, 0, 1, 0, 1, 1, 2, 2, 3, 3, 0, 4, 4, 5, 6})
 	f.Add([]byte{1, 1, 0, 1, 1, 0, 0, 0})
 	f.Add([]byte{16, 4, 4, 3, 3, 1, 2, 3, 0, 1, 1, 2, 2, 1, 5, 9, 9, 5, 15, 0, 7, 7})
+	// The balls of l0 and l1 (d_max 2) are disjoint, so bkws and Blinks
+	// stop before expanding l2.
+	f.Add([]byte{4, 3, 1, 0, 2, 0, 1, 2, 0, 1, 2, 2, 2, 0, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return

@@ -16,10 +16,15 @@ import (
 // traversal along in-edges from the vertices carrying it, and a vertex
 // every traversal reaches is an answer root.
 //
-// The three searches are one loop under three Schedules. Top-k search
-// stops once no undiscovered root can beat the current k-th answer, and
-// the bound is strict, so the top-k is exactly the exhaustive answer's
-// prefix and the schedule never shows in the answers.
+// The three searches are one loop under three Schedules, and it stops as
+// soon as its answers are settled, for two reasons. Top-k search stops
+// once no undiscovered root can beat the current k-th answer, and the
+// bound is strict, so the top-k is exactly the exhaustive answer's prefix
+// and the schedule never shows in the answers. Every search, exhaustive
+// or top-k, also stops once no undiscovered root can exist: every root
+// lies in every keyword's d_max ball, so once some keywords' balls are
+// complete, new roots can only be vertices of all of them that are not
+// roots yet, and when there are none the answer set is already complete.
 type Rooted struct {
 	name  string
 	dmax  int
@@ -31,6 +36,8 @@ type Rooted struct {
 // keyword has one level-order queue, and each turn goes to the live queue
 // with the fewest queued vertices, len(Cur)+len(Next): level turns leave
 // Next empty between turns, so that is the frontier size BANKS compares.
+// A queue that next returns -1 for is exhausted: every vertex it reached
+// has settled, so its Reached is the keyword's complete ball.
 type Schedule struct {
 	// rarest expands only the keyword with the fewest occurrences, which
 	// every answer root reaches within d_max; each vertex it reaches is a
@@ -58,9 +65,9 @@ var (
 // none will.
 func (sc Schedule) next(f *Frontier, dmax int) int {
 	switch {
-	case sc.finalize && len(f.Cur) > 0:
+	case sc.finalize && f.hi > f.lo:
 		return f.Level
-	case sc.finalize && len(f.Next) > 0, !sc.finalize && len(f.Cur) > 0 && f.Level < dmax:
+	case sc.finalize && len(f.Reached) > f.mark, !sc.finalize && f.hi > f.lo && f.Level < dmax:
 		return f.Level + 1
 	}
 	return -1
@@ -110,6 +117,16 @@ func (p *rootedSearch) Search(q []graph.Label, k int) ([]Match, error) {
 // root counter marks a vertex as found when the last expanding keyword
 // settles it. Witness nodes are presentational (Match.Key ignores them),
 // so they are found only for the matches returned.
+//
+// When a queue is exhausted, its keyword's ball is complete and settled.
+// The first complete ball seeds the candidate roots, its vertices that
+// are not roots yet; each later one keeps only the candidates it holds.
+// A root found afterwards lies in every complete ball, so it is a
+// candidate, and the search ends once every candidate is a root. The stop
+// is exact: no vertex outside the candidates can become a root, and the
+// roots already found keep their distances, so it changes no answer for
+// any k or score. Bidirectional's single queue ends the loop when it is
+// exhausted, so the stop never fires there.
 func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([]Match, error) {
 	if len(q) == 0 {
 		return nil, fmt.Errorf("%s: empty query", p.name)
@@ -137,8 +154,12 @@ func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([
 	s := GetScratch(g.NumVertices(), len(expand))
 	defer PutScratch(s)
 
+	fronts := s.fronts[:len(expand)]
 	var matches []Match
 	work := 0 // vertices the turns take; forward verifications under rarest
+	// cands are the candidate roots once some ball is complete; left counts
+	// those not found since (-1 before any ball is complete).
+	cands, left := s.cands[:0], -1
 	// found takes v once every keyword has settled it, an answer root, or
 	// under rarest once it settles, a candidate root to verify forward.
 	// Callers count settling keywords (CountRoot) inline, on the hot path.
@@ -146,6 +167,9 @@ func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([
 		if !sched.rarest {
 			dists := s.Dists(v, len(q))
 			matches = append(matches, Match{Root: v, Dists: dists, Score: score(dists)})
+			if left > 0 {
+				left--
+			}
 		} else if !cancel.Cancelled() {
 			work++
 			if m, ok := s.RootMatch(g, v, q, dmax); ok {
@@ -154,29 +178,52 @@ func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([
 			}
 		}
 	}
-	fronts := s.fronts[:len(expand)]
+	// closeBall takes exhausted queue i's complete ball into cands.
+	closeBall := func(i int) {
+		f := &fronts[i]
+		f.closed = true
+		if left < 0 {
+			for _, v := range f.Reached {
+				if s.RootCount(v) < len(q) {
+					cands = append(cands, v)
+				}
+			}
+		} else {
+			kept := cands[:0]
+			for _, v := range cands {
+				if _, ok := s.Dist(i, v); ok && s.RootCount(v) < len(q) {
+					kept = append(kept, v)
+				}
+			}
+			cands = kept
+		}
+		left = len(cands)
+	}
 	for i, l := range expand {
+		f := &fronts[i]
 		for _, v := range g.VerticesWithLabel(l) {
 			if s.Reach(i, v, 0) {
-				fronts[i].Cur = append(fronts[i].Cur, v)
+				f.Push(v)
 				if !sched.finalize && (sched.rarest || s.CountRoot(v) == len(q)) {
 					found(v)
 				}
 			}
 		}
+		f.Advance()
 	}
 
 	peak, checked, earlyStop := 0, -1, false // checked: the bound last checked
 	for !cancel.Cancelled() {
 		// A root not found yet settles at a turn of a live queue, so it
 		// scores at least the nearest distance a live queue settles at.
-		kw, smallest, bound, queued := -1, 0, -1, 0
+		kw, smallest, bound, queued, closing := -1, 0, -1, 0, false
 		for i := range fronts {
 			f := &fronts[i]
-			size := len(f.Cur) + len(f.Next)
+			size := f.Queued()
 			queued += size
 			d := sched.next(f, dmax)
 			if d < 0 {
+				closing = closing || !f.closed
 				continue
 			}
 			if bound < 0 || d < bound {
@@ -188,6 +235,16 @@ func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([
 		}
 		peak = max(peak, queued)
 		if kw < 0 {
+			break
+		}
+		if closing {
+			for i := range fronts {
+				if f := &fronts[i]; !f.closed && sched.next(f, dmax) < 0 {
+					closeBall(i)
+				}
+			}
+		}
+		if left == 0 {
 			break
 		}
 		// Checked only when the bound rises: it never falls and new roots
@@ -208,12 +265,11 @@ func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([
 		if sched.finalize {
 			// A finalize turn pops, settles and expands the last vertex of
 			// the queue's nearest bucket.
-			if len(f.Cur) == 0 {
+			if f.hi == f.lo {
 				f.Advance()
 				d++
 			}
-			v := f.Cur[len(f.Cur)-1]
-			f.Cur = f.Cur[:len(f.Cur)-1]
+			v := f.Pop()
 			if !sched.rarest {
 				work++
 			}
@@ -223,7 +279,7 @@ func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([
 			if d <= dmax {
 				for _, u := range g.In(v) {
 					if s.Reach(kw, u, d) {
-						f.Next = append(f.Next, u)
+						f.Push(u)
 					}
 				}
 			}
@@ -231,7 +287,7 @@ func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([
 		}
 		// A level turn expands the queue's whole level, then settles the
 		// vertices it reached, in order.
-		for _, v := range f.Cur {
+		for _, v := range f.Cur() {
 			if cancel.Cancelled() {
 				break
 			}
@@ -240,17 +296,18 @@ func (p *rootedSearch) SearchCtx(ctx context.Context, q []graph.Label, k int) ([
 			}
 			for _, u := range g.In(v) {
 				if s.Reach(kw, u, d) {
-					f.Next = append(f.Next, u)
+					f.Push(u)
 				}
 			}
 		}
 		f.Advance()
-		for _, v := range f.Cur {
+		for _, v := range f.Cur() {
 			if sched.rarest || s.CountRoot(v) == len(q) {
 				found(v)
 			}
 		}
 	}
+	s.cands = cands
 
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		sp.SetAttr("expanded", work).SetAttr("roots", len(matches)).SetAttr("early_topk", earlyStop)

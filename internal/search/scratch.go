@@ -9,7 +9,7 @@ import (
 
 // Scratch is the dense, reusable state of one rooted search (bkws, bidir,
 // Blinks) and of every bounded breadth-first traversal (Ball): per keyword
-// a distance row and a pair of level buffers, a per-vertex root counter,
+// a distance row and a level-order queue, a per-vertex root counter,
 // and a probe row for the traversals that verify and witness roots, draw
 // the cost model's samples and build r-clique's neighbour rows.
 //
@@ -30,7 +30,8 @@ type Scratch struct {
 	epoch  uint32     // the current search
 	dist   [][]uint64 // dist[kw][v] = epoch<<32 | keyword kw's distance at v
 	roots  []uint64   // roots[v] = epoch<<32 | keywords that have reached v
-	fronts []Frontier // fronts[kw]: keyword kw's level buffers
+	fronts []Frontier // fronts[kw]: keyword kw's expansion
+	cands  []graph.V  // the candidate roots of a rooted search
 
 	probe uint32    // the current probe
 	seen  []uint64  // seen[v] = probe<<32 | the current probe's distance at v
@@ -55,18 +56,41 @@ const (
 	Both
 )
 
-// Frontier is one keyword's level-order expansion: Cur holds vertices at
-// distance Level, Next collects those discovered at Level+1. Its buffers
-// belong to the Scratch that handed it out and are reused by later
+// Frontier is one keyword's level-order expansion. Reached holds every
+// vertex the keyword has reached, in the order reached, so once the queue
+// is exhausted it is the keyword's whole ball; the queue itself is two
+// ranges of it, Cur (vertices at distance Level not yet taken) and Next
+// (those discovered at Level+1). A fresh Frontier is at level -1: its
+// sources are pushed as Next and made current by Advance. Its buffer
+// belongs to the Scratch that handed it out and is reused by later
 // searches.
 type Frontier struct {
-	Level     int
-	Cur, Next []graph.V
+	Level   int
+	Reached []graph.V
+	lo, hi  int  // Cur is Reached[lo:hi]
+	mark    int  // Reached[mark:] is Next
+	closed  bool // the exhausted queue's ball has been taken (rooted search)
+}
+
+// Cur returns the vertices at distance Level still queued.
+func (f *Frontier) Cur() []graph.V { return f.Reached[f.lo:f.hi] }
+
+// Queued returns how many vertices the queue holds, len(Cur) plus those
+// discovered at Level+1.
+func (f *Frontier) Queued() int { return f.hi - f.lo + len(f.Reached) - f.mark }
+
+// Push queues v at distance Level+1.
+func (f *Frontier) Push(v graph.V) { f.Reached = append(f.Reached, v) }
+
+// Pop takes the last vertex of Cur.
+func (f *Frontier) Pop() graph.V {
+	f.hi--
+	return f.Reached[f.hi]
 }
 
 // Advance makes Next the current level.
 func (f *Frontier) Advance() {
-	f.Cur, f.Next = f.Next, f.Cur[:0]
+	f.lo, f.hi, f.mark = f.mark, len(f.Reached), len(f.Reached)
 	f.Level++
 }
 
@@ -108,7 +132,7 @@ func GetScratch(n, kw int) *Scratch {
 	}
 	for i := range s.fronts[:kw] {
 		f := &s.fronts[i]
-		f.Level, f.Cur, f.Next = 0, f.Cur[:0], f.Next[:0]
+		*f = Frontier{Level: -1, Reached: f.Reached[:0]}
 	}
 	return s
 }
@@ -145,6 +169,15 @@ func (s *Scratch) CountRoot(v graph.V) int {
 	}
 	s.roots[v] = uint64(s.epoch)<<32 | uint64(c)
 	return int(c)
+}
+
+// RootCount returns how many keywords have reached v in this search.
+func (s *Scratch) RootCount(v graph.V) int {
+	e := s.roots[v]
+	if uint32(e>>32) != s.epoch {
+		return 0
+	}
+	return int(uint32(e))
 }
 
 // Dists returns v's recorded distance for each of the first n keywords

@@ -15,7 +15,7 @@ import (
 // window after a fixed query sequence (window and total, the bits of β̂
 // and of the fitted coefficients, every calibration row) and the
 // bigindex_costmodel_misroute_total counter of every algorithm.
-const auditPin = "b0625e9d66e540e21f834660f9e0b243d687c175eb20ced3c6ed1955923a63ba"
+const auditPin = "91ae8737dd15f5875725cc4992bc01ac646275a0c28d52753b56ce17daf58a34"
 
 // TestCostAuditPinned sends a fixed sequence of routed and pinned-layer
 // nocache queries and pins what the Formula 4 calibration audit made of

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"time"
 
@@ -23,18 +24,21 @@ const statusClientClosedRequest = 499
 // back off instead of piling goroutines onto an overloaded process. Only
 // the expensive endpoints (/query) sit behind the gate — health, metrics,
 // and stats must stay responsive exactly when the process is saturated.
-func (s *Server) shedded(next http.HandlerFunc) http.HandlerFunc {
+// The request's query string is parsed once, here, and handed to next.
+func (s *Server) shedded(next func(http.ResponseWriter, *http.Request, url.Values)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		vals := r.URL.Query()
+		algo, q := vals.Get("algo"), vals.Get("q")
 		// Register the query with the flight recorder's live registry before
 		// the gate: an in-flight query stuck waiting for a slot is exactly
 		// the kind /debug/active must surface.
 		tr := obs.SpanFromContext(r.Context()).Trace()
 		start := time.Now()
-		tok := s.recorder.Begin(tr, r.URL.Query().Get("algo"), r.URL.Query().Get("q"))
+		tok := s.recorder.Begin(tr, algo, q)
 		defer s.recorder.End(tok)
 
 		if s.sem == nil {
-			next(w, r)
+			next(w, r, vals)
 			return
 		}
 		acquired := false
@@ -56,14 +60,12 @@ func (s *Server) shedded(next http.HandlerFunc) http.HandlerFunc {
 		if !acquired {
 			if r.Context().Err() != nil {
 				s.cancelled.With("client").Inc()
-				s.recorder.Finish(tr, r.URL.Query().Get("algo"), r.URL.Query().Get("q"),
-					"cancelled", time.Since(start))
+				s.recorder.Finish(tr, algo, q, "cancelled", time.Since(start))
 				httpError(w, statusClientClosedRequest, fmt.Errorf("client closed request"))
 				return
 			}
 			s.shed.Inc()
-			s.recorder.Finish(tr, r.URL.Query().Get("algo"), r.URL.Query().Get("q"),
-				"shed", time.Since(start))
+			s.recorder.Finish(tr, algo, q, "shed", time.Since(start))
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusTooManyRequests,
 				fmt.Errorf("query capacity exhausted (%d in flight); retry shortly", cap(s.sem)))
@@ -74,7 +76,7 @@ func (s *Server) shedded(next http.HandlerFunc) http.HandlerFunc {
 			s.inflightQ.Add(-1)
 			<-s.sem
 		}()
-		next(w, r)
+		next(w, r, vals)
 	}
 }
 

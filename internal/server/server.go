@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -819,8 +820,8 @@ type queryResponse struct {
 // intParam parses an optional integer query parameter: absent keeps def,
 // malformed is a client error (the old behaviour silently swallowed the
 // strconv error and treated "abc" as the default, masking typos).
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func intParam(vals url.Values, name string, def int) (int, error) {
+	raw := vals.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -851,9 +852,9 @@ func (s *Server) parseK(raw string) (int, error) {
 // queryDeadline resolves the effective evaluation deadline: the server's
 // QueryTimeout, optionally shortened (never extended) by a &timeout=
 // duration parameter.
-func (s *Server) queryDeadline(r *http.Request) (time.Duration, error) {
+func (s *Server) queryDeadline(vals url.Values) (time.Duration, error) {
 	timeout := s.opt.QueryTimeout
-	raw := r.URL.Query().Get("timeout")
+	raw := vals.Get("timeout")
 	if raw == "" {
 		return timeout, nil
 	}
@@ -876,8 +877,8 @@ func (s *Server) queryDeadline(r *http.Request) (time.Duration, error) {
 // Canonicalization means semantically identical queries — "b,a,a" and
 // "a,b" — share one cache key, one singleflight slot, and one
 // evaluation.
-func (s *Server) resolve(st *indexState, r *http.Request) ([]graph.Label, []string, error) {
-	qparam := r.URL.Query().Get("q")
+func (s *Server) resolve(st *indexState, vals url.Values) ([]graph.Label, []string, error) {
+	qparam := vals.Get("q")
 	if qparam == "" {
 		return nil, nil, fmt.Errorf("missing q parameter")
 	}
@@ -895,33 +896,35 @@ func (s *Server) resolveKeywords(st *indexState, kws []string) ([]graph.Label, [
 	return qcache.CanonicalLabels(q), notes, nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// handleQuery serves /query behind shedded, which parsed the request's
+// query string into vals.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, vals url.Values) {
 	ctx := r.Context()
 	st := s.st() // one consistent index version for the whole request
-	q, notes, err := s.resolve(st, r)
+	q, notes, err := s.resolve(st, vals)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	algoName := r.URL.Query().Get("algo")
-	k, err := s.parseK(r.URL.Query().Get("k"))
+	algoName := vals.Get("algo")
+	k, err := s.parseK(vals.Get("k"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Absent, the layer is -1 and Formula 4 routes; present, it must name
 	// one of the index's layers.
-	forcedLayer, err := intParam(r, "layer", -1)
+	forcedLayer, err := intParam(vals, "layer", -1)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.URL.Query().Get("layer") != "" && (forcedLayer < 0 || forcedLayer >= st.idx.NumLayers()) {
+	if vals.Get("layer") != "" && (forcedLayer < 0 || forcedLayer >= st.idx.NumLayers()) {
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("layer %d out of range (index has layers 0..%d)", forcedLayer, st.idx.NumLayers()-1))
 		return
 	}
-	timeout, err := s.queryDeadline(r)
+	timeout, err := s.queryDeadline(vals)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -944,14 +947,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx = obs.ContextWithLedger(ctx, led)
 
 	algo := orDefault(algoName, "blinks")
-	direct := r.URL.Query().Get("direct") != ""
-	nocache := r.URL.Query().Get("nocache") != ""
+	direct := vals.Get("direct") != ""
+	nocache := vals.Get("nocache") != ""
 	mode := "eval"
 	if direct {
 		mode = "direct"
 	}
 	obs.AddLogAttrs(ctx,
-		slog.String("query", r.URL.Query().Get("q")),
+		slog.String("query", vals.Get("q")),
 		slog.String("algo", algo),
 		slog.Int("k", k),
 		slog.String("mode", mode))
@@ -964,7 +967,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// cancelled queries are always retained, the rest compete as
 	// slowest-of-window or uniform sample.
 	tr := obs.SpanFromContext(ctx).Trace()
-	qRaw := r.URL.Query().Get("q")
+	qRaw := vals.Get("q")
 	cost := led.Snapshot()
 	degradedReason := cr.degraded
 	if err != nil {
@@ -1056,7 +1059,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Coverage = cov
 	}
-	if want, _ := strconv.ParseBool(r.URL.Query().Get("trace")); want {
+	if want, _ := strconv.ParseBool(vals.Get("trace")); want {
 		if tr := obs.SpanFromContext(ctx).Trace(); tr != nil {
 			if js, err := json.Marshal(tr); err == nil {
 				resp.Trace = js
@@ -1077,13 +1080,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	q, notes, err := s.resolve(st, r)
+	st, vals := s.st(), r.URL.Query()
+	q, notes, err := s.resolve(st, vals)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	ev, err := s.evaluator(st, r.URL.Query().Get("algo"))
+	ev, err := s.evaluator(st, vals.Get("algo"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -1113,8 +1116,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	prefix := r.URL.Query().Get("prefix")
-	limit, err := intParam(r, "limit", 10)
+	vals := r.URL.Query()
+	prefix := vals.Get("prefix")
+	limit, err := intParam(vals, "limit", 10)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -2,10 +2,8 @@ package obs
 
 import (
 	"context"
-	"runtime/metrics"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // MaxLedgerLayers bounds the per-layer work-unit array. BiG-index
@@ -20,24 +18,16 @@ const MaxLedgerLayers = 16
 const MaxLedgerShards = 32
 
 // Ledger is the per-query resource ledger: deterministic work counters
-// (vertices expanded, frontier peak, per-layer work units) plus
-// process-level CPU-time and heap-allocation deltas sampled at creation
-// and snapshot. It is carried through evaluation in the context
+// (vertices expanded, frontier peak, per-layer and per-shard-worker work
+// units). It is carried through evaluation in the context
 // (ContextWithLedger), next to the trace span, and every method is
 // nil-safe so instrumented code records unconditionally — without a
 // ledger in the context the whole feature costs one nil check.
 //
-// The deterministic counters are exact and per-query: the evaluator and
-// the search algorithms accumulate locally and flush once, so concurrent
-// queries never share a counter. The CPU and allocation deltas read
-// process-wide totals (runtime/metrics and getrusage) and are therefore
-// approximate under concurrent load; they are cheap (no stop-the-world)
-// and calibrate well against the work units on a lightly loaded process.
+// The counters are exact and per-query: the evaluator and the search
+// algorithms accumulate locally and flush once, so concurrent queries
+// never share a counter.
 type Ledger struct {
-	start      time.Time
-	startCPU   time.Duration
-	startAlloc uint64
-
 	expanded     atomic.Int64
 	frontierPeak atomic.Int64
 	layerWork    [MaxLedgerLayers]atomic.Int64
@@ -51,8 +41,6 @@ type Ledger struct {
 	// complementary question: what did the fleet itself spend.
 	remoteCalls atomic.Int64
 	remoteUnits atomic.Int64
-	remoteCPUUS atomic.Int64
-	remoteAlloc atomic.Int64
 
 	mu   sync.Mutex
 	snap *LedgerSnapshot // set once by Snapshot; later calls reuse it
@@ -62,8 +50,6 @@ type Ledger struct {
 // LayerWork is indexed by layer (0 = data graph) and trimmed to the
 // highest layer that saw work.
 type LedgerSnapshot struct {
-	CPUUS        int64   `json:"cpu_us,omitempty"`
-	AllocBytes   int64   `json:"alloc_bytes,omitempty"`
 	Expanded     int64   `json:"vertices_expanded"`
 	FrontierPeak int64   `json:"frontier_peak"`
 	LayerWork    []int64 `json:"layer_work,omitempty"`
@@ -76,23 +62,13 @@ type LedgerSnapshot struct {
 	// for this query (telemetry-negotiated fleets only). WorkUnits above
 	// already includes remote expansion work — the coordinator counts
 	// every ExpandResponse it absorbs — so RemoteWorkUnits is the
-	// peer-measured cross-check of that same work, and RemoteCPUUS /
-	// RemoteAllocBytes are cost the coordinator could not see at all.
-	RemoteCalls      int64 `json:"remote_calls,omitempty"`
-	RemoteWorkUnits  int64 `json:"remote_work_units,omitempty"`
-	RemoteCPUUS      int64 `json:"remote_cpu_us,omitempty"`
-	RemoteAllocBytes int64 `json:"remote_alloc_bytes,omitempty"`
+	// peer-measured cross-check of that same work.
+	RemoteCalls     int64 `json:"remote_calls,omitempty"`
+	RemoteWorkUnits int64 `json:"remote_work_units,omitempty"`
 }
 
-// NewLedger starts a ledger, sampling the process CPU and allocation
-// baselines the deltas are taken against.
-func NewLedger() *Ledger {
-	return &Ledger{
-		start:      time.Now(),
-		startCPU:   processCPUTime(),
-		startAlloc: heapAllocBytes(),
-	}
-}
+// NewLedger starts an empty ledger.
+func NewLedger() *Ledger { return &Ledger{} }
 
 // AddExpanded adds n to the vertices-expanded counter. Algorithms
 // accumulate locally during a search and flush the total here once.
@@ -160,8 +136,6 @@ func (l *Ledger) MergeRemote(s *LedgerSnapshot) {
 	}
 	l.remoteCalls.Add(1)
 	l.remoteUnits.Add(s.WorkUnits)
-	l.remoteCPUUS.Add(s.CPUUS)
-	l.remoteAlloc.Add(s.AllocBytes)
 }
 
 // WorkUnits returns the total work units attributed so far: the sum of
@@ -181,9 +155,8 @@ func (l *Ledger) WorkUnits() int64 {
 	return sum
 }
 
-// Snapshot finalizes the ledger: the first call computes the CPU and
-// allocation deltas and freezes the counters; subsequent calls return the
-// same snapshot. Nil-safe (returns nil).
+// Snapshot finalizes the ledger: the first call freezes the counters;
+// subsequent calls return the same snapshot. Nil-safe (returns nil).
 func (l *Ledger) Snapshot() *LedgerSnapshot {
 	if l == nil {
 		return nil
@@ -197,12 +170,6 @@ func (l *Ledger) Snapshot() *LedgerSnapshot {
 		Expanded:     l.expanded.Load(),
 		FrontierPeak: l.frontierPeak.Load(),
 		WorkUnits:    l.WorkUnits(),
-	}
-	if cpu := processCPUTime() - l.startCPU; cpu > 0 {
-		s.CPUUS = cpu.Microseconds()
-	}
-	if alloc := heapAllocBytes(); alloc > l.startAlloc {
-		s.AllocBytes = int64(alloc - l.startAlloc)
 	}
 	top := -1
 	for i := range l.layerWork {
@@ -230,22 +197,8 @@ func (l *Ledger) Snapshot() *LedgerSnapshot {
 	}
 	s.RemoteCalls = l.remoteCalls.Load()
 	s.RemoteWorkUnits = l.remoteUnits.Load()
-	s.RemoteCPUUS = l.remoteCPUUS.Load()
-	s.RemoteAllocBytes = l.remoteAlloc.Load()
 	l.snap = s
 	return s
-}
-
-// heapAllocBytes reads the cumulative heap allocation counter via
-// runtime/metrics — unlike runtime.ReadMemStats this does not
-// stop the world, so it is cheap enough to sample per query.
-func heapAllocBytes() uint64 {
-	sample := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(sample[:])
-	if sample[0].Value.Kind() != metrics.KindUint64 {
-		return 0
-	}
-	return sample[0].Value.Uint64()
 }
 
 type ledgerCtxKey struct{}

@@ -3,7 +3,6 @@ package obs
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -108,9 +107,9 @@ type TraceRecord struct {
 	Keep    string    `json:"keep"` // "outcome" | "slow" | "sample"
 	Start   time.Time `json:"start"`
 	DurUS   int64     `json:"dur_us"`
-	// Cost is the query's resource ledger (per-layer work units, CPU and
-	// allocation deltas) when the caller threaded one; /debug/traces/{id}
-	// serves it as the trace's cost breakdown.
+	// Cost is the query's resource ledger (work units per layer and per
+	// shard worker, vertices expanded, frontier peak) when it has one;
+	// /debug/traces/{id} serves it as the trace's cost breakdown.
 	Cost  *LedgerSnapshot `json:"cost,omitempty"`
 	Spans SpanJSON        `json:"spans"`
 
@@ -119,15 +118,11 @@ type TraceRecord struct {
 
 // Finish hands a completed query's trace to the recorder, which decides
 // keep-or-drop. outcome "ok" is unremarkable; anything else ("error",
-// "degraded", "shed", "cancelled", …) is always kept. Returns whether the
-// trace was retained. Nil-safe; a nil trace is counted but never kept.
-func (r *Recorder) Finish(t *Trace, algo, query, outcome string, dur time.Duration) bool {
-	return r.FinishCost(t, algo, query, outcome, dur, nil)
-}
-
-// FinishCost is Finish with the query's finalized resource ledger
-// attached to the retained trace.
-func (r *Recorder) FinishCost(t *Trace, algo, query, outcome string, dur time.Duration, cost *LedgerSnapshot) bool {
+// "degraded", "shed", "cancelled", …) is always kept. cost is the
+// query's finalized resource ledger, attached to the retained trace (nil
+// when the query never reached evaluation). Returns whether the trace was
+// retained. Nil-safe; a nil trace is counted but never kept.
+func (r *Recorder) Finish(t *Trace, algo, query, outcome string, dur time.Duration, cost *LedgerSnapshot) bool {
 	if r == nil {
 		return false
 	}
@@ -366,22 +361,4 @@ func (r *Recorder) Active() []ActiveQuery {
 		}
 	}
 	return out
-}
-
-// Outcome normalizes a query's terminal state for tail sampling: "" and
-// "ok" mean unremarkable; everything else forces retention. Helper for
-// call sites assembling the outcome from separate error/degraded flags.
-func Outcome(err error, degraded bool) string {
-	switch {
-	case err != nil:
-		msg := err.Error()
-		if strings.Contains(msg, "context canceled") {
-			return "cancelled"
-		}
-		return "error"
-	case degraded:
-		return "degraded"
-	default:
-		return "ok"
-	}
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"context"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +9,7 @@ import (
 func finishOne(r *Recorder, algo, outcome string, dur time.Duration) *Trace {
 	t := NewTrace("query")
 	t.Root().End()
-	r.Finish(t, algo, "kw1,kw2", outcome, dur)
+	r.Finish(t, algo, "kw1,kw2", outcome, dur, &LedgerSnapshot{WorkUnits: 7})
 	return t
 }
 
@@ -24,7 +22,7 @@ func TestRecorderKeepsBadOutcomes(t *testing.T) {
 		if !ok {
 			t.Fatalf("outcome %q not retained", outcome)
 		}
-		if rec.Outcome != outcome || rec.Keep != "outcome" {
+		if rec.Outcome != outcome || rec.Keep != "outcome" || rec.Cost == nil || rec.Cost.WorkUnits != 7 {
 			t.Fatalf("outcome %q: got %+v", outcome, rec)
 		}
 	}
@@ -144,7 +142,7 @@ func TestRecorderActive(t *testing.T) {
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	tr := NewTrace("query")
-	if r.Finish(tr, "a", "q", "error", time.Second) {
+	if r.Finish(tr, "a", "q", "error", time.Second, nil) {
 		t.Fatal("nil recorder claimed to retain a trace")
 	}
 	tok := r.Begin(tr, "a", "q")
@@ -161,7 +159,7 @@ func TestRecorderNilSafe(t *testing.T) {
 // nothing to show), only counted.
 func TestRecorderNilTrace(t *testing.T) {
 	r := NewRecorder(RecorderOptions{Sample: 1})
-	if r.Finish(nil, "a", "q", "error", time.Second) {
+	if r.Finish(nil, "a", "q", "error", time.Second, nil) {
 		t.Fatal("nil trace retained")
 	}
 	if r.Len() != 0 {
@@ -177,22 +175,5 @@ func TestRecorderKeptMetrics(t *testing.T) {
 	reg.WritePrometheus(&buf)
 	if !strings.Contains(buf.String(), `bigindex_trace_kept_total{reason="outcome"} 1`) {
 		t.Fatalf("kept counter missing:\n%s", buf.String())
-	}
-}
-
-func TestOutcomeHelper(t *testing.T) {
-	for _, tc := range []struct {
-		err      error
-		degraded bool
-		want     string
-	}{
-		{nil, false, "ok"},
-		{nil, true, "degraded"},
-		{context.Canceled, false, "cancelled"},
-		{errors.New("boom"), false, "error"},
-	} {
-		if got := Outcome(tc.err, tc.degraded); got != tc.want {
-			t.Fatalf("Outcome(%v, %v) = %q, want %q", tc.err, tc.degraded, got, tc.want)
-		}
 	}
 }

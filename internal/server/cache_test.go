@@ -15,7 +15,6 @@ import (
 
 	"bigindex/internal/datagen"
 	"bigindex/internal/graph"
-	"bigindex/internal/qcache"
 	"bigindex/internal/search"
 )
 
@@ -213,12 +212,13 @@ func TestConcurrentIdenticalQueriesEvalOnce(t *testing.T) {
 		ExtraAlgorithms: map[string]search.Algorithm{"sf": slow},
 	})
 	kw := popularTerm(ds)
-	q, _, err := s.resolveKeywords(s.st(), []string{kw})
+	vals := url.Values{"q": {kw}, "algo": {"sf"}, "direct": {"1"}}
+	req, err := s.parseRequest(s.st(), vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := qcache.Key("sf", true, q, 10, -1, s.Index().Epoch())
-	path := "/query?q=" + url.QueryEscape(kw) + "&algo=sf&direct=1"
+	key := req.key(s.Index().Epoch())
+	path := "/query?" + vals.Encode()
 
 	var wg sync.WaitGroup
 	codes := make(chan int, n)

@@ -42,30 +42,30 @@ func newCostAudit(reg *obs.Registry) *costAudit {
 // reading Formula 4's terms from the query's cost table on bd. Called from
 // evalQuery after a successful evaluation; direct (baseline) evaluations
 // and cache hits never reach it. Queries at a client-pinned layer
-// (forcedLayer >= 0) enter the window too — their observed work at that
+// (req.layer >= 0) enter the window too — their observed work at that
 // layer is as much a calibration point as a routed query's — but only
 // routed queries are checked for misroutes: for a pinned one the router
 // made no choice.
-func (s *Server) auditCost(ev *core.Evaluator, algo string, bd *core.Breakdown, led *obs.Ledger, forcedLayer int) {
+func (s *Server) auditCost(req request, bd *core.Breakdown, led *obs.Ledger) {
 	a := s.audit
 	if a == nil || led == nil || bd == nil {
 		return
 	}
 	work := led.WorkUnits()
-	size := ev.Index().Data().Size()
+	size := req.ev.Index().Data().Size()
 	if work <= 0 || size <= 0 {
 		return
 	}
 	observed := float64(work) / float64(size)
-	beta := ev.Options().Beta
+	beta := req.ev.Options().Beta
 	row := bd.Costs[bd.Layer]
-	a.errRatio.With(algo, strconv.Itoa(bd.Layer)).Observe(bd.Costs.Cost(bd.Layer, beta) / observed)
-	a.cal.Add(cost.Sample{Algo: algo, Layer: bd.Layer, Compress: row.Compress, Sup: row.Sup, Observed: observed})
-	if forcedLayer >= 0 {
+	a.errRatio.With(req.algo, strconv.Itoa(bd.Layer)).Observe(bd.Costs.Cost(bd.Layer, beta) / observed)
+	a.cal.Add(cost.Sample{Algo: req.algo, Layer: bd.Layer, Compress: row.Compress, Sup: row.Sup, Observed: observed})
+	if req.layer >= 0 {
 		return
 	}
 	if _, fa, fb, ok := a.cal.Fit(); ok && bd.Costs.Argmin(fa, fb) != bd.Layer {
-		a.misroute.With(algo).Inc()
+		a.misroute.With(req.algo).Inc()
 		a.misroutes.Add(1)
 	}
 }

@@ -246,14 +246,15 @@ func BenchmarkAuditCost(b *testing.B) {
 		}
 		runs = append(runs, run{bd, led})
 	}
+	req := request{ev: ev, algo: "bkws", layer: -1}
 	for i := 0; i < 512; i++ {
 		r := runs[i%len(runs)]
-		s.auditCost(ev, "bkws", r.bd, r.led, -1)
+		s.auditCost(req, r.bd, r.led)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := runs[i%len(runs)]
-		s.auditCost(ev, "bkws", r.bd, r.led, -1)
+		s.auditCost(req, r.bd, r.led)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -222,4 +224,85 @@ func queryCount(t *testing.T, s *Server, path string) int {
 		t.Fatalf("%s: count %v != len(matches) %d", path, cnt, len(ms))
 	}
 	return int(cnt)
+}
+
+// maxSeries bounds the label sets (histogram buckets folded) of any one
+// bigindex_* family: algorithms × layers is the widest legitimate domain.
+const maxSeries = 40
+
+// TestMetricCardinalityBounded drives /query with hundreds of distinct
+// keyword sets, unknown algorithms, unknown paths and malformed
+// parameters, and requires every bigindex_* family to stay under
+// maxSeries label sets: only validated values (normalized paths, parsed
+// algorithm names, layers, outcomes) may become labels, so the series
+// count cannot grow with the number of distinct requests.
+func TestMetricCardinalityBounded(t *testing.T) {
+	s, ds := robustServer(t, Options{})
+	terms := popularTerms(ds, 24)
+	algos := []string{"blinks", "bkws", "bidir", "rclique"}
+	n := 0
+	for i, a := range terms {
+		for _, b := range terms[i+1:] {
+			get(t, s, "/query?q="+url.QueryEscape(a+","+b)+"&algo="+algos[n%len(algos)]+"&k=3")
+			n++
+		}
+	}
+	for i := 0; i < 3*maxSeries; i++ {
+		kw := url.QueryEscape(terms[i%len(terms)])
+		for _, path := range []string{
+			fmt.Sprintf("/query?q=%s&algo=plugin%d", kw, i),
+			fmt.Sprintf("/nowhere/%d", i),
+			fmt.Sprintf("/debug/traces/%d", i),
+			fmt.Sprintf("/query?q=%s&k=x%d", kw, i),
+			fmt.Sprintf("/query?q=%s&layer=%d", kw, 100+i),
+			fmt.Sprintf("/query?q=%s&direct=d%d", kw, i),
+			fmt.Sprintf("/query?q=nolabel%d", i),
+		} {
+			if rec, _ := get(t, s, path); rec.Code < 400 {
+				t.Fatalf("%s: status %d, want an error", path, rec.Code)
+			}
+		}
+	}
+	if n < 3*maxSeries {
+		t.Fatalf("only %d distinct keyword sets", n)
+	}
+
+	rec, _ := get(t, s, "/metrics")
+	for fam, sets := range seriesByFamily(rec.Body.String()) {
+		if len(sets) > maxSeries {
+			t.Errorf("%s has %d series after %d distinct requests", fam, len(sets), n+7*3*maxSeries)
+		}
+	}
+}
+
+// seriesByFamily maps each bigindex_* family of a Prometheus exposition to
+// its distinct label sets, with histogram samples folded into their
+// family and the le label dropped.
+func seriesByFamily(exposition string) map[string]map[string]bool {
+	types := map[string]string{}
+	out := map[string]map[string]bool{}
+	le := regexp.MustCompile(`,?le="[^"]*"`)
+	for _, line := range strings.Split(exposition, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+			continue
+		}
+		if !strings.HasPrefix(line, "bigindex_") {
+			continue
+		}
+		name, labels := line[:strings.IndexAny(line, "{ ")], ""
+		if line[len(name)] == '{' {
+			labels = le.ReplaceAllString(line[len(name):strings.Index(line, "} ")+1], "")
+		}
+		for _, suf := range []string{"_bucket", "_sum", "_count"} {
+			if fam := strings.TrimSuffix(name, suf); fam != name && types[fam] == "histogram" {
+				name = fam
+			}
+		}
+		if out[name] == nil {
+			out[name] = map[string]bool{}
+		}
+		out[name][labels] = true
+	}
+	return out
 }

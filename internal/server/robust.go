@@ -1,15 +1,13 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
-	"net/url"
 	"runtime/debug"
 	"time"
-
-	"log/slog"
-
-	"bigindex/internal/obs"
 )
 
 // statusClientClosedRequest is the (nginx-convention) status recorded for
@@ -18,66 +16,48 @@ import (
 // from real 5xx failures.
 const statusClientClosedRequest = 499
 
-// shedded wraps a handler with the load-shedding gate: at most MaxInFlight
-// queries evaluate concurrently, an excess request waits up to ShedWait
-// for a slot, and past that it is shed with 429 + Retry-After so clients
-// back off instead of piling goroutines onto an overloaded process. Only
-// the expensive endpoints (/query) sit behind the gate — health, metrics,
-// and stats must stay responsive exactly when the process is saturated.
-// The request's query string is parsed once, here, and handed to next.
-func (s *Server) shedded(next func(http.ResponseWriter, *http.Request, url.Values)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		vals := r.URL.Query()
-		algo, q := vals.Get("algo"), vals.Get("q")
-		// Register the query with the flight recorder's live registry before
-		// the gate: an in-flight query stuck waiting for a slot is exactly
-		// the kind /debug/active must surface.
-		tr := obs.SpanFromContext(r.Context()).Trace()
-		start := time.Now()
-		tok := s.recorder.Begin(tr, algo, q)
-		defer s.recorder.End(tok)
+// errShed marks a query the load-shedding gate turned away.
+var errShed = errors.New("query capacity exhausted")
 
-		if s.sem == nil {
-			next(w, r, vals)
-			return
-		}
-		acquired := false
+// admit is the load-shedding gate in front of /query's evaluation: at
+// most MaxInFlight queries evaluate concurrently, an excess query waits up
+// to ShedWait for a slot, and past that it is shed (errShed, answered 429
+// + Retry-After) so clients back off instead of piling goroutines onto an
+// overloaded process. A client that goes away while waiting gets
+// context.Canceled. An admitted query calls release when it is done. Only
+// /query sits behind the gate — health, metrics, and stats must stay
+// responsive exactly when the process is saturated.
+func (s *Server) admit(ctx context.Context) (release func(), err error) {
+	if s.sem == nil {
+		return func() {}, nil
+	}
+	acquired := false
+	select {
+	case s.sem <- struct{}{}:
+		acquired = true
+	default:
+	}
+	if !acquired && s.opt.ShedWait > 0 {
+		t := time.NewTimer(s.opt.ShedWait)
 		select {
 		case s.sem <- struct{}{}:
 			acquired = true
-		default:
+		case <-ctx.Done():
+		case <-t.C:
 		}
-		if !acquired && s.opt.ShedWait > 0 {
-			t := time.NewTimer(s.opt.ShedWait)
-			select {
-			case s.sem <- struct{}{}:
-				acquired = true
-			case <-r.Context().Done():
-			case <-t.C:
-			}
-			t.Stop()
-		}
-		if !acquired {
-			if r.Context().Err() != nil {
-				s.cancelled.With("client").Inc()
-				s.recorder.Finish(tr, algo, q, "cancelled", time.Since(start))
-				httpError(w, statusClientClosedRequest, fmt.Errorf("client closed request"))
-				return
-			}
-			s.shed.Inc()
-			s.recorder.Finish(tr, algo, q, "shed", time.Since(start))
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests,
-				fmt.Errorf("query capacity exhausted (%d in flight); retry shortly", cap(s.sem)))
-			return
-		}
-		s.inflightQ.Add(1)
-		defer func() {
-			s.inflightQ.Add(-1)
-			<-s.sem
-		}()
-		next(w, r, vals)
+		t.Stop()
 	}
+	if !acquired {
+		if ctx.Err() != nil {
+			return nil, context.Canceled
+		}
+		return nil, fmt.Errorf("%w (%d in flight); retry shortly", errShed, cap(s.sem))
+	}
+	s.inflightQ.Add(1)
+	return func() {
+		s.inflightQ.Add(-1)
+		<-s.sem
+	}, nil
 }
 
 // recoverPanics converts a handler panic into a 500 with a stack-tagged

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,9 @@ func TestMalformedParams(t *testing.T) {
 		"/query?q=" + kw + "&timeout=abc",
 		"/query?q=" + kw + "&timeout=-5s",
 		"/query?q=" + kw + "&timeout=0s",
+		"/query?q=" + kw + "&direct=abc",
+		"/query?q=" + kw + "&nocache=2",
+		"/query?q=" + kw + "&trace=abc",
 		"/complete?prefix=term&limit=abc",
 		"/complete?prefix=term&limit=0",
 		"/complete?prefix=term&limit=-3",
@@ -291,6 +295,61 @@ func TestMalformedParams(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d, want 200: %s", path, rec.Code, rec.Body.String())
 		}
+	}
+
+	// A boolean's false spellings mean false: no direct baseline, the
+	// cache is read (the plain query above stored the answer), no trace.
+	rec, body := get(t, s, "/query?q="+kw+"&direct=0&nocache=false&trace=0")
+	if rec.Code != http.StatusOK || body["direct"] != nil || body["cached"] != true || body["trace"] != nil {
+		t.Fatalf("false booleans: %d %v", rec.Code, body)
+	}
+
+	// An absent algo names blinks, so a "blinks" plug-in runs for both
+	// spellings, whichever comes first.
+	for _, order := range [][]string{{"", "&algo=blinks"}, {"&algo=blinks", ""}} {
+		var calls atomic.Int64
+		shadow := &stubAlgo{name: "blinks", fn: func(ctx context.Context, q []graph.Label, k int) ([]search.Match, error) {
+			calls.Add(1)
+			return []search.Match{{Root: 0, Score: 1}}, nil
+		}}
+		s, _ := robustServer(t, Options{ExtraAlgorithms: map[string]search.Algorithm{"blinks": shadow}})
+		for i, algo := range order {
+			rec, body := get(t, s, "/query?q="+kw+algo+"&direct=1&nocache=1")
+			if rec.Code != http.StatusOK || body["algorithm"] != "blinks" || calls.Load() != int64(i+1) {
+				t.Fatalf("order %q, query %q: %d %v, shadow calls %d", order, algo, rec.Code, body, calls.Load())
+			}
+		}
+	}
+
+	// A query shed without &algo= is recorded under the algorithm it
+	// would have run.
+	release := make(chan struct{})
+	started := make(chan struct{})
+	block := &stubAlgo{name: "block", fn: func(ctx context.Context, q []graph.Label, k int) ([]search.Match, error) {
+		close(started)
+		<-release
+		return nil, nil
+	}}
+	shed, _ := robustServer(t, Options{
+		MaxInFlight:     1,
+		ShedWait:        -1,
+		ExtraAlgorithms: map[string]search.Algorithm{"block": block},
+		Debug:           DebugOptions{Endpoints: true},
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req := httptest.NewRequest(http.MethodGet, "/query?q="+kw+"&algo=block&direct=1", nil)
+		shed.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	<-started
+	if rec, _ := get(t, shed, "/query?q="+kw); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("second query = %d, want 429", rec.Code)
+	}
+	close(release)
+	<-done
+	if _, body := get(t, shed, "/debug/traces?outcome=shed&algo=blinks"); len(body["traces"].([]interface{})) != 1 {
+		t.Fatalf("want the shed trace under algo=blinks, got %v", body)
 	}
 }
 

@@ -111,7 +111,9 @@ type Options struct {
 	ShedWait time.Duration
 	// ExtraAlgorithms registers additional search semantics by name,
 	// resolved before the built-in set. Entries sharing a built-in name
-	// shadow it. Used for custom plug-ins and fault-injection tests.
+	// shadow it; a "blinks" entry also runs for requests without &algo=,
+	// since an absent algorithm names blinks. Used for custom plug-ins and
+	// fault-injection tests.
 	ExtraAlgorithms map[string]search.Algorithm
 	// Cache sizes the /query result cache (internal/qcache): hits skip
 	// evaluation entirely, and concurrent identical queries share one
@@ -368,7 +370,7 @@ func New(idx *core.Index, ont *ontology.Ontology, opt Options) *Server {
 	s.gEdges = s.reg.Gauge("bigindex_graph_edges", "Data graph edges.")
 	s.setIndexGauges(idx)
 
-	s.mux.HandleFunc("/query", s.shedded(s.handleQuery))
+	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/explain", s.handleExplain)
 	s.mux.HandleFunc("/complete", s.handleComplete)
 	s.mux.HandleFunc("/stats", s.handleStats)
@@ -473,16 +475,16 @@ func (s *Server) setIndexGauges(idx *core.Index) {
 // Called once at startup (NewMutator does it for you).
 func (s *Server) SetMutator(m *Mutator) { s.mutator.Store(m) }
 
-// algorithm resolves name to the search algorithm an evaluator over st
-// runs. An ExtraAlgorithms entry wins, even over a built-in name, and is
-// used as is: a plug-in's semantics are unknown, so it never goes to the
-// shard peers.
+// algorithm resolves a canonical name (see parseRequest) to the search
+// algorithm an evaluator over st runs. An ExtraAlgorithms entry wins,
+// even over a built-in name, and is used as is: a plug-in's semantics are
+// unknown, so it never goes to the shard peers.
 func (s *Server) algorithm(st *indexState, name string) (search.Algorithm, error) {
 	if a, ok := s.opt.ExtraAlgorithms[name]; ok {
 		return a, nil
 	}
 	switch name {
-	case "", "blinks":
+	case "blinks":
 		return blinks.New(blinks.Options{DMax: s.opt.DMax}), nil
 	case "bkws":
 		return s.onFleet(st, bkws.New(s.opt.DMax), bkws.NewSharded), nil
@@ -538,26 +540,25 @@ func (a *fleetAlgorithm) Prepare(g *graph.Graph) (search.Prepared, error) {
 	return a.Algorithm.Prepare(g)
 }
 
-// evaluator returns (creating on first use) the shared evaluator for an
-// algorithm against one index version; evaluators cache per-layer prepared
-// indexes across requests. Evaluators are shared across requests with
-// different k values, so their options never encode a per-request k
-// (mutating them would race with in-flight queries): non-rclique
-// evaluators run exhaustively (K=0) and evalQuery truncates to the
-// request's k at result time; rclique pins K to the server-wide MaxK cap,
-// which every request k is clamped under.
+// evaluator returns (creating on first use) the shared evaluator for a
+// canonical algorithm name against one index version; evaluators cache
+// per-layer prepared indexes across requests. Evaluators are shared
+// across requests with different k values, so their options never encode
+// a per-request k (mutating them would race with in-flight queries):
+// non-rclique evaluators run exhaustively (K=0) and evalQuery truncates
+// to the request's k at result time; rclique pins K to the server-wide
+// MaxK cap, which every request k is clamped under.
 func (s *Server) evaluator(st *indexState, name string) (*core.Evaluator, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	key := orDefault(name, "blinks")
-	ev, ok := st.evs[key]
+	ev, ok := st.evs[name]
 	if !ok {
 		algo, err := s.algorithm(st, name)
 		if err != nil {
 			return nil, err
 		}
 		opt := core.DefaultEvalOptions()
-		if key == "rclique" {
+		if name == "rclique" {
 			opt.K = s.opt.MaxK
 			opt.EarlyK = true
 			opt.GenLimit = 40
@@ -567,7 +568,7 @@ func (s *Server) evaluator(st *indexState, name string) (*core.Evaluator, error)
 			opt.DegreeExponent = 1
 		}
 		ev = core.NewEvaluator(st.idx, algo, opt)
-		st.evs[key] = ev
+		st.evs[name] = ev
 	}
 	return ev, nil
 }
@@ -624,7 +625,7 @@ func approxResultBytes(ms []search.Match) int64 {
 // direct baseline eval or hierarchical eval at a pinned/auto layer,
 // with per-phase latency metrics and the per-request k applied at
 // result time (shared evaluators run exhaustively; see evaluator()).
-func (s *Server) evalQuery(ctx context.Context, ev *core.Evaluator, algo string, q []graph.Label, k, forcedLayer int, direct bool) (cachedResult, error) {
+func (s *Server) evalQuery(ctx context.Context, req request) (cachedResult, error) {
 	// A fresh coverage collector rides the context into the shard
 	// coordinator (like obs.Ledger): a lossy sharded run records what it
 	// abandoned, and the report marks the result degraded-by-shards.
@@ -632,11 +633,11 @@ func (s *Server) evalQuery(ctx context.Context, ev *core.Evaluator, algo string,
 	// same report. Unsharded runs never touch it and the report stays nil.
 	cov := shard.NewCoverage()
 	ctx = shard.ContextWithCoverage(ctx, cov)
-	if direct {
-		ms, err := ev.DirectCtx(ctx, q, k)
+	if req.direct {
+		ms, err := req.ev.DirectCtx(ctx, req.q, req.k)
 		return withCoverage(cachedResult{matches: ms}, cov), err
 	}
-	ms, bd, err := ev.EvalLayerCtx(ctx, q, forcedLayer)
+	ms, bd, err := req.ev.EvalLayerCtx(ctx, req.q, req.layer)
 	layer := 0
 	if bd != nil {
 		layer = bd.Layer
@@ -644,12 +645,12 @@ func (s *Server) evalQuery(ctx context.Context, ev *core.Evaluator, algo string,
 		s.phaseSec.With("search").Observe(bd.Search.Seconds())
 		s.phaseSec.With("specialize").Observe(bd.Specialize.Seconds())
 		s.phaseSec.With("generate").Observe(bd.Generate.Seconds())
-		s.observeBreakdown(algo, bd)
+		s.observeBreakdown(req.algo, bd)
 		if err == nil {
-			s.auditCost(ev, algo, bd, obs.LedgerFromContext(ctx), forcedLayer)
+			s.auditCost(req, bd, obs.LedgerFromContext(ctx))
 		}
 	}
-	return withCoverage(cachedResult{matches: search.Truncate(ms, k), layer: layer}, cov), err
+	return withCoverage(cachedResult{matches: search.Truncate(ms, req.k), layer: layer}, cov), err
 }
 
 // withCoverage folds a shard coverage collector into the result: any
@@ -690,10 +691,9 @@ func (s *Server) observeBreakdown(algo string, bd *core.Breakdown) {
 // evaluation (singleflight), and &nocache=1 or a disabled cache bypass
 // both. A deadline expiry inside the evaluation comes back as a
 // degraded cachedResult with a nil error; other errors pass through.
-func (s *Server) runQuery(ctx context.Context, st *indexState, ev *core.Evaluator, algo string, q []graph.Label,
-	k, forcedLayer int, direct, nocache bool) (cachedResult, qcache.Outcome, error) {
+func (s *Server) runQuery(ctx context.Context, st *indexState, req request) (cachedResult, qcache.Outcome, error) {
 	compute := func(cctx context.Context) (qcache.Result, error) {
-		cr, err := s.evalQuery(cctx, ev, algo, q, k, forcedLayer, direct)
+		cr, err := s.evalQuery(cctx, req)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				cr.degraded = "deadline"
@@ -708,13 +708,13 @@ func (s *Server) runQuery(ctx context.Context, st *indexState, ev *core.Evaluato
 			Negative: len(cr.matches) == 0,
 		}, nil
 	}
-	if nocache || s.cache == nil {
+	if req.nocache || s.cache == nil {
 		res, err := compute(ctx)
 		cr, _ := res.V.(cachedResult)
 		return cr, qcache.Bypass, err
 	}
 	epoch := st.idx.Epoch()
-	key := qcache.Key(algo, direct, q, k, forcedLayer, epoch)
+	key := req.key(epoch)
 	// The Cache span is a leaf beside the evaluation spans: it records the
 	// lookup outcome while Select/Search/... stay children of the root.
 	sp := obs.SpanFromContext(ctx).StartChild("Cache")
@@ -735,12 +735,13 @@ func (s *Server) runQuery(ctx context.Context, st *indexState, ev *core.Evaluato
 }
 
 // Warm pre-populates the result cache by evaluating workload queries
-// through the same cached path /query uses (bigindexd's -warm-file).
-// Each entry is "kw1,kw2[ | algo[ | k]]" — fields are |-separated
-// because keywords themselves may contain spaces; blank lines and
-// #-comments are skipped. Returns how many queries were warmed;
-// per-query failures are joined into the returned error without
-// stopping the sweep.
+// through the same parse and cached path /query uses (bigindexd's
+// -warm-file). Each entry is "kw1,kw2[ | algo[ | k]]", read as the
+// parameters q, algo and k — fields are |-separated because keywords
+// themselves may contain spaces; blank lines and #-comments are skipped.
+// Only ctx bounds a warm query: the sweep runs before any client does.
+// Returns how many queries were warmed; per-query failures are joined
+// into the returned error without stopping the sweep.
 func (s *Server) Warm(ctx context.Context, queries []string) (int, error) {
 	if s.cache == nil {
 		return 0, fmt.Errorf("query cache is disabled")
@@ -758,32 +759,17 @@ func (s *Server) Warm(ctx context.Context, queries []string) (int, error) {
 			break
 		}
 		fields := strings.Split(line, "|")
-		for i := range fields {
-			fields[i] = strings.TrimSpace(fields[i])
+		vals := url.Values{}
+		for i, name := range []string{"q", "algo", "k"} {
+			if i < len(fields) {
+				vals.Set(name, strings.TrimSpace(fields[i]))
+			}
 		}
-		algoName, rawK := "", ""
-		if len(fields) > 1 {
-			algoName = fields[1]
+		req, err := s.parseRequest(st, vals)
+		var cr cachedResult
+		if err == nil {
+			cr, _, err = s.runQuery(ctx, st, req)
 		}
-		if len(fields) > 2 {
-			rawK = fields[2]
-		}
-		k, err := s.parseK(rawK)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("warm %q: %w", line, err))
-			continue
-		}
-		q, _, err := s.resolveKeywords(st, strings.Split(fields[0], ","))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("warm %q: %w", line, err))
-			continue
-		}
-		ev, err := s.evaluator(st, algoName)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("warm %q: %w", line, err))
-			continue
-		}
-		cr, _, err := s.runQuery(ctx, st, ev, orDefault(algoName, "blinks"), q, k, -1, false, false)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("warm %q: %w", line, err))
 			continue
@@ -817,126 +803,34 @@ type queryResponse struct {
 	Trace     json.RawMessage `json:"trace,omitempty"`
 }
 
-// intParam parses an optional integer query parameter: absent keeps def,
-// malformed is a client error (the old behaviour silently swallowed the
-// strconv error and treated "abc" as the default, masking typos).
-func intParam(vals url.Values, name string, def int) (int, error) {
-	raw := vals.Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not an integer", name, raw)
-	}
-	return v, nil
-}
-
-// parseK is the one parser of a requested top-k, for /query's &k= and the
-// warm file's third field: empty means 10, anything but an integer in
-// 1..MaxK is an error.
-func (s *Server) parseK(raw string) (int, error) {
-	if raw == "" {
-		return 10, nil
-	}
-	k, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter k=%q is not an integer", raw)
-	}
-	if k <= 0 || k > s.opt.MaxK {
-		return 0, fmt.Errorf("parameter k=%d out of range (1..%d)", k, s.opt.MaxK)
-	}
-	return k, nil
-}
-
-// queryDeadline resolves the effective evaluation deadline: the server's
-// QueryTimeout, optionally shortened (never extended) by a &timeout=
-// duration parameter.
-func (s *Server) queryDeadline(vals url.Values) (time.Duration, error) {
-	timeout := s.opt.QueryTimeout
-	raw := vals.Get("timeout")
-	if raw == "" {
-		return timeout, nil
-	}
-	d, err := time.ParseDuration(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter timeout=%q is not a duration (try 500ms, 2s)", raw)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("parameter timeout=%q must be positive", raw)
-	}
-	if timeout == 0 || d < timeout {
-		timeout = d
-	}
-	return timeout, nil
-}
-
-// resolve maps the request's q parameter to a *canonical* label set:
-// free-text keywords go through the text index, then the labels are
-// sorted and deduplicated (keyword search is set semantics, Def. 2.3).
-// Canonicalization means semantically identical queries — "b,a,a" and
-// "a,b" — share one cache key, one singleflight slot, and one
-// evaluation.
-func (s *Server) resolve(st *indexState, vals url.Values) ([]graph.Label, []string, error) {
-	qparam := vals.Get("q")
-	if qparam == "" {
-		return nil, nil, fmt.Errorf("missing q parameter")
-	}
-	return s.resolveKeywords(st, strings.Split(qparam, ","))
-}
-
-func (s *Server) resolveKeywords(st *indexState, kws []string) ([]graph.Label, []string, error) {
-	for i := range kws {
-		kws[i] = strings.TrimSpace(kws[i])
-	}
-	q, notes, err := st.tix.Resolve(kws, st.idx.Data())
-	if err != nil {
-		return nil, notes, err
-	}
-	return qcache.CanonicalLabels(q), notes, nil
-}
-
-// handleQuery serves /query behind shedded, which parsed the request's
-// query string into vals.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, vals url.Values) {
-	ctx := r.Context()
+// handleQuery serves /query: parse → admit → run → finish → render. The
+// request is parsed before the load-shedding gate, so a malformed one is
+// answered 400 without waiting for a slot, and the gate, the live
+// registry, the cache and the recorder all see the same request.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	st := s.st() // one consistent index version for the whole request
-	q, notes, err := s.resolve(st, vals)
+	req, err := s.parseRequest(st, r.URL.Query())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	algoName := vals.Get("algo")
-	k, err := s.parseK(vals.Get("k"))
+	ctx := r.Context()
+	// Register with the flight recorder's live registry before the gate: a
+	// query stuck waiting for a slot is exactly the kind /debug/active
+	// must surface.
+	tok := s.recorder.Begin(obs.SpanFromContext(ctx).Trace(), req.algo, req.raw)
+	defer s.recorder.End(tok)
+	start := time.Now()
+	release, err := s.admit(ctx)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		s.finish(ctx, w, req, &cachedResult{}, err, time.Since(start), nil)
 		return
 	}
-	// Absent, the layer is -1 and Formula 4 routes; present, it must name
-	// one of the index's layers.
-	forcedLayer, err := intParam(vals, "layer", -1)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if vals.Get("layer") != "" && (forcedLayer < 0 || forcedLayer >= st.idx.NumLayers()) {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("layer %d out of range (index has layers 0..%d)", forcedLayer, st.idx.NumLayers()-1))
-		return
-	}
-	timeout, err := s.queryDeadline(vals)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	ev, err := s.evaluator(st, algoName)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if timeout > 0 {
+	defer release()
+
+	if req.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, req.timeout)
 		defer cancel()
 	}
 	// Per-query resource ledger: the search algorithms, specialization, and
@@ -945,63 +839,69 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, vals url.Va
 	// calibration audit.
 	led := obs.NewLedger()
 	ctx = obs.ContextWithLedger(ctx, led)
-
-	algo := orDefault(algoName, "blinks")
-	direct := vals.Get("direct") != ""
-	nocache := vals.Get("nocache") != ""
-	mode := "eval"
-	if direct {
-		mode = "direct"
-	}
 	obs.AddLogAttrs(ctx,
-		slog.String("query", vals.Get("q")),
-		slog.String("algo", algo),
-		slog.Int("k", k),
-		slog.String("mode", mode))
+		slog.String("query", req.raw),
+		slog.String("algo", req.algo),
+		slog.Int("k", req.k),
+		slog.String("mode", req.mode()))
 
-	start := time.Now()
-	cr, outcome, err := s.runQuery(ctx, st, ev, algo, q, k, forcedLayer, direct, nocache)
+	start = time.Now()
+	cr, outcome, err := s.runQuery(ctx, st, req)
 	elapsed := time.Since(start)
-	// The flight recorder's tail-sampling decision: the trace of every
-	// query reaches Finish with its terminal outcome; errored / degraded /
-	// cancelled queries are always retained, the rest compete as
-	// slowest-of-window or uniform sample.
-	tr := obs.SpanFromContext(ctx).Trace()
-	qRaw := vals.Get("q")
-	cost := led.Snapshot()
-	degradedReason := cr.degraded
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			// The deadline expired while waiting on another query's
-			// in-flight evaluation: there are no partials of our own, so
-			// degrade to an empty (sound, trivially incomplete) answer set.
-			degradedReason = "deadline"
-		case errors.Is(err, context.Canceled):
-			// The client went away; nothing will read the response. Record
-			// the abort for the cancellation counter and close out.
-			s.cancelled.With("client").Inc()
-			s.recorder.FinishCost(tr, algo, qRaw, "cancelled", elapsed, cost)
-			httpError(w, statusClientClosedRequest, fmt.Errorf("client closed request"))
-			return
-		default:
-			s.recorder.FinishCost(tr, algo, qRaw, "error", elapsed, cost)
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
+	if !s.finish(ctx, w, req, &cr, err, elapsed, led.Snapshot()) {
+		return
 	}
-	if degradedReason != "" {
-		if degradedReason == "shards" {
+	// Exemplar: the latency bucket remembers this query's trace ID, so a
+	// spike in the exposition cross-links to /debug/traces/{id}.
+	tr := obs.SpanFromContext(ctx).Trace()
+	s.querySec.With(req.algo, req.mode()).ObserveExemplar(elapsed.Seconds(), tr.ID())
+	s.cacheSec.With(string(outcome)).Observe(elapsed.Seconds())
+	s.matches.With(req.algo).Add(int64(len(cr.matches)))
+	obs.AddLogAttrs(ctx, slog.Int("layer", cr.layer), slog.Int("count", len(cr.matches)),
+		slog.String("cache", string(outcome)))
+	writeJSON(w, render(st, req, cr, outcome == qcache.Hit, elapsed, tr))
+}
+
+// finish is the one place a /query ends. It maps the query's end state —
+// ok, degraded (deadline or shards), cancelled, error or shed — to its
+// outcome counters and to the flight recorder's single Finish call, whose
+// tail sampling always retains every state but ok. It writes the error
+// response of the states without an answer and reports whether the
+// caller renders one (ok and degraded). cost is nil for a query the gate
+// turned away.
+func (s *Server) finish(ctx context.Context, w http.ResponseWriter, req request, cr *cachedResult,
+	err error, dur time.Duration, cost *obs.LedgerSnapshot) bool {
+	end, code := "ok", http.StatusOK
+	switch {
+	case errors.Is(err, errShed):
+		end, code = "shed", http.StatusTooManyRequests
+		s.shed.Inc()
+	case errors.Is(err, context.DeadlineExceeded):
+		// The deadline expired while waiting on another query's in-flight
+		// evaluation: there are no partials of our own, so degrade to an
+		// empty (sound, trivially incomplete) answer set.
+		cr.degraded = "deadline"
+	case errors.Is(err, context.Canceled):
+		// The client went away; nothing will read the response.
+		end, code = "cancelled", statusClientClosedRequest
+		err = fmt.Errorf("client closed request")
+		s.cancelled.With("client").Inc()
+	case err != nil:
+		end, code = "error", http.StatusInternalServerError
+	}
+	if end == "ok" && cr.degraded != "" {
+		end = "degraded"
+		if cr.degraded == "shards" {
 			// Replica loss: the answer is sound for the covered subgraph
 			// (the coordinator stops settling at the first lossy level) but
 			// some blocks went unreached — the coverage block says which,
 			// and the metric says which peer(s) to go look at.
+			peers := []string{"unknown"}
 			if cr.coverage != nil && len(cr.coverage.FailedPeers) > 0 {
-				for _, peer := range cr.coverage.FailedPeers {
-					s.shardLoss.With(peer).Inc()
-				}
-			} else {
-				s.shardLoss.With("unknown").Inc()
+				peers = cr.coverage.FailedPeers
+			}
+			for _, peer := range peers {
+				s.shardLoss.With(peer).Inc()
 			}
 			if cr.coverage != nil {
 				s.coverage.Observe(cr.coverage.Fraction)
@@ -1014,31 +914,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, vals url.Va
 		}
 		s.degraded.Inc()
 		obs.AddLogAttrs(ctx, slog.Bool("degraded", true))
-		s.recorder.FinishCost(tr, algo, qRaw, "degraded", elapsed, cost)
-	} else {
-		s.recorder.FinishCost(tr, algo, qRaw, "ok", elapsed, cost)
 	}
-	ms := cr.matches
-	// Exemplar: the latency bucket remembers this query's trace ID, so a
-	// spike in the exposition cross-links to /debug/traces/{id}.
-	s.querySec.With(algo, mode).ObserveExemplar(elapsed.Seconds(), tr.ID())
-	s.cacheSec.With(string(outcome)).Observe(elapsed.Seconds())
-	s.matches.With(algo).Add(int64(len(ms)))
-	obs.AddLogAttrs(ctx, slog.Int("layer", cr.layer), slog.Int("count", len(ms)),
-		slog.String("cache", string(outcome)))
+	s.recorder.Finish(obs.SpanFromContext(ctx).Trace(), req.algo, req.raw, end, dur, cost)
+	if code == http.StatusOK {
+		return true
+	}
+	if end == "shed" {
+		w.Header().Set("Retry-After", "1")
+	}
+	httpError(w, code, err)
+	return false
+}
 
-	dict := st.idx.Data().Dict()
+// render builds /query's response body for an answered query.
+func render(st *indexState, req request, cr cachedResult, cached bool, elapsed time.Duration, tr *obs.Trace) queryResponse {
 	g := st.idx.Data()
+	dict := g.Dict()
 	resp := queryResponse{
-		Algorithm: algo,
+		Algorithm: req.algo,
 		Layer:     cr.layer,
-		Direct:    direct,
-		Cached:    outcome == qcache.Hit,
+		Direct:    req.direct,
+		Cached:    cached,
 		Elapsed:   elapsed.Round(time.Microsecond).String(),
-		Count:     len(ms),
-		Degraded:  degradedReason != "",
-		Reason:    degradedReason,
-		Notes:     notes,
+		Count:     len(cr.matches),
+		Degraded:  cr.degraded != "",
+		Reason:    cr.degraded,
+		Notes:     req.notes,
 	}
 	if cr.coverage != nil {
 		cov := &coverageJSON{
@@ -1052,46 +953,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, vals url.Va
 		if len(cr.coverage.PerKeyword) > 0 {
 			cov.PerKeyword = make(map[string]float64, len(cr.coverage.PerKeyword))
 			for i, f := range cr.coverage.PerKeyword {
-				if i < len(q) {
-					cov.PerKeyword[dict.Name(q[i])] = f
+				if i < len(req.q) {
+					cov.PerKeyword[dict.Name(req.q[i])] = f
 				}
 			}
 		}
 		resp.Coverage = cov
 	}
-	if want, _ := strconv.ParseBool(vals.Get("trace")); want {
-		if tr := obs.SpanFromContext(ctx).Trace(); tr != nil {
-			if js, err := json.Marshal(tr); err == nil {
-				resp.Trace = js
-			}
+	if req.trace && tr != nil {
+		if js, err := json.Marshal(tr); err == nil {
+			resp.Trace = js
 		}
 	}
-	for _, l := range q {
+	for _, l := range req.q {
 		resp.Query = append(resp.Query, dict.Name(l))
 	}
-	for _, m := range ms {
+	for _, m := range cr.matches {
 		mj := matchJSON{Root: dict.Name(g.Label(m.Root)), Score: m.Score, Dists: m.Dists}
 		for _, n := range m.Nodes {
 			mj.Nodes = append(mj.Nodes, dict.Name(g.Label(n)))
 		}
 		resp.Matches = append(resp.Matches, mj)
 	}
-	writeJSON(w, resp)
+	return resp
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	st, vals := s.st(), r.URL.Query()
-	q, notes, err := s.resolve(st, vals)
+	st := s.st()
+	req, err := s.parseRequest(st, r.URL.Query())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	ev, err := s.evaluator(st, vals.Get("algo"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	plan := ev.ExplainCtx(r.Context(), q)
+	plan := req.ev.ExplainCtx(r.Context(), req.q)
 	dict := st.idx.Data().Dict()
 	type layerJSON struct {
 		Layer       int      `json:"layer"`
@@ -1103,7 +997,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Chosen int         `json:"chosen_layer"`
 		Layers []layerJSON `json:"layers"`
 		Notes  []string    `json:"notes,omitempty"`
-	}{Chosen: plan.Layer, Notes: notes}
+	}{Chosen: plan.Layer, Notes: req.notes}
 	for m, row := range plan.Costs {
 		lj := layerJSON{Layer: m, Cost: plan.Costs.Cost(m, plan.Beta), Legal: row.Legal}
 		for _, l := range row.Gen {
@@ -1235,11 +1129,4 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func orDefault(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
 }

@@ -12,7 +12,7 @@ import (
 	"bigindex/internal/datagen"
 )
 
-func testServer(t *testing.T) (*Server, *datagen.Dataset) {
+func testServer(t testing.TB) (*Server, *datagen.Dataset) {
 	t.Helper()
 	ds := datagen.Generate(datagen.Options{
 		Name: "srv", Entities: 1200, Terms: 100, LeafTypes: 8, Seed: 99,
